@@ -48,10 +48,12 @@ fn bench_golden_models(h: &mut Harness) {
     });
 }
 
-/// Serial vs parallel trace fan-out over one fixed trace set — the
-/// `measure_with` worker sweep. Entries differ only in worker count, so
-/// the JSON directly shows the parallel-measure speedup.
-fn bench_parallel_measure(h: &mut Harness) {
+/// Whole-call costs over fixed GCD trace sets: `measure` compiles the
+/// STG once per call and `profile` builds one execution plan per call,
+/// so these entries show what that set-up amortizes over. The `_1w`
+/// suffix keeps the measure entry comparable with older JSON, from when
+/// `measure` also ran on several worker threads.
+fn bench_trace_sets(h: &mut Harness) {
     let w = workloads::gcd().unwrap();
     let r = schedule(
         &w.cdfg,
@@ -63,22 +65,15 @@ fn bench_parallel_measure(h: &mut Harness) {
     .expect("schedules");
     let vectors = hls_sim::trace::positive_vectors(7, &["x", "y"], 24.0, 63, 64);
     let mem: HashMap<String, Vec<i64>> = HashMap::new();
-    for workers in [1usize, 2, 4] {
-        let name = format!("sim/gcd_measure_{workers}w");
-        h.bench(&name, || {
-            hls_sim::measure_with(
-                black_box(&w.cdfg),
-                &r.stg,
-                &vectors,
-                &mem,
-                None,
-                100_000,
-                workers,
-            )
+    h.bench("sim/gcd_measure_1w", || {
+        hls_sim::measure(black_box(&w.cdfg), &r.stg, &vectors, &mem, None, 100_000)
             .unwrap()
             .mean_cycles
-        });
-    }
+    });
+    let vectors = hls_sim::trace::positive_vectors(7, &["x", "y"], 24.0, 63, 50);
+    h.bench("sim/gcd_profile", || {
+        hls_sim::profile(black_box(&w.cdfg), &vectors, &mem)
+    });
 }
 
 fn bench_markov(h: &mut Harness) {
@@ -102,7 +97,7 @@ fn main() {
     let mut h = Harness::new("simulation");
     bench_stg_simulation(&mut h);
     bench_golden_models(&mut h);
-    bench_parallel_measure(&mut h);
+    bench_trace_sets(&mut h);
     bench_markov(&mut h);
     h.finish().expect("bench JSON written");
 }

@@ -35,44 +35,19 @@ fn build(w: &workloads::Workload, adders: u32, p: f64) -> ScheduleResult {
 }
 
 /// Simulated mean cycles at branch probability `p`: inputs b ∈ {1, 3}
-/// with P(b = 3) = p (so P(x = b+1 > 2) = p), e fixed.
-///
-/// The Bernoulli inputs are drawn serially from the seeded stream, so
-/// the trace set is identical for any worker count; only the
-/// independent simulations fan out over `SPEC_MEASURE_THREADS` scoped
-/// threads (default: serial). Cycle totals are exact `u64` sums, so
-/// the reported mean is bit-identical at every parallelism.
+/// with P(b = 3) = p (so P(x = b+1 > 2) = p), e fixed, drawn from a
+/// seeded stream.
 fn simulate(w: &workloads::Workload, stg: &stg::Stg, p: f64, runs: usize) -> f64 {
     let mut rng = Xoshiro256StarStar::seed_from_u64(99);
-    let inputs: Vec<i64> = (0..runs)
-        .map(|_| if rng.chance(p) { 3 } else { 1 })
-        .collect();
-    let run_one = |sim: &hls_sim::StgSimulator<'_>, b: i64| {
-        sim.run(&[("b", b), ("e", 5)], &HashMap::new(), 10_000)
-            .expect("fig4 simulates")
-            .cycles
-    };
-    let threads = std::env::var("SPEC_MEASURE_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(1);
-    let total: u64 = if threads <= 1 || inputs.len() <= 1 {
-        let sim = hls_sim::StgSimulator::new(&w.cdfg, stg);
-        inputs.iter().map(|&b| run_one(&sim, b)).sum()
-    } else {
-        let chunk = inputs.len().div_ceil(threads);
-        let mut sums = vec![0u64; inputs.len().div_ceil(chunk)];
-        std::thread::scope(|s| {
-            let run_one = &run_one;
-            for (vs, out) in inputs.chunks(chunk).zip(sums.iter_mut()) {
-                s.spawn(move || {
-                    let sim = hls_sim::StgSimulator::new(&w.cdfg, stg);
-                    *out = vs.iter().map(|&b| run_one(&sim, b)).sum();
-                });
-            }
-        });
-        sums.iter().sum()
-    };
+    let sim = hls_sim::StgSimulator::new(&w.cdfg, stg);
+    let total: u64 = (0..runs)
+        .map(|_| {
+            let b = if rng.chance(p) { 3 } else { 1 };
+            sim.run(&[("b", b), ("e", 5)], &HashMap::new(), 10_000)
+                .expect("fig4 simulates")
+                .cycles
+        })
+        .sum();
     total as f64 / runs as f64
 }
 

@@ -12,10 +12,16 @@
 //!   evaluates true over a trace set, producing the branch probabilities
 //!   the paper's scheduler consumes (Sec. 2: "profiling information that
 //!   indicates the branch probabilities").
+//!
+//! Both build one execution plan per CDFG — the topological order
+//! cut into per-region item lists, with every port resolved to a dense
+//! index — and then run each input vector on flat `Vec`s indexed by
+//! [`OpId`] and [`LoopId`].
 
 use cdfg::analysis::{intra_topo_order, BranchProbs};
 use cdfg::{Cdfg, CtrlKind, LoopId, OpId, OpKind, PortKind, Value};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 /// Result of one CDFG execution.
 #[derive(Debug, Clone)]
@@ -50,6 +56,39 @@ impl std::fmt::Display for ExecCdfgError {
 
 impl std::error::Error for ExecCdfgError {}
 
+/// Binds `inputs` to `g`'s primary inputs, in declaration order, into
+/// `out`. When a name is bound twice the last binding wins. Returns the
+/// first input name left unbound.
+pub(crate) fn bind_inputs(
+    g: &Cdfg,
+    inputs: &[(&str, Value)],
+    out: &mut Vec<Value>,
+) -> Result<(), String> {
+    out.clear();
+    for (_, name) in g.inputs() {
+        let v = inputs
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name.as_str())
+            .ok_or_else(|| name.clone())?;
+        out.push(v.1);
+    }
+    Ok(())
+}
+
+/// Every memory of `g`, indexed by `MemId`, holding its `mem_init`
+/// contents zero-extended (or truncated) to the declared size.
+pub(crate) fn initial_mems(g: &Cdfg, mem_init: &HashMap<String, Vec<Value>>) -> Vec<Vec<Value>> {
+    g.mems()
+        .iter()
+        .map(|m| {
+            let mut cells = mem_init.get(m.name()).cloned().unwrap_or_default();
+            cells.resize(m.size(), 0);
+            cells
+        })
+        .collect()
+}
+
 /// Executes `g` on one input vector.
 ///
 /// # Errors
@@ -61,40 +100,9 @@ pub fn execute_cdfg(
     mem_init: &HashMap<String, Vec<Value>>,
     step_limit: u64,
 ) -> Result<CdfgOutcome, ExecCdfgError> {
-    let by_name: HashMap<&str, Value> = inputs.iter().copied().collect();
-    let mut input_vals = Vec::new();
-    for (_, name) in g.inputs() {
-        input_vals.push(
-            by_name
-                .get(name.as_str())
-                .copied()
-                .ok_or_else(|| ExecCdfgError::MissingInput(name.clone()))?,
-        );
-    }
-    let mut ex = Exec {
-        g,
-        order: intra_topo_order(g).expect("validated CDFG"),
-        input_vals,
-        mems: g
-            .mems()
-            .iter()
-            .map(|m| {
-                let mut cells = mem_init.get(m.name()).cloned().unwrap_or_default();
-                cells.resize(m.size(), 0);
-                cells.truncate(m.size());
-                cells
-            })
-            .collect(),
-        outputs: vec![0; g.outputs().len()],
-        env: HashMap::new(),
-        prev: HashMap::new(),
-        first_iter: HashMap::new(),
-        ran_body: HashMap::new(),
-        cond_stats: HashMap::new(),
-        steps: 0,
-        step_limit,
-    };
-    ex.region(&[])?;
+    let plan = Plan::new(g);
+    let mut ex = Exec::new(&plan, step_limit);
+    ex.run(g, inputs, &initial_mems(g, mem_init))?;
     Ok(CdfgOutcome {
         outputs: g
             .outputs()
@@ -106,61 +114,289 @@ pub fn execute_cdfg(
             .iter()
             .map(|m| (m.name().to_string(), ex.mems[m.id().index()].clone()))
             .collect(),
-        cond_stats: ex.cond_stats,
+        cond_stats: ex
+            .cond_stats
+            .iter()
+            .enumerate()
+            .filter(|(_, &(_, n))| n > 0)
+            .map(|(i, &tn)| (OpId::new(i as u32), tn))
+            .collect(),
         steps: ex.steps,
     })
 }
 
 /// Profiles `g` over a set of input vectors, producing the branch
-/// probabilities the scheduler consumes. Runs that exceed `step_limit`
-/// are skipped (their partial tallies are kept).
+/// probabilities the scheduler consumes. A run that fails — it exceeds
+/// `step_limit` or lacks an input — contributes nothing: its partial
+/// tallies are discarded.
 pub fn profile_cdfg(
     g: &Cdfg,
     runs: &[Vec<(&str, Value)>],
     mem_init: &HashMap<String, Vec<Value>>,
     step_limit: u64,
 ) -> BranchProbs {
-    let mut tally: HashMap<OpId, (u64, u64)> = HashMap::new();
+    let plan = Plan::new(g);
+    let image = initial_mems(g, mem_init);
+    let mut ex = Exec::new(&plan, step_limit);
+    let mut tally = vec![(0u64, 0u64); g.ops().len()];
     for inputs in runs {
-        if let Ok(out) = execute_cdfg(g, inputs, mem_init, step_limit) {
-            for (op, (t, n)) in out.cond_stats {
-                let e = tally.entry(op).or_insert((0, 0));
-                e.0 += t;
-                e.1 += n;
+        if ex.run(g, inputs, &image).is_ok() {
+            for (acc, &(t, n)) in tally.iter_mut().zip(&ex.cond_stats) {
+                acc.0 += t;
+                acc.1 += n;
             }
         }
     }
     let mut probs = BranchProbs::new();
-    for (op, (t, n)) in tally {
+    for (i, &(t, n)) in tally.iter().enumerate() {
         if n > 0 {
-            probs.set(op, t as f64 / n as f64);
+            probs.set(OpId::new(i as u32), t as f64 / n as f64);
         }
     }
     probs
 }
 
-struct Exec<'a> {
-    g: &'a Cdfg,
-    order: Vec<OpId>,
+/// One step of a region: evaluate an op, or run a directly nested loop
+/// to its exit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Item {
+    Op(OpId),
+    Loop(LoopId),
+}
+
+/// An input port, resolved against the executor's dense tables.
+#[derive(Debug, Clone, Copy)]
+enum Port {
+    Wire(OpId),
+    /// `prev` indexes the snapshot of `src`, or is `None` when `src` is
+    /// not a member of `lp` (a later-iteration read then panics).
+    Carried {
+        lp: LoopId,
+        prev: Option<usize>,
+        init: OpId,
+    },
+    Exit {
+        lp: LoopId,
+        src: OpId,
+        init: OpId,
+    },
+}
+
+#[derive(Debug)]
+struct OpPlan {
+    kind: OpKind,
+    /// The op's slice of [`Plan::ports`].
+    ports: Range<usize>,
+    /// The op's slice of [`Plan::branches`].
+    branches: Range<usize>,
+    conditional: bool,
+}
+
+#[derive(Debug)]
+struct LoopPlan {
+    cond: OpId,
+    /// The condition cone, in topological order.
+    cone: Vec<OpId>,
+    /// The body minus the cone, in topological order, with nested loops
+    /// entered at their first op.
+    body: Vec<Item>,
+    /// Members read through carried ports, with their snapshot index:
+    /// copied at the end of every iteration for the next one to read.
+    carried: Vec<(OpId, usize)>,
+}
+
+/// A CDFG compiled for repeated execution.
+#[derive(Debug)]
+struct Plan {
+    top: Vec<Item>,
+    loops: Vec<LoopPlan>,
+    ops: Vec<OpPlan>,
+    /// Every op's input ports, in operand order, back to back.
+    ports: Vec<Port>,
+    /// Every op's `(cond, polarity)` branch gates on side effects and
+    /// profiling, back to back.
+    branches: Vec<(OpId, bool)>,
+    /// Total snapshot slots over all loops.
+    prev_len: usize,
+}
+
+/// The items of the region at loop nest `path`: in `order`, the kept ops
+/// whose loop path is `path`, and each directly nested loop once, at its
+/// first kept op.
+fn region_items(
+    g: &Cdfg,
+    order: &[OpId],
+    path: &[LoopId],
+    keep: impl Fn(OpId) -> bool,
+) -> Vec<Item> {
+    let mut items = Vec::new();
+    for &id in order.iter().filter(|&&id| keep(id)) {
+        let op_path = g.op(id).loop_path();
+        if op_path == path {
+            items.push(Item::Op(id));
+        } else if op_path.len() > path.len() && op_path.starts_with(path) {
+            let nested = Item::Loop(op_path[path.len()]);
+            if !items.contains(&nested) {
+                items.push(nested);
+            }
+        }
+    }
+    items
+}
+
+impl Plan {
+    fn new(g: &Cdfg) -> Plan {
+        let n = g.ops().len();
+        let order = intra_topo_order(g).expect("validated CDFG");
+        let mask = |ids: &[OpId]| {
+            let mut m = vec![false; n];
+            for id in ids {
+                m[id.index()] = true;
+            }
+            m
+        };
+        let members: Vec<Vec<bool>> = g.loops().iter().map(|l| mask(l.members())).collect();
+        let mut loops: Vec<LoopPlan> = g
+            .loops()
+            .iter()
+            .zip(&members)
+            .map(|(info, member)| {
+                let in_cone = mask(info.cond_cone());
+                let path = g.op(info.cond()).loop_path();
+                LoopPlan {
+                    cond: info.cond(),
+                    cone: order
+                        .iter()
+                        .copied()
+                        .filter(|id| in_cone[id.index()])
+                        .collect(),
+                    body: region_items(g, &order, path, |id| {
+                        member[id.index()] && !in_cone[id.index()]
+                    }),
+                    carried: Vec::new(),
+                }
+            })
+            .collect();
+        // Snapshot slot k holds member `snapshots[k].1` of loop `.0`.
+        let mut snapshots: Vec<(LoopId, OpId)> = Vec::new();
+        let mut ops = Vec::with_capacity(n);
+        let mut ports = Vec::new();
+        let mut branches = Vec::new();
+        for op in g.ops() {
+            let first_port = ports.len();
+            for p in op.ports() {
+                ports.push(match *p {
+                    PortKind::Wire(s) => Port::Wire(s),
+                    PortKind::Carried { lp, src, init } => {
+                        let prev = members[lp.index()][src.index()].then(|| {
+                            snapshots
+                                .iter()
+                                .position(|&k| k == (lp, src))
+                                .unwrap_or_else(|| {
+                                    snapshots.push((lp, src));
+                                    snapshots.len() - 1
+                                })
+                        });
+                        Port::Carried { lp, prev, init }
+                    }
+                    PortKind::Exit { lp, src, init } => Port::Exit { lp, src, init },
+                });
+            }
+            let first_branch = branches.len();
+            branches.extend(
+                op.ctrl_deps()
+                    .iter()
+                    .filter(|d| d.kind == CtrlKind::Branch)
+                    .map(|d| (d.cond, d.polarity)),
+            );
+            ops.push(OpPlan {
+                kind: op.kind(),
+                ports: first_port..ports.len(),
+                branches: first_branch..branches.len(),
+                conditional: op.is_conditional(),
+            });
+        }
+        for (slot, &(lp, src)) in snapshots.iter().enumerate() {
+            loops[lp.index()].carried.push((src, slot));
+        }
+        Plan {
+            top: region_items(g, &order, &[], |_| true),
+            loops,
+            ops,
+            ports,
+            branches,
+            prev_len: snapshots.len(),
+        }
+    }
+}
+
+/// Executor state for one input vector at a time; [`Exec::run`] resets
+/// it in place, so a profile over many vectors allocates once.
+struct Exec<'p> {
+    plan: &'p Plan,
     input_vals: Vec<Value>,
     mems: Vec<Vec<Value>>,
     outputs: Vec<Value>,
-    /// Current value of every op (latest wave).
-    env: HashMap<OpId, Value>,
-    /// Per loop: the previous iteration's values of its members.
-    prev: HashMap<LoopId, HashMap<OpId, Value>>,
+    /// Current value of every op (latest wave), by `OpId`.
+    env: Vec<Option<Value>>,
+    /// The previous iteration's values of carried-read loop members, by
+    /// snapshot index.
+    prev: Vec<Option<Value>>,
     /// Per loop: executing its first iteration (carried ports read
     /// inits).
-    first_iter: HashMap<LoopId, bool>,
-    /// Per loop: the body ran at least once (exit views read `prev`-era
-    /// values; else the init).
-    ran_body: HashMap<LoopId, bool>,
-    cond_stats: HashMap<OpId, (u64, u64)>,
+    first_iter: Vec<bool>,
+    /// Per loop: the body ran at least once (exit views read `src`;
+    /// else the init).
+    ran_body: Vec<bool>,
+    /// Per op: (times true, times evaluated meaningfully).
+    cond_stats: Vec<(u64, u64)>,
     steps: u64,
     step_limit: u64,
 }
 
-impl Exec<'_> {
+impl<'p> Exec<'p> {
+    fn new(plan: &'p Plan, step_limit: u64) -> Self {
+        let (n, l) = (plan.ops.len(), plan.loops.len());
+        Exec {
+            plan,
+            input_vals: Vec::new(),
+            mems: Vec::new(),
+            outputs: Vec::new(),
+            env: vec![None; n],
+            prev: vec![None; plan.prev_len],
+            first_iter: vec![true; l],
+            ran_body: vec![false; l],
+            cond_stats: vec![(0, 0); n],
+            steps: 0,
+            step_limit,
+        }
+    }
+
+    /// Runs one input vector from a clean state, starting from the
+    /// memory `image` (indexed by `MemId`).
+    fn run(
+        &mut self,
+        g: &Cdfg,
+        inputs: &[(&str, Value)],
+        image: &[Vec<Value>],
+    ) -> Result<(), ExecCdfgError> {
+        bind_inputs(g, inputs, &mut self.input_vals).map_err(ExecCdfgError::MissingInput)?;
+        self.mems.resize_with(image.len(), Vec::new);
+        for (mem, init) in self.mems.iter_mut().zip(image) {
+            mem.clone_from(init);
+        }
+        self.outputs.clear();
+        self.outputs.resize(g.outputs().len(), 0);
+        self.env.fill(None);
+        self.prev.fill(None);
+        self.first_iter.fill(true);
+        self.ran_body.fill(false);
+        self.cond_stats.fill((0, 0));
+        self.steps = 0;
+        let plan = self.plan;
+        self.items(&plan.top)
+    }
+
     fn tick(&mut self) -> Result<(), ExecCdfgError> {
         self.steps += 1;
         if self.steps > self.step_limit {
@@ -170,96 +406,64 @@ impl Exec<'_> {
         }
     }
 
-    /// Executes all ops whose loop path equals `path` in topological
-    /// order, recursing into directly nested loops when first reached.
-    fn region(&mut self, path: &[LoopId]) -> Result<(), ExecCdfgError> {
-        let order = self.order.clone();
-        let mut entered: Vec<LoopId> = Vec::new();
-        for id in order {
-            let op_path: Vec<LoopId> = self.g.op(id).loop_path().to_vec();
-            if op_path == path {
-                self.eval_op(id)?;
-            } else if op_path.len() > path.len() && op_path.starts_with(path) {
-                let nested = op_path[path.len()];
-                if !entered.contains(&nested) {
-                    entered.push(nested);
-                    self.exec_loop(nested)?;
-                }
+    fn items(&mut self, items: &[Item]) -> Result<(), ExecCdfgError> {
+        for &item in items {
+            match item {
+                Item::Op(id) => self.eval_op(id)?,
+                Item::Loop(l) => self.exec_loop(l)?,
             }
         }
         Ok(())
+    }
+
+    fn value(&self, id: OpId) -> Value {
+        self.env[id.index()].expect("validated CDFG: producers run before consumers")
     }
 
     fn exec_loop(&mut self, l: LoopId) -> Result<(), ExecCdfgError> {
-        let info = self.g.loop_info(l);
-        let cond = info.cond();
-        let cone: Vec<OpId> = info.cond_cone().to_vec();
-        let members: Vec<OpId> = info.members().to_vec();
-        let path: Vec<LoopId> = self.g.op(cond).loop_path().to_vec();
-        self.first_iter.insert(l, true);
-        self.ran_body.insert(l, false);
+        let plan = self.plan;
+        let lp = &plan.loops[l.index()];
+        self.first_iter[l.index()] = true;
+        self.ran_body[l.index()] = false;
         loop {
             self.tick()?;
-            // Evaluate the condition cone (in topo order).
-            let order = self.order.clone();
-            for id in order.iter().copied() {
-                if cone.contains(&id) {
-                    self.eval_op(id)?;
-                }
+            for &id in &lp.cone {
+                self.eval_op(id)?;
             }
-            if self.env[&cond] == 0 {
+            if self.value(lp.cond) == 0 {
                 break;
             }
-            // Body: direct members in topo order, recursing into nested
-            // loops; cone ops were already evaluated.
-            let mut entered: Vec<LoopId> = Vec::new();
-            for id in order.iter().copied() {
-                if !members.contains(&id) || cone.contains(&id) {
-                    continue;
-                }
-                let op_path: Vec<LoopId> = self.g.op(id).loop_path().to_vec();
-                if op_path == path {
-                    self.eval_op(id)?;
-                } else if op_path.len() > path.len() && op_path.starts_with(&path) {
-                    let nested = op_path[path.len()];
-                    if !entered.contains(&nested) {
-                        entered.push(nested);
-                        self.exec_loop(nested)?;
-                    }
-                }
-            }
+            self.items(&lp.body)?;
             // Snapshot this iteration's values for next iteration's
             // carried reads.
-            let snap: HashMap<OpId, Value> = members
-                .iter()
-                .filter_map(|m| self.env.get(m).map(|&v| (*m, v)))
-                .collect();
-            self.prev.insert(l, snap);
-            self.first_iter.insert(l, false);
-            self.ran_body.insert(l, true);
+            for &(m, slot) in &lp.carried {
+                self.prev[slot] = self.env[m.index()];
+            }
+            self.first_iter[l.index()] = false;
+            self.ran_body[l.index()] = true;
         }
         Ok(())
     }
 
-    fn read_port(&self, consumer: OpId, p: &PortKind) -> Value {
-        match *p {
-            PortKind::Wire(s) => self.env[&s],
-            PortKind::Carried { lp, src, init } => {
-                if self.first_iter.get(&lp).copied().unwrap_or(true) {
-                    self.env[&init]
+    fn read_port(&self, p: Port) -> Value {
+        match p {
+            Port::Wire(s) => self.value(s),
+            Port::Carried { lp, prev, init } => {
+                if self.first_iter[lp.index()] {
+                    self.value(init)
                 } else {
-                    self.prev[&lp][&src]
+                    self.prev[prev.expect("carried source is a loop member")]
+                        .expect("carried source ran in the previous iteration")
                 }
             }
-            PortKind::Exit { lp, src, init } => {
-                let _ = consumer;
-                if self.ran_body.get(&lp).copied().unwrap_or(false) {
+            Port::Exit { lp, src, init } => {
+                if self.ran_body[lp.index()] {
                     // Body values of the last completed iteration remain
                     // in env (the final cone evaluation only overwrote
                     // cone ops).
-                    self.env[&src]
+                    self.value(src)
                 } else {
-                    self.env[&init]
+                    self.value(init)
                 }
             }
         }
@@ -267,17 +471,20 @@ impl Exec<'_> {
 
     fn eval_op(&mut self, id: OpId) -> Result<(), ExecCdfgError> {
         self.tick()?;
-        let op = self.g.op(id);
-        let kind = op.kind();
-        let vals: Vec<Value> = op.ports().iter().map(|p| self.read_port(id, p)).collect();
+        let plan = self.plan;
+        let op = &plan.ops[id.index()];
+        let ports = &plan.ports[op.ports.clone()];
+        let mut buf = [0 as Value; 3];
+        for (b, &p) in buf.iter_mut().zip(ports) {
+            *b = self.read_port(p);
+        }
+        let vals = &buf[..ports.len()];
         // Side effects commit only when the realized branch conditions
         // hold (loop gating is implied by reaching this point).
-        let branches_hold = op
-            .ctrl_deps()
+        let branches_hold = plan.branches[op.branches.clone()]
             .iter()
-            .filter(|d| d.kind == CtrlKind::Branch)
-            .all(|d| (self.env[&d.cond] != 0) == d.polarity);
-        let result = match kind {
+            .all(|&(cond, polarity)| (self.value(cond) != 0) == polarity);
+        let result = match op.kind {
             OpKind::Const(v) => v,
             OpKind::Input(i) => self.input_vals[i.index()],
             OpKind::MemRead(m) => {
@@ -299,12 +506,12 @@ impl Exec<'_> {
                 }
                 vals[0]
             }
-            k => k.eval(&vals, None),
+            k => k.eval(vals, None),
         };
-        self.env.insert(id, result);
+        self.env[id.index()] = Some(result);
         // Profile: tally meaningful evaluations of conditionals.
-        if op.is_conditional() && branches_hold {
-            let e = self.cond_stats.entry(id).or_insert((0, 0));
+        if op.conditional && branches_hold {
+            let e = &mut self.cond_stats[id.index()];
             if result != 0 {
                 e.0 += 1;
             }
@@ -352,6 +559,27 @@ mod tests {
     }
 
     #[test]
+    fn profile_drops_runs_over_the_step_limit() {
+        let src = "design d { input n; output o; var i = 0;
+            while (i < n) { i = i + 1; } o = i; }";
+        let g = hls_lang::lower::compile(&Program::parse(src).unwrap()).unwrap();
+        let cond = g.loops()[0].cond();
+        let limit = 200;
+        let long = vec![("n", 1_000)];
+        assert_eq!(
+            execute_cdfg(&g, &long, &HashMap::new(), limit).unwrap_err(),
+            ExecCdfgError::StepLimit
+        );
+        // Alone, the runaway vector leaves no probability at all...
+        let probs = profile_cdfg(&g, std::slice::from_ref(&long), &HashMap::new(), limit);
+        assert_eq!(probs.iter().count(), 0);
+        // ...and beside a finished run it does not move the tally: only
+        // n = 3's 3 continues out of 4 checks count.
+        let probs = profile_cdfg(&g, &[vec![("n", 3)], long], &HashMap::new(), limit);
+        assert_eq!(probs.iter().collect::<Vec<_>>(), vec![(cond, 0.75)]);
+    }
+
+    #[test]
     fn branch_profile_counts_only_taken_paths() {
         // The inner condition is evaluated every iteration; its profile
         // reflects actual outcomes.
@@ -384,11 +612,35 @@ mod tests {
 
     #[test]
     fn nested_loops_execute() {
+        // The inner loop carries `j` and `s` through `prev`; at i = 0 its
+        // body never runs, so the outer body reads `s` through the exit
+        // view's init.
         let src = "design d { input n; output acc; var i = 0; var s = 0;
             while (i < n) { var j = 0; while (j < i) { s = s + 1; j = j + 1; } i = i + 1; }
             acc = s; }";
-        let cd = exec(src, &[("n", 5)]);
-        assert_eq!(cd.outputs["acc"], 10);
+        let p = Program::parse(src).unwrap();
+        let g = hls_lang::lower::compile(&p).unwrap();
+        let cond_of = |outer: bool| {
+            let l = g.loops().iter().find(|l| l.parent().is_none() == outer);
+            l.unwrap().cond()
+        };
+        let (outer, inner) = (cond_of(true), cond_of(false));
+        // (n, acc, outer (true, evaluated), inner (true, evaluated)).
+        for (n, acc, outer_stats, inner_stats) in [
+            (0, 0, (0, 1), None),
+            (1, 0, (1, 2), Some((0, 1))),
+            (2, 1, (2, 3), Some((1, 3))),
+            (5, 10, (5, 6), Some((10, 15))),
+        ] {
+            let cd = execute_cdfg(&g, &[("n", n)], &HashMap::new(), 1_000_000).unwrap();
+            let it =
+                hls_lang::interp::run(&p, &[("n", n)], &Default::default(), 1_000_000).unwrap();
+            assert_eq!(cd.outputs["acc"], acc, "n = {n}");
+            assert_eq!(cd.outputs, it.outputs, "n = {n}: executor vs interpreter");
+            let mut want = HashMap::from([(outer, outer_stats)]);
+            want.extend(inner_stats.map(|s| (inner, s)));
+            assert_eq!(cd.cond_stats, want, "n = {n}");
+        }
     }
 
     #[test]

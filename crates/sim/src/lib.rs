@@ -31,5 +31,5 @@ mod sim;
 pub mod trace;
 
 pub use exec::{execute_cdfg, CdfgOutcome};
-pub use measure::{measure, measure_with, profile, MeasureError, Measurement};
+pub use measure::{measure, profile, MeasureError, Measurement};
 pub use sim::{SimError, SimOutcome, StgSimulator};

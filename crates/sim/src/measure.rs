@@ -69,60 +69,18 @@ impl std::fmt::Display for MeasureError {
 
 impl std::error::Error for MeasureError {}
 
-/// Per-trace record: what one simulated run contributes to the
-/// aggregate, independent of every other trace.
-#[derive(Debug, Clone, Copy)]
-struct TraceResult {
-    cycles: u64,
-    mismatch: bool,
-}
-
-/// Runs one input vector through the simulator (and, when `golden` is
-/// given, the behavioral interpreter) and reports its contribution.
-fn run_trace(
-    sim: &StgSimulator<'_>,
-    vec: &[(String, Value)],
-    mem_init: &HashMap<String, Vec<Value>>,
-    golden: Option<&hls_lang::Program>,
-    cycle_limit: u64,
-) -> Result<TraceResult, MeasureError> {
-    let inputs: Vec<(&str, Value)> = vec.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    let out = sim
-        .run(&inputs, mem_init, cycle_limit)
-        .map_err(|e| MeasureError::Sim {
-            vector: format!("{vec:?}"),
-            detail: e.to_string(),
-        })?;
-    let mut mismatch = false;
-    if let Some(p) = golden {
-        let image = hls_lang::MemImage {
-            contents: mem_init.clone(),
-        };
-        let want = hls_lang::interp::run(p, &inputs, &image, 10_000_000).map_err(|e| {
-            MeasureError::Golden {
-                vector: format!("{vec:?}"),
-                detail: e.to_string(),
-            }
-        })?;
-        mismatch = want.outputs != out.outputs || want.mems != out.mems;
-    }
-    Ok(TraceResult {
-        cycles: out.cycles,
-        mismatch,
-    })
-}
-
 /// Simulates `stg` over every input vector, checking outputs and final
 /// memories against the `hls-lang` interpreter when `golden` is
-/// provided. Equivalent to [`measure_with`] at the parallelism set by
-/// the `SPEC_MEASURE_THREADS` environment variable (default: serial).
+/// provided. The STG is compiled once ([`StgSimulator::new`]) and the
+/// golden model's memory image is built once, for all vectors.
 ///
 /// # Errors
 ///
 /// Returns [`MeasureError`] if a simulation or golden-model run fails —
 /// scheduled STGs are self-contained, so failures indicate scheduler
 /// bugs, but they fail this one measurement instead of panicking a
-/// whole batch run.
+/// whole batch run. The first failing vector (in vector order) is
+/// reported.
 pub fn measure(
     g: &Cdfg,
     stg: &Stg,
@@ -131,81 +89,46 @@ pub fn measure(
     golden: Option<&hls_lang::Program>,
     cycle_limit: u64,
 ) -> Result<Measurement, MeasureError> {
-    let parallelism = std::env::var("SPEC_MEASURE_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(1);
-    measure_with(g, stg, vectors, mem_init, golden, cycle_limit, parallelism)
-}
-
-/// [`measure`] with an explicit worker count.
-///
-/// Traces are independent (each run owns its simulator state and the
-/// memory image is cloned per trace), so they fan out over
-/// `parallelism` scoped threads in contiguous chunks. Per-trace results
-/// are merged **in trace order**, so the result — including the
-/// floating-point mean and the choice of reported error when several
-/// traces fail — is bit-identical to the serial run for any worker
-/// count. `parallelism <= 1` takes the serial path with a single
-/// shared simulator.
-///
-/// # Errors
-///
-/// As [`measure`]; when several traces fail, the error of the earliest
-/// failing trace (in vector order) is returned.
-pub fn measure_with(
-    g: &Cdfg,
-    stg: &Stg,
-    vectors: &[Vec<(String, Value)>],
-    mem_init: &HashMap<String, Vec<Value>>,
-    golden: Option<&hls_lang::Program>,
-    cycle_limit: u64,
-    parallelism: usize,
-) -> Result<Measurement, MeasureError> {
-    let per_trace: Vec<TraceResult> = if parallelism <= 1 || vectors.len() <= 1 {
-        let sim = StgSimulator::new(g, stg);
-        vectors
-            .iter()
-            .map(|vec| run_trace(&sim, vec, mem_init, golden, cycle_limit))
-            .collect::<Result<_, _>>()?
-    } else {
-        let chunk = vectors.len().div_ceil(parallelism);
-        let mut slots: Vec<Option<Result<TraceResult, MeasureError>>> = vec![None; vectors.len()];
-        std::thread::scope(|s| {
-            for (vs, out) in vectors.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                s.spawn(move || {
-                    let sim = StgSimulator::new(g, stg);
-                    for (vec, slot) in vs.iter().zip(out.iter_mut()) {
-                        *slot = Some(run_trace(&sim, vec, mem_init, golden, cycle_limit));
-                    }
-                });
-            }
-        });
-        // Trace-order merge: the first error in vector order wins, no
-        // matter which worker hit it first on the wall clock.
-        slots
-            .into_iter()
-            .map(|r| r.expect("every chunk worker fills its slots"))
-            .collect::<Result<_, _>>()?
-    };
-    if per_trace.is_empty() {
+    if vectors.is_empty() {
         return Err(MeasureError::NoVectors);
     }
+    let sim = StgSimulator::new(g, stg);
+    let golden = golden.map(|p| {
+        let image = hls_lang::MemImage {
+            contents: mem_init.clone(),
+        };
+        (p, image)
+    });
     let mut total: u64 = 0;
     let mut best = u64::MAX;
     let mut worst = 0u64;
     let mut mismatches = 0usize;
-    for t in &per_trace {
-        total += t.cycles;
-        best = best.min(t.cycles);
-        worst = worst.max(t.cycles);
-        mismatches += t.mismatch as usize;
+    for vec in vectors {
+        let inputs: Vec<(&str, Value)> = vec.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+        let out = sim
+            .run(&inputs, mem_init, cycle_limit)
+            .map_err(|e| MeasureError::Sim {
+                vector: format!("{vec:?}"),
+                detail: e.to_string(),
+            })?;
+        if let Some((p, image)) = &golden {
+            let want = hls_lang::interp::run(p, &inputs, image, 10_000_000).map_err(|e| {
+                MeasureError::Golden {
+                    vector: format!("{vec:?}"),
+                    detail: e.to_string(),
+                }
+            })?;
+            mismatches += usize::from(want.outputs != out.outputs || want.mems != out.mems);
+        }
+        total += out.cycles;
+        best = best.min(out.cycles);
+        worst = worst.max(out.cycles);
     }
     Ok(Measurement {
-        mean_cycles: total as f64 / per_trace.len() as f64,
+        mean_cycles: total as f64 / vectors.len() as f64,
         best_cycles: best,
         worst_cycles: worst,
-        runs: per_trace.len(),
+        runs: vectors.len(),
         mismatches,
     })
 }

