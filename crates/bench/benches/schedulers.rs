@@ -2,38 +2,55 @@
 //! (the paper's tool ran "within seconds"; these quantify ours). One
 //! bench per (design, mode) pair used by Table 1 and Figs. 5–7.
 //!
+//! Every schedule runs under the branch probabilities `table1` ships
+//! with: profiled over the design's first [`TRACE_RUNS`] trace vectors,
+//! once per design, outside the timed region. The benched schedules are
+//! therefore the shipped ones.
+//!
 //! Run with `cargo bench --bench schedulers`; results land in
 //! `target/spec-bench/BENCH_schedulers.json`.
 
+use cdfg::analysis::BranchProbs;
+use hls_resources::Allocation;
+use spec_bench::TRACE_RUNS;
 use spec_support::bench::{black_box, Harness};
-use wavesched::{schedule, FaultPlan, Mode, PhaseTimers, SchedConfig, SchedStats};
+use wavesched::{schedule, FaultPlan, Mode, PhaseTimers, SchedConfig, ScheduleResult};
+use workloads::Workload;
 
-/// Times scheduling `w` under `mode` and annotates the bench with the
-/// last run's per-phase nanosecond breakdown (`extra` in the JSON), so
-/// the artifact records *where* scheduler time goes, not just how much.
-fn bench_schedule(h: &mut Harness, prefix: &str, w: &workloads::Workload, mode: Mode) {
-    let mut cfg = SchedConfig::new(mode);
-    cfg.max_spec_depth = w.spec_depth;
-    let mut stats = SchedStats::default();
-    h.bench_n(&format!("{prefix}/{}/{mode}", w.name), 10, || {
-        let r = schedule(
-            black_box(&w.cdfg),
-            &w.library,
-            &w.allocation,
-            &Default::default(),
-            &cfg,
-        )
-        .expect("schedules");
-        stats = r.stats;
-        black_box(r.stg.working_state_count())
-    });
-    annotate_stats(h, &stats);
+/// The workload's branch probabilities as `table1` profiles them.
+fn profiled(w: &Workload) -> BranchProbs {
+    hls_sim::profile(&w.cdfg, &w.vectors(TRACE_RUNS), &w.mem_init)
 }
 
-/// Records the containment-relevant counters of the last run next to
-/// the phase breakdown, so the artifact shows injected-fault work (all
-/// zero on clean benches) and the degradation-chain length.
-fn annotate_stats(h: &mut Harness, stats: &SchedStats) {
+/// Times scheduling `w` under `alloc` and `cfg` (10 iterations) and
+/// annotates the bench with the last run's results (see [`annotate`]).
+fn bench_schedule(
+    h: &mut Harness,
+    name: &str,
+    w: &Workload,
+    alloc: &Allocation,
+    probs: &BranchProbs,
+    cfg: &SchedConfig,
+) {
+    let mut last = None;
+    h.bench_n(name, 10, || {
+        let r = schedule(black_box(&w.cdfg), &w.library, alloc, probs, cfg).expect("schedules");
+        let states = r.stg.working_state_count();
+        last = Some(r);
+        black_box(states)
+    });
+    annotate(h, &last.expect("at least one timed iteration"));
+}
+
+/// Records the last run's size (states, issues, folds), its per-phase
+/// nanosecond breakdown, and its containment counters (all zero on
+/// clean benches) in the bench's `extra`, so the artifact shows how much
+/// work the time bought and *where* it went.
+fn annotate(h: &mut Harness, r: &ScheduleResult) {
+    let stats = &r.stats;
+    h.annotate("states", r.stg.working_state_count() as u64);
+    h.annotate("issues", stats.issues as u64);
+    h.annotate("folds", stats.folds as u64);
     let phases: &PhaseTimers = &stats.phases;
     for (key, stat) in [
         ("phase_grow_ns", phases.grow),
@@ -52,11 +69,20 @@ fn annotate_stats(h: &mut Harness, stats: &SchedStats) {
     h.annotate("fault_audits", stats.faults.audits);
 }
 
+/// Both Table-1 modes of `w`, under the shipped configuration.
+fn bench_modes(h: &mut Harness, prefix: &str, w: &Workload) {
+    let probs = profiled(w);
+    for mode in [Mode::NonSpeculative, Mode::Speculative] {
+        let mut cfg = SchedConfig::new(mode);
+        cfg.max_spec_depth = w.spec_depth;
+        let name = format!("{prefix}/{}/{mode}", w.name);
+        bench_schedule(h, &name, w, &w.allocation, &probs, &cfg);
+    }
+}
+
 fn bench_table1_schedulers(h: &mut Harness) {
     for w in workloads::all().unwrap() {
-        for mode in [Mode::NonSpeculative, Mode::Speculative] {
-            bench_schedule(h, "table1", &w, mode);
-        }
+        bench_modes(h, "table1", &w);
     }
 }
 
@@ -73,28 +99,18 @@ fn bench_stress_schedulers(h: &mut Harness) {
         workloads::findmin_two_pass().unwrap(),
         workloads::findmin_shared_mem().unwrap(),
     ] {
-        for mode in [Mode::NonSpeculative, Mode::Speculative] {
-            bench_schedule(h, "stress", &w, mode);
-        }
+        bench_modes(h, "stress", &w);
     }
 }
 
 fn bench_fig5_schedules(h: &mut Harness) {
     let w = workloads::fig4().unwrap();
+    let probs = profiled(&w);
+    let cfg = SchedConfig::new(Mode::Speculative);
     for (tag, adders) in [("one_adder", 1u32), ("two_adders", 2)] {
         let allocation = workloads::fig4_allocation(adders);
-        h.bench(&format!("fig5/{tag}"), || {
-            schedule(
-                black_box(&w.cdfg),
-                &w.library,
-                &allocation,
-                &Default::default(),
-                &SchedConfig::new(Mode::Speculative),
-            )
-            .expect("schedules")
-            .stats
-            .issues
-        });
+        let name = format!("fig5/{tag}");
+        bench_schedule(h, &name, &w, &allocation, &probs, &cfg);
     }
 }
 
@@ -106,23 +122,11 @@ fn bench_fig5_schedules(h: &mut Harness) {
 /// machinery, and the fault counters land in the JSON.
 fn bench_containment_overhead(h: &mut Harness) {
     let w = workloads::gcd().expect("bundled workload builds");
+    let probs = profiled(&w);
     let mut cfg = SchedConfig::new(Mode::Speculative);
     cfg.max_spec_depth = w.spec_depth;
     cfg.faults = Some(FaultPlan::parse("1:1:bdd-evict,gc-storm").expect("valid probe spec"));
-    let mut stats = SchedStats::default();
-    h.bench_n("containment/GCD/storms", 10, || {
-        let r = schedule(
-            black_box(&w.cdfg),
-            &w.library,
-            &w.allocation,
-            &Default::default(),
-            &cfg,
-        )
-        .expect("benign storms keep the schedule byte-identical");
-        stats = r.stats;
-        black_box(r.stg.working_state_count())
-    });
-    annotate_stats(h, &stats);
+    bench_schedule(h, "containment/GCD/storms", &w, &w.allocation, &probs, &cfg);
 }
 
 fn main() {

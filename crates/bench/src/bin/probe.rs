@@ -18,10 +18,15 @@
 //! record (the structured `SchedError` plus the degradation chain, if
 //! any) to stdout, a human-readable report to stderr — including the
 //! full [`wavesched::StuckReport`] on a deadlock — and exits non-zero.
+//! A reader that closes stdout early (`probe GCD | head -0`) ends the
+//! run quietly: the probe exits 0 instead of panicking on the write.
 //!
 //! Usage: `cargo run --release -p spec-bench --bin probe -- <workload> <ws|single|spec> [runs] [flags]`
 
-use wavesched::{schedule_resilient, Degradation, FaultPlan, Mode, SchedConfig, SchedError};
+use std::io::{self, Write};
+use wavesched::{
+    schedule_resilient, Degradation, FaultPlan, Mode, SchedConfig, SchedError, ScheduleResult,
+};
 
 fn usage() -> ! {
     eprintln!(
@@ -36,7 +41,10 @@ fn usage() -> ! {
 /// One-line machine-readable failure record: consumed by scripts that
 /// drive the probe in batch (the JSON goes to stdout, prose to stderr).
 fn emit_failure(workload: &str, mode: Mode, error: &SchedError, degradation: Option<&Degradation>) {
-    println!(
+    // The run exits 1 either way; a record lost to a closed stdout
+    // leaves the prose on stderr.
+    let _ = writeln!(
+        io::stdout().lock(),
         "{{\"workload\":\"{workload}\",\"mode\":\"{mode}\",\"error\":{},\"degradation\":{}}}",
         error.to_json(),
         match degradation {
@@ -160,7 +168,9 @@ fn main() {
         std::process::exit(1);
     }
 
-    println!(
+    let mut out = io::stdout().lock();
+    let written = writeln!(
+        out,
         "{} {mode}: enc={:.1} states={} best={} worst={} issues={} folds={} ({sched_time:?})",
         w.name,
         m.mean_cycles,
@@ -169,18 +179,34 @@ fn main() {
         m.worst_cycles,
         r.stats.issues,
         r.stats.folds,
-    );
-    println!("  bdd: {}", r.stats.bdd_cache);
-    println!("  phases: {}", r.stats.phases);
-    if r.stats.faults.total() > 0 {
-        println!("  faults: {}", r.stats.faults);
+    )
+    .and_then(|()| report_counters(&mut out, &r, degradation.as_ref()))
+    .and_then(|()| out.flush());
+    match written {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            eprintln!("probe: writing to stdout failed: {e}");
+            std::process::exit(1);
+        }
+        _ => {}
     }
-    if let Some(d) = degradation {
-        if d.degraded() {
-            println!("  degraded ({} attempts):", d.attempts.len());
-            for line in d.to_string().lines() {
-                println!("    {line}");
-            }
+}
+
+/// Writes the run's counters below the headline.
+fn report_counters(
+    out: &mut impl Write,
+    r: &ScheduleResult,
+    degradation: Option<&Degradation>,
+) -> io::Result<()> {
+    writeln!(out, "  bdd: {}", r.stats.bdd_cache)?;
+    writeln!(out, "  phases: {}", r.stats.phases)?;
+    if r.stats.faults.total() > 0 {
+        writeln!(out, "  faults: {}", r.stats.faults)?;
+    }
+    if let Some(d) = degradation.filter(|d| d.degraded()) {
+        writeln!(out, "  degraded ({} attempts):", d.attempts.len())?;
+        for line in d.to_string().lines() {
+            writeln!(out, "    {line}")?;
         }
     }
+    Ok(())
 }

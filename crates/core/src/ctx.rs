@@ -25,24 +25,164 @@
 //! Operation instances `(OpId, Iter)` are interned into copyable
 //! [`InstId`]s through a per-schedule [`InstTable`]. Everything keyed by
 //! an instance — value versions, obligations, resolution history — moves
-//! with `memcpy` instead of `Vec<u32>` clones. The cardinal rule:
+//! with `memcpy`. The cardinal rule:
 //! `InstId` *equality* is always content equality (that is what interning
 //! means), but `InstId` *order* is allocation order. Any place where
 //! relative order is semantically visible (signatures, fold renames,
 //! candidate tie-breaks) must compare resolved content via [`cmp_inst`] /
 //! [`cmp_key`] / [`cmp_src`], never raw ids.
+//!
+//! # Inline small vectors
+//!
+//! Iteration vectors and operand lists are short and bounded — at most
+//! [`MAX_NEST`] loop levels and [`MAX_ARITY`] operands — and the
+//! resolution walk copies them at every step. Both are [`InlineVec`]s:
+//! `Copy` arrays with a length, so a prefix copy or an operand-list clone
+//! is a `memcpy`, never a heap allocation.
 
 use cdfg::{InputId, LoopId, OpId, Value};
 use guards::{BddManager, Cond, Guard};
 use spec_support::fxhash::{FxHashMap, FxHasher};
-use spec_support::interner::Interner;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-/// Iteration indices aligned with an op's loop path.
-pub(crate) type Iter = Vec<u32>;
+/// Deepest loop nest the scheduler accepts: the capacity of [`Iter`].
+/// Deeper CDFGs are rejected up front with
+/// [`SchedError::NestTooDeep`](crate::SchedError::NestTooDeep).
+pub(crate) const MAX_NEST: usize = 8;
+
+/// Most operands any operation takes ([`cdfg::OpKind::arity`] of a
+/// select): the capacity of [`Operands`].
+pub(crate) const MAX_ARITY: usize = 3;
+
+/// A fixed-capacity vector stored inline: up to `N` elements and a
+/// length, `Copy` whenever `T` is.
+///
+/// Equality, order, hashing and `Debug` all go through the live slice,
+/// so an `InlineVec` compares, sorts, hashes (with any hasher) and
+/// prints exactly like the `Vec<T>` with the same elements. Slots past
+/// the length hold filler and are never observed. Pushing past `N`
+/// panics.
+#[derive(Clone, Copy)]
+pub(crate) struct InlineVec<T, const N: usize> {
+    len: u8,
+    items: [T; N],
+}
+
+impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
+    /// The empty vector.
+    pub fn new() -> Self {
+        InlineVec {
+            len: 0,
+            items: [T::default(); N],
+        }
+    }
+
+    /// A copy of `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is longer than `N`.
+    pub fn from_slice(s: &[T]) -> Self {
+        let mut v = Self::new();
+        v.items[..s.len()].copy_from_slice(s);
+        v.len = s.len() as u8;
+        v
+    }
+
+    /// Appends `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vector is full.
+    pub fn push(&mut self, x: T) {
+        self.items[usize::from(self.len)] = x;
+        self.len += 1;
+    }
+
+    /// Removes every element.
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+}
+
+impl<T, const N: usize> Deref for InlineVec<T, N> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.items[..usize::from(self.len)]
+    }
+}
+
+impl<T, const N: usize> DerefMut for InlineVec<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.items[..usize::from(self.len)]
+    }
+}
+
+impl<T: PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq, const N: usize> Eq for InlineVec<T, N> {}
+
+impl<T: PartialOrd, const N: usize> PartialOrd for InlineVec<T, N> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        (**self).partial_cmp(&**other)
+    }
+}
+
+impl<T: Ord, const N: usize> Ord for InlineVec<T, N> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl<T: Hash, const N: usize> Hash for InlineVec<T, N> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl<T: std::fmt::Debug, const N: usize> std::fmt::Debug for InlineVec<T, N> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl<'a, T, const N: usize> IntoIterator for &'a InlineVec<T, N> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T: Copy + Default, const N: usize> Extend<T> for InlineVec<T, N> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        for x in iter {
+            self.push(x);
+        }
+    }
+}
+
+impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut v = Self::new();
+        v.extend(iter);
+        v
+    }
+}
+
+/// Iteration indices aligned with an op's loop path, outermost first.
+pub(crate) type Iter = InlineVec<u32, MAX_NEST>;
+
+/// Value operands of an instance, in port order.
+pub(crate) type Operands = InlineVec<ValSrc, MAX_ARITY>;
 
 /// Interned identity of one operation instance `(OpId, Iter)`.
 ///
@@ -56,13 +196,12 @@ const EMPTY_SLOT: u32 = u32::MAX;
 
 /// Per-schedule interner for operation instances.
 ///
-/// Built on [`Interner`] for the id → value side, with an additional
-/// open-addressing index probed by borrowed `(OpId, &[u32])` keys so the
-/// hot lookup path ([`InstTable::id`] on an already-interned instance)
-/// never allocates.
+/// Instances live in a dense id → value table, deduplicated by an
+/// open-addressing index probed with borrowed `(OpId, &[u32])` keys, so
+/// neither a lookup nor a first-time intern allocates per instance.
 #[derive(Debug, Clone)]
 pub(crate) struct InstTable {
-    values: Interner<(OpId, Iter)>,
+    values: Vec<(OpId, Iter)>,
     index: Vec<u32>,
     mask: usize,
 }
@@ -70,7 +209,7 @@ pub(crate) struct InstTable {
 impl Default for InstTable {
     fn default() -> Self {
         InstTable {
-            values: Interner::new(),
+            values: Vec::new(),
             index: vec![EMPTY_SLOT; 64],
             mask: 63,
         }
@@ -87,22 +226,23 @@ impl InstTable {
         h.finish()
     }
 
-    /// Interns `(op, iter)`, returning its stable dense id. Allocates
-    /// only on first sight of an instance.
+    /// Interns `(op, iter)`, returning its stable dense id (ids are
+    /// handed out in first-intern order).
     pub fn id(&mut self, op: OpId, iter: &[u32]) -> InstId {
         let mut i = Self::hash_of(op, iter) as usize & self.mask;
         loop {
             let slot = self.index[i];
             if slot == EMPTY_SLOT {
-                let id = self.values.intern((op, iter.to_vec()));
+                let id = u32::try_from(self.values.len()).expect("instance id overflow");
+                self.values.push((op, Iter::from_slice(iter)));
                 self.index[i] = id;
                 if (self.values.len() + 1) * 4 > self.index.len() * 3 {
                     self.grow();
                 }
                 return InstId(id);
             }
-            let (vop, viter) = self.values.resolve(slot);
-            if *vop == op && viter.as_slice() == iter {
+            let (vop, viter) = &self.values[slot as usize];
+            if *vop == op && **viter == *iter {
                 return InstId(slot);
             }
             i = (i + 1) & self.mask;
@@ -117,8 +257,8 @@ impl InstTable {
             if slot == EMPTY_SLOT {
                 return None;
             }
-            let (vop, viter) = self.values.resolve(slot);
-            if *vop == op && viter.as_slice() == iter {
+            let (vop, viter) = &self.values[slot as usize];
+            if *vop == op && **viter == *iter {
                 return Some(InstId(slot));
             }
             i = (i + 1) & self.mask;
@@ -129,28 +269,28 @@ impl InstTable {
         let cap = self.index.len() * 2;
         self.mask = cap - 1;
         self.index = vec![EMPTY_SLOT; cap];
-        for (id, (op, iter)) in self.values.iter() {
+        for (id, (op, iter)) in self.values.iter().enumerate() {
             let mut i = Self::hash_of(*op, iter) as usize & self.mask;
             while self.index[i] != EMPTY_SLOT {
                 i = (i + 1) & self.mask;
             }
-            self.index[i] = id;
+            self.index[i] = id as u32;
         }
     }
 
     /// The operation of an instance.
     pub fn op(&self, i: InstId) -> OpId {
-        self.values.resolve(i.0).0
+        self.values[i.0 as usize].0
     }
 
     /// The iteration vector of an instance.
     pub fn iter_of(&self, i: InstId) -> &Iter {
-        &self.values.resolve(i.0).1
+        &self.values[i.0 as usize].1
     }
 
     /// Both halves at once.
     pub fn pair(&self, i: InstId) -> (OpId, &Iter) {
-        let (op, iter) = self.values.resolve(i.0);
+        let (op, iter) = &self.values[i.0 as usize];
         (*op, iter)
     }
 }
@@ -214,12 +354,19 @@ impl Key {
 pub(crate) type CondInst = InstId;
 
 /// Where an operand value comes from. `Copy` post-interning: operand
-/// vectors move by `memcpy`.
+/// lists move by `memcpy`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum ValSrc {
     Const(Value),
     Input(InputId),
     Key(Key),
+}
+
+/// Filler for the unused slots of an [`Operands`] list; never observed.
+impl Default for ValSrc {
+    fn default() -> Self {
+        ValSrc::Const(0)
+    }
 }
 
 /// A schedulable conditioned operation instance with fully resolved
@@ -228,7 +375,7 @@ pub(crate) enum ValSrc {
 pub(crate) struct Candidate {
     pub inst: InstId,
     /// Value operands, in port order.
-    pub operands: Vec<ValSrc>,
+    pub operands: Operands,
     /// Memory-ordering tokens that must have been produced first
     /// (`None` = bypassed because the ordered-before access is on a
     /// disjoint control path).
@@ -250,7 +397,7 @@ pub(crate) struct AvailInfo {
     /// results (non-chainable units).
     pub depth: f64,
     /// Operand sources, kept for dedup and context signatures.
-    pub operands: Vec<ValSrc>,
+    pub operands: Operands,
 }
 
 /// Allocation of condition variables: one BDD variable per condition
@@ -914,6 +1061,8 @@ impl Ctx {
 mod tests {
     use super::*;
     use cdfg::{CdfgBuilder, OpKind, Src};
+    use spec_support::props;
+    use spec_support::proptest_lite as pl;
 
     fn loop_cdfg() -> cdfg::Cdfg {
         let mut b = CdfgBuilder::new("l");
@@ -948,7 +1097,7 @@ mod tests {
         let c = it.id(OpId::new(3), &[0, 2]);
         assert_ne!(a, c);
         assert_eq!(it.op(a), OpId::new(3));
-        assert_eq!(it.iter_of(c), &vec![0, 2]);
+        assert_eq!(**it.iter_of(c), [0, 2]);
         assert_eq!(it.get(OpId::new(3), &[0, 1]), Some(a));
         assert_eq!(it.get(OpId::new(9), &[0]), None);
         // Survives growth past the initial index capacity.
@@ -957,6 +1106,76 @@ mod tests {
         }
         assert_eq!(it.get(OpId::new(3), &[0, 1]), Some(a));
         assert_eq!(it.get(OpId::new(7), &[499]), it.get(OpId::new(7), &[499]));
+    }
+
+    fn fx<T: Hash + ?Sized>(x: &T) -> u64 {
+        let mut h = FxHasher::default();
+        x.hash(&mut h);
+        h.finish()
+    }
+
+    /// Small values make equal elements common; full-range ones reach
+    /// every bit of the hash.
+    fn arb_index() -> pl::Gen<u32> {
+        pl::one_of(vec![pl::range(0u32..3), pl::range(0u32..u32::MAX)])
+    }
+
+    fn arb_src() -> pl::Gen<ValSrc> {
+        pl::one_of(vec![
+            pl::range(-2i64..3).map(ValSrc::Const),
+            pl::range(0u32..3).map(|i| ValSrc::Input(InputId::new(i))),
+            pl::tuple2(pl::range(0u32..3), pl::range(0u32..3))
+                .map(|(i, v)| ValSrc::Key(Key::new(InstId(i), v))),
+        ])
+    }
+
+    /// The second operand of a comparison: `b` itself, or `a` or a
+    /// prefix of it, so equal and prefix-ordered pairs are common.
+    fn partner<T: Clone>(a: &[T], b: &[T], pick: u32) -> Vec<T> {
+        match pick {
+            0 => a.to_vec(),
+            1 => a[..a.len() / 2].to_vec(),
+            _ => b.to_vec(),
+        }
+    }
+
+    props! {
+        /// An inline iteration vector compares, orders, hashes and
+        /// prints exactly like the `Vec<u32>` with the same elements, so
+        /// map orders, signatures and FxHash values do not depend on it.
+        fn iter_behaves_like_vec(
+            a in pl::vec_of(arb_index(), 0..MAX_NEST + 1),
+            b in pl::vec_of(arb_index(), 0..MAX_NEST + 1),
+            pick in pl::range(0u32..3),
+        ) {
+            let b = partner(&a, &b, pick);
+            let (ia, ib) = (Iter::from_slice(&a), Iter::from_slice(&b));
+            assert_eq!(ia.cmp(&ib), a.cmp(&b));
+            assert_eq!(ia == ib, a == b);
+            assert_eq!(fx(&ia), fx(&a));
+            assert_eq!(format!("{ia:?}"), format!("{a:?}"));
+            assert_eq!(a.iter().copied().collect::<Iter>(), ia);
+        }
+
+        /// The same for operand lists against `Vec<ValSrc>`.
+        fn operands_behave_like_vec(
+            a in pl::vec_of(arb_src(), 0..MAX_ARITY + 1),
+            b in pl::vec_of(arb_src(), 0..MAX_ARITY + 1),
+            pick in pl::range(0u32..3),
+        ) {
+            let b = partner(&a, &b, pick);
+            let (oa, ob) = (Operands::from_slice(&a), Operands::from_slice(&b));
+            assert_eq!(oa == ob, a == b);
+            assert_eq!(fx(&oa), fx(&a));
+            assert_eq!(format!("{oa:?}"), format!("{a:?}"));
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn iter_rejects_a_level_past_capacity() {
+        let mut full = Iter::from_slice(&[0; MAX_NEST]);
+        full.push(0);
     }
 
     #[test]
@@ -1003,7 +1222,7 @@ mod tests {
                 guard: Guard::TRUE,
                 ready_in: 2,
                 depth: 1.0,
-                operands: vec![],
+                operands: Operands::new(),
             },
         );
         ctx.fu_busy_mut().insert("mult1".into(), vec![2, 1]);
@@ -1035,7 +1254,7 @@ mod tests {
                 guard: lit,
                 ready_in: 0,
                 depth: 0.0,
-                operands: vec![],
+                operands: Operands::new(),
             },
         );
         let false_guard = mgr.literal(var, false);
@@ -1064,7 +1283,7 @@ mod tests {
                         guard: Guard::TRUE,
                         ready_in: 0,
                         depth: 0.0,
-                        operands: vec![],
+                        operands: Operands::new(),
                     },
                 );
             }
@@ -1102,7 +1321,7 @@ mod tests {
                     guard: Guard::TRUE,
                     ready_in: 0,
                     depth: 0.0,
-                    operands: vec![],
+                    operands: Operands::new(),
                 },
             );
         };
@@ -1143,7 +1362,7 @@ mod tests {
                     guard: gd,
                     ready_in: 0,
                     depth: 0.0,
-                    operands: vec![],
+                    operands: Operands::new(),
                 },
             );
             ctx

@@ -8,7 +8,7 @@
 
 use crate::ctx::{
     cmp_inst, cmp_src, AvailInfo, Candidate, CondInst, CondTable, Ctx, InstId, InstTable, Iter,
-    Key, ValSrc,
+    Key, ValSrc, MAX_NEST,
 };
 use crate::fault::{FaultState, FaultStats, Probe};
 use crate::resolve::{Res, Tables};
@@ -17,11 +17,12 @@ use crate::{BlockedInst, Mode, SchedConfig, SchedError, StuckReport};
 use cdfg::analysis::{self, BranchProbs};
 use cdfg::{Cdfg, LoopId, OpId, PortKind};
 use guards::{BddManager, Cond, CondProbs, Guard};
-use hls_resources::{classify, Allocation, Library};
+use hls_resources::{classify, Allocation, FuClass, Library};
 use spec_support::fxhash::{FxHashMap, FxHashSet};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stg::{OpInst, ScheduledOp, StateId, Stg, Transition, ValRef};
 
@@ -158,8 +159,9 @@ pub struct ScheduleResult {
 ///
 /// Returns [`SchedError`] if the design cannot be scheduled under the
 /// configuration — state/iteration caps exceeded, the wall-clock budget
-/// expired, the run was cancelled, or a resource deadlock (e.g. an
-/// allocation granting zero units of a class the design needs).
+/// expired, the run was cancelled, a resource deadlock (e.g. an
+/// allocation granting zero units of a class the design needs), or a
+/// loop nest deeper than the scheduler supports.
 ///
 /// # Panic isolation
 ///
@@ -174,6 +176,15 @@ pub fn schedule(
     probs: &BranchProbs,
     cfg: &SchedConfig,
 ) -> Result<ScheduleResult, SchedError> {
+    // Iteration vectors are inline arrays of `MAX_NEST` levels: reject
+    // deeper nests before an engine is built to index them.
+    let depth = g.ops().iter().map(|o| o.loop_path().len()).max();
+    if let Some(depth) = depth.filter(|&d| d > MAX_NEST) {
+        return Err(SchedError::NestTooDeep {
+            depth,
+            max: MAX_NEST,
+        });
+    }
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         Engine::new(g, lib, alloc, probs, cfg).run()
     })) {
@@ -216,9 +227,30 @@ enum Feas {
     NotYet,
 }
 
+/// A loop context: a loop and the iteration prefix of its enclosing
+/// loops.
+type LoopCtx = (LoopId, Iter);
+
 /// Per-loop-context minimum condition iteration mentioned by a guard
 /// (the lookahead cap's `oldest` contribution).
-type CapContrib = Vec<((LoopId, Iter), u32)>;
+type CapContrib = Vec<(LoopCtx, u32)>;
+
+/// The candidate iteration window `(lo, hi)` per loop context.
+type Domain = BTreeMap<LoopCtx, (u32, u32)>;
+
+/// The value of `key` in a per-loop-context accumulator, inserted as
+/// `init` when absent. Few loop contexts are live at once, so these
+/// accumulators are small vectors with linear lookup.
+fn ctx_entry<V>(acc: &mut Vec<(LoopCtx, V)>, key: LoopCtx, init: V) -> &mut V {
+    let i = match acc.iter().position(|(k, _)| *k == key) {
+        Some(i) => i,
+        None => {
+            acc.push((key, init));
+            acc.len() - 1
+        }
+    };
+    &mut acc[i].1
+}
 
 struct Engine<'a> {
     g: &'a Cdfg,
@@ -291,6 +323,16 @@ struct Engine<'a> {
     sop_memo: FxHashMap<Guard, String>,
     /// Reusable support-set buffer for guard walks on hot paths.
     supp_scratch: Vec<Cond>,
+    /// Reusable buffers of the sweep and gc passes: the iteration
+    /// vectors of one op's window, and the drained dirty-op list.
+    iter_buf: Vec<Iter>,
+    dirty_buf: Vec<OpId>,
+    /// Reusable accumulator of [`Self::cap_lookahead`]: the oldest
+    /// unresolved condition iteration per loop context.
+    oldest_buf: CapContrib,
+    /// Reusable rendering of a functional-unit class name, the key of
+    /// [`Ctx::fu_busy`].
+    class_buf: String,
     /// `WAVESCHED_TRACE` presence, sampled once at construction — the
     /// issue/sweep loops are far too hot for per-call env lookups.
     trace: bool,
@@ -356,6 +398,10 @@ impl<'a> Engine<'a> {
             cap_contrib: FxHashMap::default(),
             sop_memo: FxHashMap::default(),
             supp_scratch: Vec::new(),
+            iter_buf: Vec::new(),
+            dirty_buf: Vec::new(),
+            oldest_buf: Vec::new(),
+            class_buf: String::new(),
             trace: std::env::var_os("WAVESCHED_TRACE").is_some(),
             debug: std::env::var_os("WAVESCHED_DEBUG").is_some(),
             started,
@@ -516,12 +562,13 @@ impl<'a> Engine<'a> {
         let mut ctx0 = Ctx::default();
         // Initial obligations: every side-effect operation at the
         // all-zero iteration of its loop nest.
-        let effects = self.tables.effects.clone();
-        for e in effects {
-            let iter: Iter = vec![0; self.g.op(e).loop_path().len()];
-            let guard = self.res().ctrl_guard(&ctx0, e, &iter);
+        let mut r = self.res();
+        let tables = r.tables;
+        for &e in &tables.effects {
+            let iter: Iter = std::iter::repeat_n(0, r.g.op(e).loop_path().len()).collect();
+            let guard = r.ctrl_guard(&ctx0, e, &iter);
             if !guard.is_false() {
-                let inst = self.it.id(e, &iter);
+                let inst = r.it.id(e, &iter);
                 ctx0.obligations_mut().insert(inst, guard);
             }
         }
@@ -719,7 +766,7 @@ impl<'a> Engine<'a> {
     /// tests compare against.
     fn grow_state(&mut self, sid: StateId, ctx: &mut Ctx) -> Result<(), SchedError> {
         let mut issued: FxHashSet<Key> = FxHashSet::default();
-        let mut class_use: BTreeMap<String, u32> = BTreeMap::new();
+        let mut class_use: FxHashMap<FuClass, u32> = FxHashMap::default();
         // `resolved` and the floors are frozen while a state grows:
         // this opens a fresh guard-memo validity window.
         self.memo.clear();
@@ -880,7 +927,7 @@ impl<'a> Engine<'a> {
         ctx: &Ctx,
         cand: &Candidate,
         issued: &FxHashSet<Key>,
-        class_use: &BTreeMap<String, u32>,
+        class_use: &FxHashMap<FuClass, u32>,
     ) -> Feas {
         let kind = self.g.op(self.it.op(cand.inst)).kind();
         // Side effects never speculate (they commit architectural state).
@@ -957,10 +1004,14 @@ impl<'a> Engine<'a> {
         // is frozen while the state grows.
         if let Some(s) = &spec {
             let class = classify(kind);
-            let class_str = class.to_string();
-            let mut used = class_use.get(&class_str).copied().unwrap_or(0);
+            let mut used = class_use.get(&class).copied().unwrap_or(0);
             if !s.pipelined {
-                used += ctx.fu_busy.get(&class_str).map_or(0, |v| v.len() as u32);
+                self.class_buf.clear();
+                let _ = write!(self.class_buf, "{class}");
+                used += ctx
+                    .fu_busy
+                    .get(self.class_buf.as_str())
+                    .map_or(0, |v| v.len() as u32);
             }
             if !self.alloc.limit(class).allows(used) {
                 return Feas::Never;
@@ -984,7 +1035,7 @@ impl<'a> Engine<'a> {
         for cand in &cands {
             let (op, iter) = {
                 let (o, i) = self.it.pair(cand.inst);
-                (o, i.clone())
+                (o, i.to_vec())
             };
             let reason = self.why_infeasible(ctx, cand, &mut starved);
             let guard = self.guard_sop(cand.guard);
@@ -1004,7 +1055,7 @@ impl<'a> Engine<'a> {
             }
             let (op, iter) = {
                 let (o, i) = self.it.pair(*inst);
-                (o, i.clone())
+                (o, i.to_vec())
             };
             let reason = self.why_no_candidate(ctx, op, &iter);
             let guard = self.guard_sop(*gd);
@@ -1028,12 +1079,8 @@ impl<'a> Engine<'a> {
         };
         let mut loop_state = Vec::new();
         for ((l, prefix), h) in ctx.horizon.iter() {
-            let fl = ctx.floor.get(&(*l, prefix.clone())).copied().unwrap_or(0);
-            let wf = ctx
-                .work_floor
-                .get(&(*l, prefix.clone()))
-                .copied()
-                .unwrap_or(0);
+            let fl = ctx.floor.get(&(*l, *prefix)).copied().unwrap_or(0);
+            let wf = ctx.work_floor.get(&(*l, *prefix)).copied().unwrap_or(0);
             loop_state.push(format!(
                 "loop l{}@{:?}: horizon={h} floor={fl} work_floor={wf}",
                 l.index(),
@@ -1134,11 +1181,10 @@ impl<'a> Engine<'a> {
     /// Explains why an obligation has no candidate at all: an unsettled
     /// memory-order token, an operand with no derivable value version,
     /// or the version/speculation-depth caps.
-    fn why_no_candidate(&mut self, ctx: &mut Ctx, op: OpId, iter: &Iter) -> String {
-        let order: Vec<PortKind> = self.g.op(op).order_deps().to_vec();
-        let ports: Vec<PortKind> = self.g.op(op).ports().to_vec();
+    fn why_no_candidate(&mut self, ctx: &mut Ctx, op: OpId, iter: &[u32]) -> String {
+        let g = self.g;
         let mut r = self.res();
-        for p in &order {
+        for p in g.op(op).order_deps() {
             if r.token(ctx, p, op, iter).is_err() {
                 return format!(
                     "memory-order token through {} not settled",
@@ -1146,7 +1192,7 @@ impl<'a> Engine<'a> {
                 );
             }
         }
-        for (i, p) in ports.iter().enumerate() {
+        for (i, p) in g.op(op).ports().iter().enumerate() {
             if r.port_versions(ctx, p, op, iter).is_empty() {
                 return format!(
                     "no value version for operand {i} ({})",
@@ -1219,7 +1265,7 @@ impl<'a> Engine<'a> {
         idx: usize,
         start: f64,
         issued: &mut FxHashSet<Key>,
-        class_use: &mut BTreeMap<String, u32>,
+        class_use: &mut FxHashMap<FuClass, u32>,
     ) {
         let cand = ctx.cands_mut().remove(idx);
         let op = self.it.op(cand.inst);
@@ -1245,16 +1291,16 @@ impl<'a> Engine<'a> {
                 guard: cand.guard,
                 ready_in: latency,
                 depth: if latency > 1 { 2.0 } else { start + frac },
-                operands: cand.operands.clone(),
+                operands: cand.operands,
             },
         );
         issued.insert(key);
         if let Some(s) = &spec {
-            let class_str = classify(kind).to_string();
-            *class_use.entry(class_str.clone()).or_insert(0) += 1;
+            let class = classify(kind);
+            *class_use.entry(class).or_insert(0) += 1;
             if !s.pipelined && s.latency > 1 {
                 ctx.fu_busy_mut()
-                    .entry(class_str)
+                    .entry(class.to_string())
                     .or_default()
                     .push(s.latency);
             }
@@ -1324,8 +1370,10 @@ impl<'a> Engine<'a> {
         // horizons, and work floors. Mid-sweep, all of those mutate only
         // under a generator's `n > 0` path, so passes that generated
         // nothing reuse the previous pass's domain verbatim.
-        let mut domain = BTreeMap::new();
+        let mut domain = Domain::new();
         let mut domain_stale = true;
+        let mut dirty = std::mem::take(&mut self.dirty_buf);
+        let mut iters = std::mem::take(&mut self.iter_buf);
         loop {
             if domain_stale {
                 domain = self.iter_domain(ctx);
@@ -1339,28 +1387,29 @@ impl<'a> Engine<'a> {
             if ctx.sweep_dirty.is_empty() {
                 break;
             }
-            let dirty: Vec<OpId> = ctx.sweep_dirty.iter().copied().collect();
+            dirty.clear();
+            dirty.extend(ctx.sweep_dirty.iter().copied());
             ctx.sweep_dirty_mut().clear();
             let mut added = 0usize;
-            for opid in dirty {
+            for &opid in &dirty {
                 let op = self.g.op(opid);
                 if !self.useful[opid.index()] || op.kind().is_source() {
                     continue;
                 }
-                let iters = enumerate_iters(self.g, opid, &domain, ctx, &self.it);
-                for iter in iters {
+                enumerate_iters(self.g, opid, &domain, ctx, &mut iters);
+                for iter in &iters {
                     let (max_versions, max_spec_depth) =
                         (self.cfg.max_versions, self.cfg.max_spec_depth);
                     let n =
                         self.res()
-                            .gen_candidates(ctx, opid, &iter, max_versions, max_spec_depth);
+                            .gen_candidates(ctx, opid, iter, max_versions, max_spec_depth);
                     if n > 0 {
                         if self.trace {
                             eprintln!("sweep: +{n} for {opid:?}@{iter:?}");
                         }
                         added += n;
                         self.mark_op_changed(ctx, opid);
-                        self.note_iteration(ctx, opid, &iter);
+                        self.note_iteration(ctx, opid, iter);
                     }
                 }
             }
@@ -1390,21 +1439,22 @@ impl<'a> Engine<'a> {
             let mut domain = self.iter_domain(ctx);
             self.cap_lookahead(ctx, &mut domain);
             self.mark_all(ctx);
-            let dirty: Vec<OpId> = ctx.sweep_dirty.iter().copied().collect();
+            dirty.clear();
+            dirty.extend(ctx.sweep_dirty.iter().copied());
             ctx.sweep_dirty_mut().clear();
             let mut added = 0usize;
-            for opid in dirty {
+            for &opid in &dirty {
                 let op = self.g.op(opid);
                 if !self.useful[opid.index()] || op.kind().is_source() {
                     continue;
                 }
-                let iters = enumerate_iters(self.g, opid, &domain, ctx, &self.it);
-                for iter in iters {
+                enumerate_iters(self.g, opid, &domain, ctx, &mut iters);
+                for iter in &iters {
                     let (max_versions, max_spec_depth) =
                         (self.cfg.max_versions, self.cfg.max_spec_depth);
                     let n =
                         self.res()
-                            .gen_candidates(ctx, opid, &iter, max_versions, max_spec_depth);
+                            .gen_candidates(ctx, opid, iter, max_versions, max_spec_depth);
                     added += n;
                 }
             }
@@ -1417,6 +1467,8 @@ impl<'a> Engine<'a> {
                 });
             }
         }
+        self.dirty_buf = dirty;
+        self.iter_buf = iters;
         Ok(())
     }
 
@@ -1448,7 +1500,7 @@ impl<'a> Engine<'a> {
     /// prefix, lower `lo`, or higher `hi`): their generators can now
     /// enumerate instances they have never seen. Shrinks are recorded
     /// but need no marks — generating over a subset is a no-op.
-    fn mark_domain_growth(&mut self, ctx: &mut Ctx, domain: &BTreeMap<(LoopId, Iter), (u32, u32)>) {
+    fn mark_domain_growth(&mut self, ctx: &mut Ctx, domain: &Domain) {
         if *ctx.sweep_domain == *domain {
             return;
         }
@@ -1477,8 +1529,10 @@ impl<'a> Engine<'a> {
     /// resolving) races arbitrarily far ahead of depth-starved
     /// speculation at older iterations, stretching the live window so no
     /// two contexts ever fold.
-    fn cap_lookahead(&mut self, ctx: &Ctx, domain: &mut BTreeMap<(LoopId, Iter), (u32, u32)>) {
-        let mut oldest: BTreeMap<(LoopId, Iter), u32> = BTreeMap::new();
+    fn cap_lookahead(&mut self, ctx: &Ctx, domain: &mut Domain) {
+        // The per-context minimum, accumulated in a reused vector.
+        let mut oldest = std::mem::take(&mut self.oldest_buf);
+        oldest.clear();
         for gd in ctx
             .avail
             .values()
@@ -1491,13 +1545,15 @@ impl<'a> Engine<'a> {
             if !self.cap_contrib.contains_key(&gd) {
                 let mut scratch = std::mem::take(&mut self.supp_scratch);
                 self.mgr.support_into(gd, &mut scratch);
-                let mut contrib: BTreeMap<(LoopId, Iter), u32> = BTreeMap::new();
+                let mut contrib: BTreeMap<LoopCtx, u32> = BTreeMap::new();
                 for &c in &scratch {
                     let (op, iter) = self.it.pair(self.ct.inst_of(c));
                     let path = self.g.op(op).loop_path();
                     for (d, &l) in path.iter().enumerate() {
                         if d < iter.len() {
-                            let e = contrib.entry((l, iter[..d].to_vec())).or_insert(u32::MAX);
+                            let e = contrib
+                                .entry((l, Iter::from_slice(&iter[..d])))
+                                .or_insert(u32::MAX);
                             *e = (*e).min(iter[d]);
                         }
                     }
@@ -1505,14 +1561,14 @@ impl<'a> Engine<'a> {
                 self.supp_scratch = scratch;
                 self.cap_contrib.insert(gd, contrib.into_iter().collect());
             }
-            for ((l, prefix), m) in &self.cap_contrib[&gd] {
-                let e = oldest.entry((*l, prefix.clone())).or_insert(u32::MAX);
-                *e = (*e).min(*m);
+            for &(key, m) in &self.cap_contrib[&gd] {
+                let e = ctx_entry(&mut oldest, key, u32::MAX);
+                *e = (*e).min(m);
             }
         }
         let depth = self.cfg.max_spec_depth as u32;
         for (key, (lo, hi)) in domain.iter_mut() {
-            if let Some(&old) = oldest.get(key) {
+            if let Some(&(_, old)) = oldest.iter().find(|(k, _)| k == key) {
                 if old != u32::MAX {
                     *hi = (*hi).min(old.saturating_add(depth));
                 }
@@ -1533,54 +1589,53 @@ impl<'a> Engine<'a> {
             *hi = (*hi).min(wf.saturating_add(window));
             *lo = (*lo).min(*hi);
         }
+        self.oldest_buf = oldest;
     }
 
     /// Records that iteration `iter` of `op`'s loop nest is
     /// instantiated: bumps horizons and creates side-effect obligations
     /// for newly opened iterations.
-    fn note_iteration(&mut self, ctx: &mut Ctx, op: OpId, iter: &Iter) {
-        let path: Vec<LoopId> = self.g.op(op).loop_path().to_vec();
+    fn note_iteration(&mut self, ctx: &mut Ctx, op: OpId, iter: &[u32]) {
+        let g = self.g;
+        let path = g.op(op).loop_path();
         for (d, &l) in path.iter().enumerate() {
-            let prefix: Iter = iter[..d].to_vec();
+            let prefix = Iter::from_slice(&iter[..d]);
             let k = iter[d];
             // Scan first: the common case re-visits an already-open
             // iteration and must not touch the copy-on-write map. A
             // missing entry is materialized even when `k` is 0 — the
             // horizon map's key set is signature-visible.
-            match ctx.horizon.get(&(l, prefix.clone())).copied() {
+            match ctx.horizon.get(&(l, prefix)).copied() {
                 Some(h) if k <= h => continue,
                 None if k == 0 => {
-                    ctx.horizon_mut().insert((l, prefix.clone()), 0);
+                    ctx.horizon_mut().insert((l, prefix), 0);
                     self.mark_loop_changed(ctx, l);
                     continue;
                 }
                 _ => {
-                    ctx.horizon_mut().insert((l, prefix.clone()), k);
+                    ctx.horizon_mut().insert((l, prefix), k);
                     self.mark_loop_changed(ctx, l);
                 }
             }
             // Newly opened iteration: instantiate the obligations of
             // every effectful op directly inside this loop level (deeper
             // levels open through their own horizon bumps at index 0).
-            let effects = self.tables.effects.clone();
-            for e in effects {
-                let epath = self.g.op(e).loop_path();
+            let mut r = self.res();
+            let tables = r.tables;
+            for &e in &tables.effects {
+                let epath = g.op(e).loop_path();
                 if epath.len() <= d || epath[d] != l || epath[..d] != path[..d] {
                     continue;
                 }
-                let mut eiter: Iter = prefix.clone();
+                let mut eiter = prefix;
                 eiter.push(k);
                 eiter.extend(std::iter::repeat_n(0, epath.len() - d - 1));
-                if self
-                    .it
-                    .get(e, &eiter)
-                    .is_some_and(|i| ctx.done.contains(&i))
-                {
+                if r.it.get(e, &eiter).is_some_and(|i| ctx.done.contains(&i)) {
                     continue;
                 }
-                let guard = self.res().ctrl_guard(ctx, e, &eiter);
+                let guard = r.ctrl_guard(ctx, e, &eiter);
                 if !guard.is_false() {
-                    let einst = self.it.id(e, &eiter);
+                    let einst = r.it.id(e, &eiter);
                     if !ctx.obligations.contains_key(&einst) {
                         ctx.obligations_mut().insert(einst, guard);
                     }
@@ -1592,15 +1647,17 @@ impl<'a> Engine<'a> {
     /// The live iteration window per loop context, derived from the keys
     /// present in the context (plus one beyond each horizon so loops can
     /// keep unrolling).
-    fn iter_domain(&self, ctx: &Ctx) -> BTreeMap<(LoopId, Iter), (u32, u32)> {
-        let mut dom: BTreeMap<(LoopId, Iter), (u32, u32)> = BTreeMap::new();
-        fn note(dom: &mut BTreeMap<(LoopId, Iter), (u32, u32)>, g: &Cdfg, op: OpId, iter: &[u32]) {
+    fn iter_domain(&self, ctx: &Ctx) -> Domain {
+        // Accumulate the windows with linear lookup and build the
+        // ordered map once.
+        let mut dom: Vec<(LoopCtx, (u32, u32))> = Vec::new();
+        fn note(dom: &mut Vec<(LoopCtx, (u32, u32))>, g: &Cdfg, op: OpId, iter: &[u32]) {
             let path = g.op(op).loop_path();
             for (d, &l) in path.iter().enumerate() {
                 if d >= iter.len() {
                     break;
                 }
-                let e = dom.entry((l, iter[..d].to_vec())).or_insert((u32::MAX, 0));
+                let e = ctx_entry(dom, (l, Iter::from_slice(&iter[..d])), (u32::MAX, 0));
                 e.0 = e.0.min(iter[d]);
                 e.1 = e.1.max(iter[d]);
             }
@@ -1617,22 +1674,24 @@ impl<'a> Engine<'a> {
             let (op, iter) = self.it.pair(*inst);
             note(&mut dom, self.g, op, iter);
         }
-        for ((l, prefix), h) in ctx.horizon.iter() {
-            let e = dom.entry((*l, prefix.clone())).or_insert((u32::MAX, 0));
+        for (key, h) in ctx.horizon.iter() {
+            let e = ctx_entry(&mut dom, *key, (u32::MAX, 0));
             e.0 = e.0.min(*h);
             e.1 = e.1.max(h + 1);
         }
-        for (key, e) in dom.iter_mut() {
-            if e.0 == u32::MAX {
-                e.0 = 0;
-            }
-            // Lagging (not-yet-done) iterations stay enumerable even when
-            // every live value has moved past them.
-            let wf = ctx.work_floor.get(key).copied().unwrap_or(0);
-            e.0 = e.0.min(wf);
-            e.1 = e.1.max(e.0 + 1);
-        }
-        dom
+        dom.into_iter()
+            .map(|(key, mut e)| {
+                if e.0 == u32::MAX {
+                    e.0 = 0;
+                }
+                // Lagging (not-yet-done) iterations stay enumerable even
+                // when every live value has moved past them.
+                let wf = ctx.work_floor.get(&key).copied().unwrap_or(0);
+                e.0 = e.0.min(wf);
+                e.1 = e.1.max(e.0 + 1);
+                (key, e)
+            })
+            .collect()
     }
 
     /// Promotes versions whose guard resolved to constant true:
@@ -1691,7 +1750,9 @@ impl<'a> Engine<'a> {
             .copied()
             .collect();
         let domain = self.iter_domain(ctx);
-        for op in self.g.ops() {
+        let g = self.g;
+        let mut iters = std::mem::take(&mut self.iter_buf);
+        for op in g.ops() {
             if !self.useful[op.id().index()] || op.kind().is_source() {
                 continue;
             }
@@ -1699,11 +1760,11 @@ impl<'a> Engine<'a> {
             if unmarked.is_empty() && !has_order {
                 continue;
             }
-            let iters = enumerate_iters(self.g, op.id(), &domain, ctx, &self.it);
-            for iter in iters {
+            enumerate_iters(g, op.id(), &domain, ctx, &mut iters);
+            for iter in &iters {
                 if self
                     .it
-                    .get(op.id(), &iter)
+                    .get(op.id(), iter)
                     .is_some_and(|i| ctx.done.contains(&i))
                 {
                     continue;
@@ -1712,13 +1773,13 @@ impl<'a> Engine<'a> {
                     break;
                 }
                 let mut r = self.res();
-                let ctrl = r.ctrl_guard(ctx, op.id(), &iter);
+                let ctrl = r.ctrl_guard(ctx, op.id(), iter);
                 if ctrl.is_false() {
                     continue;
                 }
                 if op.kind().is_pass_through() {
                     if !unmarked.is_empty() {
-                        for (v, gv) in r.copy_versions(ctx, op.id(), &iter) {
+                        for (v, gv) in r.copy_versions(ctx, op.id(), iter) {
                             if let ValSrc::Key(k) = v {
                                 if !r.mgr.and(ctrl, gv).is_false() {
                                     marks.insert(k);
@@ -1730,9 +1791,8 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 if !unmarked.is_empty() {
-                    let ports: Vec<PortKind> = op.ports().to_vec();
-                    for p in &ports {
-                        for (v, gv) in r.port_versions(ctx, p, op.id(), &iter) {
+                    for p in op.ports() {
+                        for (v, gv) in r.port_versions(ctx, p, op.id(), iter) {
                             if let ValSrc::Key(k) = v {
                                 if !r.mgr.and(ctrl, gv).is_false() {
                                     marks.insert(k);
@@ -1742,15 +1802,15 @@ impl<'a> Engine<'a> {
                         }
                     }
                 }
-                let order: Vec<PortKind> = op.order_deps().to_vec();
-                for p in &order {
-                    if let Ok(Some(k)) = r.token(ctx, p, op.id(), &iter) {
+                for p in op.order_deps() {
+                    if let Ok(Some(k)) = r.token(ctx, p, op.id(), iter) {
                         marks.insert(k);
                         unmarked.remove(&k);
                     }
                 }
             }
         }
+        self.iter_buf = iters;
         if !unmarked.is_empty() {
             // Dropping a version re-enables its op's generator: the
             // issued-dedup and max-versions caps read `avail`, so the
@@ -1795,30 +1855,22 @@ impl<'a> Engine<'a> {
         // when every direct member's instance at w is executed or
         // control-dead (nested loops are covered by their materialized
         // exit passes, themselves direct members).
-        let contexts: Vec<(LoopId, Iter)> = ctx.horizon.keys().cloned().collect();
-        for (l, prefix) in contexts {
+        // (A second handle on the horizon map, so it can be walked while
+        // the work floors are written: a reference-count bump, no copy.)
+        let horizons = Arc::clone(&ctx.horizon);
+        for (&(l, prefix), &horizon) in horizons.iter() {
             let d = prefix.len();
-            let members: Vec<OpId> = self
-                .g
-                .loop_info(l)
-                .members()
-                .iter()
-                .copied()
-                .filter(|&m| {
-                    self.g.op(m).loop_path().len() == d + 1
-                        && !self.g.op(m).kind().is_source()
-                        && self.useful[m.index()]
-                })
-                .collect();
-            let horizon = ctx.horizon.get(&(l, prefix.clone())).copied().unwrap_or(0);
-            let mut wf = ctx
-                .work_floor
-                .get(&(l, prefix.clone()))
-                .copied()
-                .unwrap_or(0);
+            let mut wf = ctx.work_floor.get(&(l, prefix)).copied().unwrap_or(0);
             'advance: while wf <= horizon {
-                for &m in &members {
-                    let mut iter = prefix.clone();
+                for &m in g.loop_info(l).members() {
+                    let mop = g.op(m);
+                    if mop.loop_path().len() != d + 1
+                        || mop.kind().is_source()
+                        || !self.useful[m.index()]
+                    {
+                        continue;
+                    }
+                    let mut iter = prefix;
                     iter.push(wf);
                     if self.it.get(m, &iter).is_some_and(|i| ctx.done.contains(&i)) {
                         continue;
@@ -1831,7 +1883,7 @@ impl<'a> Engine<'a> {
             }
             // The entry itself is signature-visible, so a missing entry
             // is written even at value 0; an unchanged one is not.
-            if ctx.work_floor.get(&(l, prefix.clone())) != Some(&wf) {
+            if ctx.work_floor.get(&(l, prefix)) != Some(&wf) {
                 ctx.work_floor_mut().insert((l, prefix), wf);
             }
         }
@@ -1850,7 +1902,7 @@ impl<'a> Engine<'a> {
                 if d >= iter.len() {
                     return false;
                 }
-                match domain.get(&(*l, iter[..d].to_vec())) {
+                match domain.get(&(*l, Iter::from_slice(&iter[..d]))) {
                     Some((lo, _)) => iter[d] < *lo,
                     None => false,
                 }
@@ -1861,11 +1913,10 @@ impl<'a> Engine<'a> {
         // domain moves past their iteration. Loop-continue resolutions
         // stay until the loop's bookkeeping is dropped (exit-view
         // enumeration may still consult them).
-        let loop_conds: BTreeSet<OpId> = self.tables.loop_of_cond.keys().copied().collect();
         let it = &self.it;
         let keep_resolved = |inst: &CondInst| -> bool {
             let (op, iter) = it.pair(*inst);
-            if loop_conds.contains(&op) {
+            if self.tables.loop_of_cond.contains_key(&op) {
                 return !below(op, iter);
             }
             let path = self.g.op(op).loop_path();
@@ -1873,7 +1924,7 @@ impl<'a> Engine<'a> {
                 if d >= iter.len() {
                     break;
                 }
-                if let Some((lo, _)) = domain.get(&(l, iter[..d].to_vec())) {
+                if let Some((lo, _)) = domain.get(&(l, Iter::from_slice(&iter[..d]))) {
                     if iter[d] < *lo {
                         return false;
                     }
@@ -1986,7 +2037,7 @@ impl<'a> Engine<'a> {
                 let Some(&a) = ancestors.get(d) else {
                     return false;
                 };
-                match domain.get(&(a, prefix[..d].to_vec())) {
+                match domain.get(&(a, Iter::from_slice(&prefix[..d]))) {
                     Some((lo, hi)) => *lo <= v && v <= *hi,
                     None => false,
                 }
@@ -2092,9 +2143,9 @@ impl<'a> Engine<'a> {
             return;
         };
         let d = self.g.op(op).loop_path().len() - 1;
-        let prefix: Iter = self.it.iter_of(inst)[..d].to_vec();
-        let mut floor = ctx.floor.get(&(l, prefix.clone())).copied().unwrap_or(0);
-        let mut ci = prefix.clone();
+        let prefix = Iter::from_slice(&self.it.iter_of(inst)[..d]);
+        let mut floor = ctx.floor.get(&(l, prefix)).copied().unwrap_or(0);
+        let mut ci = prefix;
         ci.push(floor);
         loop {
             ci[d] = floor;
@@ -2112,7 +2163,7 @@ impl<'a> Engine<'a> {
         }
         // Like the work floor: the entry's presence is signature-visible,
         // so insert-if-absent even at 0, but skip unchanged values.
-        if ctx.floor.get(&(l, prefix.clone())) != Some(&floor) {
+        if ctx.floor.get(&(l, prefix)) != Some(&floor) {
             ctx.floor_mut().insert((l, prefix), floor);
         }
     }
@@ -2363,7 +2414,7 @@ fn key_to_inst(it: &InstTable, k: &Key) -> OpInst {
     let (op, iter) = it.pair(k.inst);
     OpInst {
         op,
-        iter: iter.clone(),
+        iter: iter.to_vec(),
         version: k.version,
     }
 }
@@ -2377,45 +2428,37 @@ fn valsrc_to_ref(it: &InstTable, v: &ValSrc) -> ValRef {
 }
 
 /// Enumerates the live iteration vectors for `op` given the per-loop
-/// windows.
-fn enumerate_iters(
-    g: &Cdfg,
-    op: OpId,
-    domain: &BTreeMap<(LoopId, Iter), (u32, u32)>,
-    ctx: &Ctx,
-    _it: &InstTable,
-) -> Vec<Iter> {
-    let path: Vec<LoopId> = g.op(op).loop_path().to_vec();
-    let mut out: Vec<Iter> = vec![Vec::new()];
-    for (d, &l) in path.iter().enumerate() {
-        let _ = d;
-        let mut next = Vec::new();
-        for prefix in &out {
-            let (lo, hi) = domain
-                .get(&(l, prefix.clone()))
-                .copied()
-                .unwrap_or_else(|| {
-                    let f = ctx
-                        .work_floor
-                        .get(&(l, prefix.clone()))
-                        .copied()
-                        .or_else(|| ctx.floor.get(&(l, prefix.clone())).copied())
-                        .unwrap_or(0);
-                    (f, f + 1)
-                });
+/// windows into `out` (cleared first), outermost index slowest. Each
+/// nest level expands the previous level's prefixes in place and then
+/// drains them.
+fn enumerate_iters(g: &Cdfg, op: OpId, domain: &Domain, ctx: &Ctx, out: &mut Vec<Iter>) {
+    out.clear();
+    out.push(Iter::new());
+    for &l in g.op(op).loop_path() {
+        let prefixes = out.len();
+        for i in 0..prefixes {
+            let prefix = out[i];
+            let (lo, hi) = domain.get(&(l, prefix)).copied().unwrap_or_else(|| {
+                let f = ctx
+                    .work_floor
+                    .get(&(l, prefix))
+                    .copied()
+                    .or_else(|| ctx.floor.get(&(l, prefix)).copied())
+                    .unwrap_or(0);
+                (f, f + 1)
+            });
             for k in lo..=hi {
-                let mut it = prefix.clone();
+                let mut it = prefix;
                 it.push(k);
-                next.push(it);
+                out.push(it);
             }
         }
-        out = next;
+        out.drain(..prefixes);
         // Guard against pathological blowup in deeply nested domains.
         if out.len() > 4096 {
             out.truncate(4096);
         }
     }
-    out
 }
 
 /// Minimum live iteration index per loop, for bookkeeping pruning.

@@ -242,6 +242,16 @@ pub enum SchedError {
         /// What failed, suitable for logging.
         context: String,
     },
+    /// The CDFG nests loops deeper than the scheduler supports: every
+    /// operation instance carries one iteration index per enclosing
+    /// loop, held inline with a fixed capacity. Rejected before
+    /// scheduling starts; retrying cannot help.
+    NestTooDeep {
+        /// The CDFG's deepest loop nest.
+        depth: usize,
+        /// The deepest nest the scheduler accepts.
+        max: usize,
+    },
 }
 
 impl SchedError {
@@ -254,14 +264,16 @@ impl SchedError {
             SchedError::Deadline { .. } => "deadline",
             SchedError::Cancelled => "cancelled",
             SchedError::Internal { .. } => "internal",
+            SchedError::NestTooDeep { .. } => "nest_too_deep",
         }
     }
 
     /// Whether the degradation chain may retry after this error.
     /// Everything is retryable except an explicit cancellation — the
-    /// caller asked the run to stop, so falling back would defy them.
+    /// caller asked the run to stop, so falling back would defy them —
+    /// and a too-deep loop nest, which no configuration schedules.
     pub fn is_retryable(&self) -> bool {
-        !matches!(self, SchedError::Cancelled)
+        !matches!(self, SchedError::Cancelled | SchedError::NestTooDeep { .. })
     }
 
     /// Serializes the error as a single JSON object (hand-rolled; the
@@ -293,6 +305,9 @@ impl SchedError {
                     "{{\"kind\":\"internal\",\"context\":\"{}\"}}",
                     json_escape(context)
                 )
+            }
+            SchedError::NestTooDeep { depth, max } => {
+                format!("{{\"kind\":\"nest_too_deep\",\"depth\":{depth},\"max\":{max}}}")
             }
         }
     }
@@ -326,6 +341,9 @@ impl fmt::Display for SchedError {
             }
             SchedError::Cancelled => write!(f, "schedule cancelled"),
             SchedError::Internal { context } => write!(f, "internal scheduler error: {context}"),
+            SchedError::NestTooDeep { depth, max } => {
+                write!(f, "loop nest of depth {depth} exceeds the supported {max}")
+            }
         }
     }
 }

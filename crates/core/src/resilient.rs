@@ -153,7 +153,8 @@ fn attempt_plan(cfg: &SchedConfig) -> Vec<(Mode, usize, usize)> {
 ///
 /// Runs [`schedule`](crate::schedule) under `cfg`; on a retryable
 /// failure (`StateLimit`, `IterationLimit`, `Stuck`, `Deadline`,
-/// `Internal` — everything except an explicit cancellation) retries
+/// `Internal` — everything except an explicit cancellation and a
+/// too-deep loop nest) retries
 /// down the chain: tightened speculation knobs, then
 /// [`Mode::SinglePath`], then [`Mode::NonSpeculative`].
 ///

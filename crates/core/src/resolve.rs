@@ -20,9 +20,12 @@
 //! Structural resolution works on `(OpId, &[u32])` content; instances are
 //! interned into [`InstId`]s only at the boundaries where they enter the
 //! context (candidate creation, literal allocation, version lookups), so
-//! the recursive walk itself allocates no instance bookkeeping.
+//! the recursive walk itself allocates no instance bookkeeping. Derived
+//! iteration vectors (prefixes, the previous iteration, exit arms) are
+//! inline [`Iter`] copies, and the CDFG's port and dependency lists are
+//! read in place.
 
-use crate::ctx::{cmp_key, Candidate, Ctx, InstId, InstTable, Iter, Key, ValSrc};
+use crate::ctx::{cmp_key, Candidate, Ctx, InstId, InstTable, Iter, Key, Operands, ValSrc};
 use cdfg::{Cdfg, CtrlKind, LoopId, OpId, OpKind, PortKind};
 use guards::{BddManager, ConjCache, Guard};
 use spec_support::fxhash::FxHashMap;
@@ -131,7 +134,7 @@ impl Res<'_> {
             // this path.
             let d = self.g.op(op).loop_path().len() - 1;
             let m = ci[d];
-            if let Some(&floor) = ctx.floor.get(&(l, ci[..d].to_vec())) {
+            if let Some(&floor) = ctx.floor.get(&(l, Iter::from_slice(&ci[..d]))) {
                 if m < floor {
                     return if value { Guard::TRUE } else { Guard::FALSE };
                 }
@@ -147,7 +150,7 @@ impl Res<'_> {
     /// members, `c_0 ∧ … ∧ c_{k−1}` for condition-cone members).
     /// Memoized per instance for the current validity window — the gc
     /// and sweep passes re-derive the same guards many times per state.
-    pub fn ctrl_guard(&mut self, ctx: &Ctx, op: OpId, iter: &Iter) -> Guard {
+    pub fn ctrl_guard(&mut self, ctx: &Ctx, op: OpId, iter: &[u32]) -> Guard {
         if self.g.op(op).ctrl_deps().is_empty() {
             return Guard::TRUE;
         }
@@ -160,23 +163,23 @@ impl Res<'_> {
         g
     }
 
-    fn ctrl_guard_uncached(&mut self, ctx: &Ctx, op: OpId, iter: &Iter) -> Guard {
+    fn ctrl_guard_uncached(&mut self, ctx: &Ctx, op: OpId, iter: &[u32]) -> Guard {
+        let g = self.g;
         let mut acc = Guard::TRUE;
-        let deps: Vec<cdfg::CtrlDep> = self.g.op(op).ctrl_deps().to_vec();
-        for dep in deps {
+        for dep in g.op(op).ctrl_deps() {
             match dep.kind {
                 CtrlKind::Branch => {
-                    let clen = self.g.op(dep.cond).loop_path().len();
+                    let clen = g.op(dep.cond).loop_path().len();
                     let l = self.lit(ctx, dep.cond, &iter[..clen], dep.polarity);
                     acc = self.mgr.and(acc, l);
                 }
                 CtrlKind::LoopBody(lp) => {
-                    let d = depth_of(self.g, op, lp);
+                    let d = depth_of(g, op, lp);
                     let k = iter[d];
                     acc = self.chain(ctx, acc, dep.cond, iter, d, 0..=k);
                 }
                 CtrlKind::LoopContinue(lp) => {
-                    let d = depth_of(self.g, op, lp);
+                    let d = depth_of(g, op, lp);
                     let k = iter[d];
                     if k > 0 {
                         acc = self.chain(ctx, acc, dep.cond, iter, d, 0..=(k - 1));
@@ -207,7 +210,7 @@ impl Res<'_> {
         ctx: &Ctx,
         acc: Guard,
         cond: OpId,
-        iter: &Iter,
+        iter: &[u32],
         d: usize,
         range: std::ops::RangeInclusive<u32>,
     ) -> Guard {
@@ -215,7 +218,7 @@ impl Res<'_> {
         let end = *range.end();
         if acc.is_false() {
             let clen = self.g.op(cond).loop_path().len();
-            let mut ci = iter[..clen].to_vec();
+            let mut ci = Iter::from_slice(&iter[..clen]);
             ci[d] = 0;
             let _ = self.lit(ctx, cond, &ci, true);
             return Guard::FALSE;
@@ -228,9 +231,9 @@ impl Res<'_> {
     /// walks down from `end` to the deepest cached partial product and
     /// builds (and caches) only the missing tail. A cached FALSE partial
     /// short-circuits the whole chain.
-    fn chain_prefix(&mut self, ctx: &Ctx, cond: OpId, iter: &Iter, d: usize, end: u32) -> Guard {
+    fn chain_prefix(&mut self, ctx: &Ctx, cond: OpId, iter: &[u32], d: usize, end: u32) -> Guard {
         let clen = self.g.op(cond).loop_path().len();
-        let mut ci = iter[..clen].to_vec();
+        let mut ci = Iter::from_slice(&iter[..clen]);
         let mut acc = Guard::TRUE;
         let mut start = 0;
         let mut m = end;
@@ -273,7 +276,7 @@ impl Res<'_> {
     /// contexts fold under a uniform iteration shift (the register
     /// transfers of Fig. 14) — so their versions, like any real op's,
     /// are their issued keys.
-    pub fn value_versions(&mut self, ctx: &Ctx, op: OpId, iter: &Iter) -> Vec<(ValSrc, Guard)> {
+    pub fn value_versions(&mut self, ctx: &Ctx, op: OpId, iter: &[u32]) -> Vec<(ValSrc, Guard)> {
         match self.g.op(op).kind() {
             OpKind::Const(v) => vec![(ValSrc::Const(v), Guard::TRUE)],
             OpKind::Input(i) => vec![(ValSrc::Input(i), Guard::TRUE)],
@@ -297,14 +300,12 @@ impl Res<'_> {
     /// The values a pass-through *copy* candidate would capture: the
     /// recursive resolution through the select/pass structure
     /// (Observation 1 of the paper).
-    pub fn copy_versions(&mut self, ctx: &Ctx, op: OpId, iter: &Iter) -> Vec<(ValSrc, Guard)> {
-        match self.g.op(op).kind() {
-            OpKind::Pass => {
-                let port = self.g.op(op).ports()[0];
-                self.port_versions(ctx, &port, op, iter)
-            }
+    pub fn copy_versions(&mut self, ctx: &Ctx, op: OpId, iter: &[u32]) -> Vec<(ValSrc, Guard)> {
+        let g = self.g;
+        match g.op(op).kind() {
+            OpKind::Pass => self.port_versions(ctx, &g.op(op).ports()[0], op, iter),
             OpKind::Select => {
-                let ports: Vec<PortKind> = self.g.op(op).ports().to_vec();
+                let ports = g.op(op).ports();
                 // Steering resolves *structurally* to condition instances:
                 // speculation through a select must work before (and keep
                 // working after) the condition's value version exists —
@@ -312,7 +313,7 @@ impl Res<'_> {
                 let steer = self.inst_versions(ctx, &ports[0], op, iter);
                 let mut out = Vec::new();
                 for ((sop, siter), gs) in steer {
-                    match self.g.op(sop).kind() {
+                    match g.op(sop).kind() {
                         OpKind::Const(v) => {
                             let side = if v != 0 { &ports[1] } else { &ports[2] };
                             for (x, gx) in self.port_versions(ctx, side, op, iter) {
@@ -354,30 +355,26 @@ impl Res<'_> {
         ctx: &Ctx,
         port: &PortKind,
         consumer: OpId,
-        iter: &Iter,
+        iter: &[u32],
     ) -> Vec<(ValSrc, Guard)> {
         match *port {
             PortKind::Wire(src) => {
                 let slen = self.g.op(src).loop_path().len();
-                self.value_versions(ctx, src, &iter[..slen].to_vec())
+                self.value_versions(ctx, src, &iter[..slen])
             }
             PortKind::Carried { lp, src, init } => {
                 let d = depth_of(self.g, consumer, lp);
                 let k = iter[d];
                 if k == 0 {
                     let ilen = self.g.op(init).loop_path().len();
-                    self.value_versions(ctx, init, &iter[..ilen].to_vec())
+                    self.value_versions(ctx, init, &iter[..ilen])
                 } else {
                     // A loop-invariant carried source (an in-loop
                     // assignment that resolved to an outer producer)
                     // has no iteration axis to step back along: read
                     // it at its own, shorter frame.
-                    let slen = self.g.op(src).loop_path().len();
-                    let mut it = iter[..slen.min(iter.len())].to_vec();
-                    if d < it.len() {
-                        it[d] = k - 1;
-                    }
-                    self.value_versions(ctx, src, &it)
+                    let prev = previous_iteration(self.g, src, iter, d);
+                    self.value_versions(ctx, src, &prev)
                 }
             }
             PortKind::Exit { lp, src, init } => {
@@ -388,26 +385,19 @@ impl Res<'_> {
                 // entirely — a loop-invariant assignment like `b = x`
                 // resolves to the outer producer — so its own frame can
                 // be shorter; reads below truncate to it.
-                let pre_len = self.g.op(cond).loop_path().len() - 1;
+                let base = exit_base(self.g, cond, iter);
                 let slen = self.g.op(src).loop_path().len();
-                let base: Iter = iter
-                    .iter()
-                    .copied()
-                    .chain(std::iter::repeat(0))
-                    .take(pre_len)
-                    .collect();
                 let mut out = Vec::new();
                 // Exit before the first iteration: the initial value,
                 // valid when c_0 is false.
                 let ilen = self.g.op(init).loop_path().len();
-                let init_iter: Iter = base[..ilen.min(base.len())].to_vec();
                 let exit0 = {
-                    let mut ci = base.clone();
+                    let mut ci = base;
                     ci.push(0);
                     self.lit(ctx, cond, &ci, false)
                 };
                 if !exit0.is_false() {
-                    for (x, gx) in self.value_versions(ctx, init, &init_iter) {
+                    for (x, gx) in self.value_versions(ctx, init, &base[..ilen.min(base.len())]) {
                         let g = self.mgr.and(exit0, gx);
                         push_version(&mut out, x, g);
                     }
@@ -415,14 +405,14 @@ impl Res<'_> {
                 // Exit after iteration j: src@j, valid when c_{j+1} is
                 // false (src@j's own guard carries the continuation
                 // chain up to c_j).
-                let h = ctx.horizon.get(&(lp, base.clone())).copied().unwrap_or(0);
+                let h = ctx.horizon.get(&(lp, base)).copied().unwrap_or(0);
                 for j in 0..=h {
-                    let mut si = base.clone();
+                    let mut si = base;
                     si.push(j);
                     // A loop-invariant source reads at its own (outer)
                     // frame — the same versions for every exit arm; the
                     // per-j exit guards OR together in the merge.
-                    let vs = self.value_versions(ctx, src, &si[..slen.min(si.len())].to_vec());
+                    let vs = self.value_versions(ctx, src, &si[..slen.min(si.len())]);
                     if vs.is_empty() {
                         continue;
                     }
@@ -431,7 +421,7 @@ impl Res<'_> {
                     // explicit chain matters when the value short-circuits
                     // through selects to a loop-invariant source whose own
                     // guard carries no continuation history.
-                    let mut ci = base.clone();
+                    let mut ci = base;
                     ci.push(j + 1);
                     let mut exit_g = self.lit(ctx, cond, &ci, false);
                     exit_g = self.chain(ctx, exit_g, cond, &si, base.len(), 0..=j);
@@ -457,69 +447,59 @@ impl Res<'_> {
         ctx: &Ctx,
         port: &PortKind,
         consumer: OpId,
-        iter: &Iter,
+        iter: &[u32],
     ) -> Vec<((OpId, Iter), Guard)> {
         match *port {
             PortKind::Wire(src) => {
                 let slen = self.g.op(src).loop_path().len();
-                self.inst_of(ctx, src, &iter[..slen].to_vec())
+                self.inst_of(ctx, src, &iter[..slen])
             }
             PortKind::Carried { lp, src, init } => {
                 let d = depth_of(self.g, consumer, lp);
                 let k = iter[d];
                 if k == 0 {
                     let ilen = self.g.op(init).loop_path().len();
-                    self.inst_of(ctx, init, &iter[..ilen].to_vec())
+                    self.inst_of(ctx, init, &iter[..ilen])
                 } else {
                     // Loop-invariant sources have no iteration axis;
                     // see `port_versions`.
-                    let slen = self.g.op(src).loop_path().len();
-                    let mut it = iter[..slen.min(iter.len())].to_vec();
-                    if d < it.len() {
-                        it[d] = k - 1;
-                    }
-                    self.inst_of(ctx, src, &it)
+                    let prev = previous_iteration(self.g, src, iter, d);
+                    self.inst_of(ctx, src, &prev)
                 }
             }
             PortKind::Exit { lp, src, init } => {
                 let cond = self.g.loop_info(lp).cond();
                 // As in `port_versions`: anchor on the loop's depth, not
                 // the source's — a loop-invariant source sits outside.
-                let pre_len = self.g.op(cond).loop_path().len() - 1;
+                let base = exit_base(self.g, cond, iter);
                 let slen = self.g.op(src).loop_path().len();
-                let base: Iter = iter
-                    .iter()
-                    .copied()
-                    .chain(std::iter::repeat(0))
-                    .take(pre_len)
-                    .collect();
                 let mut out = Vec::new();
                 let ilen = self.g.op(init).loop_path().len();
                 let exit0 = {
-                    let mut ci = base.clone();
+                    let mut ci = base;
                     ci.push(0);
                     self.lit(ctx, cond, &ci, false)
                 };
                 if !exit0.is_false() {
-                    for (i, gi) in self.inst_of(ctx, init, &base[..ilen.min(base.len())].to_vec()) {
+                    for (i, gi) in self.inst_of(ctx, init, &base[..ilen.min(base.len())]) {
                         let g = self.mgr.and(exit0, gi);
                         if !g.is_false() {
                             out.push((i, g));
                         }
                     }
                 }
-                let h = ctx.horizon.get(&(lp, base.clone())).copied().unwrap_or(0);
+                let h = ctx.horizon.get(&(lp, base)).copied().unwrap_or(0);
                 for j in 0..=h {
-                    let mut si = base.clone();
+                    let mut si = base;
                     si.push(j);
-                    let mut ci = base.clone();
+                    let mut ci = base;
                     ci.push(j + 1);
                     let mut exit_g = self.lit(ctx, cond, &ci, false);
                     exit_g = self.chain(ctx, exit_g, cond, &si, base.len(), 0..=j);
                     if exit_g.is_false() {
                         continue;
                     }
-                    for (i, gi) in self.inst_of(ctx, src, &si[..slen.min(si.len())].to_vec()) {
+                    for (i, gi) in self.inst_of(ctx, src, &si[..slen.min(si.len())]) {
                         let g = self.mgr.and(exit_g, gi);
                         if !g.is_false() {
                             out.push((i, g));
@@ -534,18 +514,16 @@ impl Res<'_> {
     /// Structural instance resolution of an op: pass-throughs forward,
     /// selects fan out by their steering literal, everything else is
     /// itself.
-    fn inst_of(&mut self, ctx: &Ctx, op: OpId, iter: &Iter) -> Vec<((OpId, Iter), Guard)> {
-        match self.g.op(op).kind() {
-            OpKind::Pass => {
-                let port = self.g.op(op).ports()[0];
-                self.inst_versions(ctx, &port, op, iter)
-            }
+    fn inst_of(&mut self, ctx: &Ctx, op: OpId, iter: &[u32]) -> Vec<((OpId, Iter), Guard)> {
+        let g = self.g;
+        match g.op(op).kind() {
+            OpKind::Pass => self.inst_versions(ctx, &g.op(op).ports()[0], op, iter),
             OpKind::Select => {
-                let ports: Vec<PortKind> = self.g.op(op).ports().to_vec();
+                let ports = g.op(op).ports();
                 let steer = self.inst_versions(ctx, &ports[0], op, iter);
                 let mut out = Vec::new();
                 for ((sop, siter), gs) in steer {
-                    match self.g.op(sop).kind() {
+                    match g.op(sop).kind() {
                         OpKind::Const(v) => {
                             let side = if v != 0 { &ports[1] } else { &ports[2] };
                             for (i, gi) in self.inst_versions(ctx, side, op, iter) {
@@ -574,7 +552,7 @@ impl Res<'_> {
                 }
                 out
             }
-            _ => vec![((op, iter.clone()), Guard::TRUE)],
+            _ => vec![((op, Iter::from_slice(iter)), Guard::TRUE)],
         }
     }
 
@@ -593,7 +571,7 @@ impl Res<'_> {
         ctx: &mut Ctx,
         port: &PortKind,
         consumer: OpId,
-        iter: &Iter,
+        iter: &[u32],
     ) -> Result<Option<Key>, ()> {
         // Resolve the port structurally to the predecessor instance(s).
         // Ordering chains never go through selects, so a port resolves to
@@ -603,24 +581,19 @@ impl Res<'_> {
         match *port {
             PortKind::Wire(src) => {
                 let slen = self.g.op(src).loop_path().len();
-                let si: Iter = iter[..slen].to_vec();
-                self.settled(ctx, src, &si)
+                self.settled(ctx, src, &iter[..slen])
             }
             PortKind::Carried { lp, src, init } => {
                 let d = depth_of(self.g, consumer, lp);
                 let k = iter[d];
                 if k == 0 {
                     let ilen = self.g.op(init).loop_path().len();
-                    self.settled(ctx, init, &iter[..ilen].to_vec())
+                    self.settled(ctx, init, &iter[..ilen])
                 } else {
                     // Loop-invariant sources have no iteration axis;
                     // see `port_versions`.
-                    let slen = self.g.op(src).loop_path().len();
-                    let mut it = iter[..slen.min(iter.len())].to_vec();
-                    if d < it.len() {
-                        it[d] = k - 1;
-                    }
-                    self.settled(ctx, src, &it)
+                    let prev = previous_iteration(self.g, src, iter, d);
+                    self.settled(ctx, src, &prev)
                 }
             }
             PortKind::Exit { lp, src, .. } => {
@@ -632,18 +605,12 @@ impl Res<'_> {
                 // depth; a loop-invariant source settles at its outer
                 // frame.
                 let cond = self.g.loop_info(lp).cond();
-                let pre_len = self.g.op(cond).loop_path().len() - 1;
+                let base = exit_base(self.g, cond, iter);
                 let slen = self.g.op(src).loop_path().len();
-                let base: Iter = iter
-                    .iter()
-                    .copied()
-                    .chain(std::iter::repeat(0))
-                    .take(pre_len)
-                    .collect();
-                let h = ctx.horizon.get(&(lp, base.clone())).copied().unwrap_or(0);
+                let h = ctx.horizon.get(&(lp, base)).copied().unwrap_or(0);
                 let mut si = base;
                 si.push(h);
-                self.settled(ctx, src, &si[..slen.min(si.len())].to_vec())
+                self.settled(ctx, src, &si[..slen.min(si.len())])
             }
         }
     }
@@ -651,12 +618,13 @@ impl Res<'_> {
     /// Is the access instance `(op, iter)` settled: executed (returns its
     /// token key), or provably never executing on this path (returns
     /// `None` after checking *its* predecessor chain)?
-    fn settled(&mut self, ctx: &mut Ctx, op: OpId, iter: &Iter) -> Result<Option<Key>, ()> {
+    fn settled(&mut self, ctx: &mut Ctx, op: OpId, iter: &[u32]) -> Result<Option<Key>, ()> {
+        let g = self.g;
         // Pass-throughs in the chain (exit views of tokens) forward to
         // their producer.
-        if self.g.op(op).kind() == OpKind::Pass {
-            let port = self.g.op(op).ports()[0];
-            if let PortKind::Exit { lp, .. } = port {
+        if g.op(op).kind() == OpKind::Pass {
+            let port = &g.op(op).ports()[0];
+            if let PortKind::Exit { lp, .. } = *port {
                 // A loop-exit token re-derives through the producing
                 // loop's resolution history, which GC prunes once the
                 // loop's dataflow retires — so the settle must be made
@@ -667,7 +635,7 @@ impl Res<'_> {
                 if ctx.discharged.contains(&inst) {
                     return Ok(None);
                 }
-                let r = self.token(ctx, &port, op, iter);
+                let r = self.token(ctx, port, op, iter);
                 if let Ok(tok) = r {
                     if self.loop_exited(ctx, lp, iter) && ctx.exit_pending.get(&inst) != Some(&tok)
                     {
@@ -676,9 +644,9 @@ impl Res<'_> {
                 }
                 return r;
             }
-            return self.token(ctx, &port, op, iter);
+            return self.token(ctx, port, op, iter);
         }
-        if self.g.op(op).kind().is_source() {
+        if g.op(op).kind().is_source() {
             return Ok(None);
         }
         // Executed?
@@ -694,10 +662,9 @@ impl Res<'_> {
             // *its* predecessors. The "latest" predecessor token is the
             // content-wise maximum (allocation order would be
             // nondeterministic across equivalent contexts).
-            let ports: Vec<PortKind> = self.g.op(op).order_deps().to_vec();
             let mut best: Option<Key> = None;
-            for p in ports {
-                match self.token(ctx, &p, op, iter)? {
+            for p in g.op(op).order_deps() {
+                match self.token(ctx, p, op, iter)? {
                     None => {}
                     Some(k) => {
                         best = Some(match best {
@@ -726,9 +693,9 @@ impl Res<'_> {
     /// would diverge in variable order.
     fn loop_exited(&self, ctx: &Ctx, lp: LoopId, base: &[u32]) -> bool {
         let cond = self.g.loop_info(lp).cond();
-        let h = ctx.horizon.get(&(lp, base.to_vec())).copied().unwrap_or(0);
+        let mut ci = Iter::from_slice(base);
+        let h = ctx.horizon.get(&(lp, ci)).copied().unwrap_or(0);
         let d = base.len();
-        let mut ci = base.to_vec();
         ci.push(0);
         (0..=h.saturating_add(1)).any(|k| {
             ci[d] = k;
@@ -747,11 +714,12 @@ impl Res<'_> {
         &mut self,
         ctx: &mut Ctx,
         op: OpId,
-        iter: &Iter,
+        iter: &[u32],
         max_versions: usize,
         max_depth: usize,
     ) -> usize {
-        let kind = self.g.op(op).kind();
+        let g = self.g;
+        let kind = g.op(op).kind();
         if kind.is_source() {
             return 0;
         }
@@ -790,7 +758,7 @@ impl Res<'_> {
                 if guard.is_false() || self.mgr.support_len(guard) > max_depth {
                     continue;
                 }
-                let operands = vec![v];
+                let operands = Operands::from_slice(&[v]);
                 // Scan first: widening only writes through the context's
                 // copy-on-write candidate list when the guard changes.
                 if let Some(&i) = mine.iter().find(|&&i| ctx.cands[i].operands == operands) {
@@ -826,17 +794,15 @@ impl Res<'_> {
         }
         // Resolve ordering tokens first; unsettled ordering defers the
         // whole instance.
-        let order_ports: Vec<PortKind> = self.g.op(op).order_deps().to_vec();
         let mut tokens = Vec::new();
-        for p in &order_ports {
+        for p in g.op(op).order_deps() {
             match self.token(ctx, p, op, iter) {
                 Ok(t) => tokens.push(t),
                 Err(()) => return 0,
             }
         }
-        let ports: Vec<PortKind> = self.g.op(op).ports().to_vec();
-        let mut combos: Vec<(Vec<ValSrc>, Guard)> = vec![(Vec::new(), ctrl)];
-        for p in &ports {
+        let mut combos: Vec<(Operands, Guard)> = vec![(Operands::new(), ctrl)];
+        for p in g.op(op).ports() {
             let versions = self.port_versions(ctx, p, op, iter);
             if versions.is_empty() {
                 return 0;
@@ -848,7 +814,7 @@ impl Res<'_> {
                     if g.is_false() {
                         continue;
                     }
-                    let mut o = ops_so_far.clone();
+                    let mut o = *ops_so_far;
                     o.push(*v);
                     next.push((o, g));
                 }
@@ -937,6 +903,32 @@ pub(crate) fn depth_of(g: &Cdfg, op: OpId, lp: LoopId) -> usize {
         .expect("op is inside the loop (validated)")
 }
 
+/// The frame a loop-carried read of `src` looks at one iteration back:
+/// `iter` truncated to `src`'s own loop depth, with the carrying loop's
+/// index (`d`, which must be ≥ 1 in `iter`) decremented when `src` still
+/// has that axis. A loop-invariant source has none and reads its outer
+/// frame unchanged.
+fn previous_iteration(g: &Cdfg, src: OpId, iter: &[u32], d: usize) -> Iter {
+    let slen = g.op(src).loop_path().len();
+    let mut prev = Iter::from_slice(&iter[..slen.min(iter.len())]);
+    if d < prev.len() {
+        prev[d] = iter[d] - 1;
+    }
+    prev
+}
+
+/// The outer-iteration prefix a loop-exit view of the loop with
+/// continue condition `cond` is instantiated under: `iter` padded with
+/// zeros or truncated to the loop's own nesting depth.
+fn exit_base(g: &Cdfg, cond: OpId, iter: &[u32]) -> Iter {
+    let pre_len = g.op(cond).loop_path().len() - 1;
+    iter.iter()
+        .copied()
+        .chain(std::iter::repeat(0))
+        .take(pre_len)
+        .collect()
+}
+
 fn push_version(out: &mut Vec<(ValSrc, Guard)>, v: ValSrc, g: Guard) {
     if g.is_false() {
         return;
@@ -1005,13 +997,13 @@ mod tests {
 
     /// Resolves a support set back to `(op, iter)` content for
     /// assertions.
-    fn support_insts(r: &mut Res<'_>, gd: Guard) -> Vec<(OpId, Iter)> {
+    fn support_insts(r: &mut Res<'_>, gd: Guard) -> Vec<(OpId, Vec<u32>)> {
         r.mgr
             .support(gd)
             .iter()
             .map(|c| {
                 let (op, iter) = r.it.pair(r.ct.inst_of(*c));
-                (op, iter.clone())
+                (op, iter.to_vec())
             })
             .collect()
     }
@@ -1034,7 +1026,7 @@ mod tests {
         };
         // The branch-gated add at iteration 2 is conditioned on
         // c_cont@0 ∧ c_cont@1 ∧ c_cont@2 ∧ c_branch@2.
-        let guard = r.ctrl_guard(&ctx, sum, &vec![2]);
+        let guard = r.ctrl_guard(&ctx, sum, &[2]);
         let insts = support_insts(&mut r, guard);
         assert_eq!(insts.len(), 4);
         for k in 0..=2u32 {
@@ -1050,7 +1042,7 @@ mod tests {
         let mut events = Vec::new();
         let mut ctx = Ctx::default();
         let lp = g.loops()[0].id();
-        ctx.floor_mut().insert((lp, vec![]), 2); // c@0, c@1 known true
+        ctx.floor_mut().insert((lp, Iter::new()), 2); // c@0, c@1 known true
         let c2 = it.id(cont, &[2]);
         ctx.resolved_mut().insert(c2, true);
         let mut r = Res {
@@ -1062,14 +1054,14 @@ mod tests {
             memo: &mut memo,
             events: &mut events,
         };
-        let guard = r.ctrl_guard(&ctx, sum, &vec![2]);
+        let guard = r.ctrl_guard(&ctx, sum, &[2]);
         // Only the branch literal remains.
         assert_eq!(r.mgr.support(guard).len(), 1);
         // And a resolved-false continuation kills the instance outright.
         // (Resolution ends the memo's validity window, as in the engine.)
         ctx.resolved_mut().insert(c2, false);
         r.memo.clear();
-        let dead = r.ctrl_guard(&ctx, sum, &vec![2]);
+        let dead = r.ctrl_guard(&ctx, sum, &[2]);
         assert!(dead.is_false());
     }
 
@@ -1097,7 +1089,7 @@ mod tests {
                 guard: Guard::TRUE,
                 ready_in: 0,
                 depth: 0.0,
-                operands: vec![],
+                operands: Operands::new(),
             },
         );
         let mut r = Res {
@@ -1109,7 +1101,7 @@ mod tests {
             memo: &mut memo,
             events: &mut events,
         };
-        let versions = r.copy_versions(&ctx, sel, &vec![0]);
+        let versions = r.copy_versions(&ctx, sel, &[0]);
         // Two versions: the issued add under c_branch@0, and the carried
         // init (constant 0) under ¬c_branch@0.
         assert_eq!(versions.len(), 2);
@@ -1139,7 +1131,7 @@ mod tests {
         let mut events = Vec::new();
         let mut ctx = Ctx::default();
         let lp = g.loops()[0].id();
-        ctx.horizon_mut().insert((lp, vec![]), 1);
+        ctx.horizon_mut().insert((lp, Iter::new()), 1);
         let mut r = Res {
             g: &g,
             tables: &tables,
@@ -1150,7 +1142,7 @@ mod tests {
             events: &mut events,
         };
         // With nothing issued, only the exit-at-0 (init) version exists.
-        let versions = r.copy_versions(&ctx, exit_pass, &vec![]);
+        let versions = r.copy_versions(&ctx, exit_pass, &[]);
         assert_eq!(versions.len(), 1);
         let (v, gd) = versions[0];
         assert!(matches!(v, ValSrc::Const(0)), "init value");
@@ -1175,9 +1167,9 @@ mod tests {
             memo: &mut memo,
             events: &mut events,
         };
-        let n1 = r.gen_candidates(&mut ctx, cont, &vec![0], 4, 4);
+        let n1 = r.gen_candidates(&mut ctx, cont, &[0], 4, 4);
         assert_eq!(n1, 1, "the iteration-0 continue test is schedulable");
-        let n2 = r.gen_candidates(&mut ctx, cont, &vec![0], 4, 4);
+        let n2 = r.gen_candidates(&mut ctx, cont, &[0], 4, 4);
         assert_eq!(n2, 0, "regeneration with identical operands dedups");
         assert_eq!(ctx.cands.len(), 1);
     }
@@ -1206,7 +1198,7 @@ mod tests {
             events: &mut events,
         };
         // Iteration 0 increments are within any cap...
-        assert_eq!(r.gen_candidates(&mut ctx, inc, &vec![0], 4, 1), 1);
+        assert_eq!(r.gen_candidates(&mut ctx, inc, &[0], 4, 1), 1);
         // ...but iteration 2 needs a 3-condition chain plus operand
         // availability; even with values present, a cap of 1 blocks it.
         ctx.avail_mut().insert(
@@ -1215,11 +1207,11 @@ mod tests {
                 guard: Guard::TRUE,
                 ready_in: 0,
                 depth: 0.0,
-                operands: vec![],
+                operands: Operands::new(),
             },
         );
         assert_eq!(
-            r.gen_candidates(&mut ctx, inc, &vec![2], 4, 1),
+            r.gen_candidates(&mut ctx, inc, &[2], 4, 1),
             0,
             "chain support exceeds the speculation depth"
         );

@@ -386,7 +386,7 @@ impl Ctx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::AvailInfo;
+    use crate::ctx::{AvailInfo, Operands};
     use cdfg::{CdfgBuilder, OpId, OpKind, Src};
     use spec_support::props;
     use spec_support::proptest_lite as pl;
@@ -474,13 +474,13 @@ mod tests {
                     guard,
                     ready_in: e.ready,
                     depth: 0.0,
-                    operands: vec![],
+                    operands: Operands::new(),
                 },
             );
         }
         if r.with_floor {
             let lp = g.loops()[0].id();
-            ctx.floor_mut().insert((lp, vec![]), r.base + shift);
+            ctx.floor_mut().insert((lp, Iter::new()), r.base + shift);
         }
         ctx
     }
@@ -502,7 +502,7 @@ mod tests {
                         guard: Guard::TRUE,
                         ready_in: 0,
                         depth: 0.0,
-                        operands: vec![],
+                        operands: Operands::new(),
                     },
                 );
             }

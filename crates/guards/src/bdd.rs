@@ -26,14 +26,6 @@ const ITE_CACHE_CAP: usize = 1 << 18;
 /// Cofactors are cheaper to recompute than `ite`, so the bound is tighter.
 const COFACTOR_CACHE_CAP: usize = 1 << 16;
 
-/// Tag word [`BddManager::sop_tokens`] emits for the constant-false guard.
-pub const SOP_FALSE: u64 = 0;
-/// Tag word [`BddManager::sop_tokens`] emits for the constant-true guard.
-pub const SOP_TRUE: u64 = 1;
-/// Base tag for a non-constant guard: a stream opening with
-/// `SOP_CUBES + n` continues with `n` length-prefixed cubes.
-pub const SOP_CUBES: u64 = 2;
-
 /// A guard: a Boolean function over [`Cond`] variables, represented as a
 /// node in a [`BddManager`].
 ///
@@ -124,11 +116,21 @@ pub struct BddManager {
     cofactor_cap: usize,
     stats: Counters,
     // Scratch for `support_into`/`support_len`: per-node visit stamps with
-    // a generation counter (O(1) logical clear) and a reusable out buffer.
+    // a generation counter (O(1) logical clear), the reusable walk stack,
+    // and a reusable out buffer.
     visit_stamp: Vec<u32>,
     stamp_gen: u32,
+    support_work: Vec<Guard>,
     support_scratch: Vec<Cond>,
+    // Memoized support sizes per node (`UNKNOWN_LEN` = not computed
+    // yet). Nodes are hash-consed and never freed, so a node's support
+    // never changes.
+    support_lens: Vec<u32>,
 }
+
+/// `BddManager::support_lens` entry of a node whose support size has
+/// not been computed yet.
+const UNKNOWN_LEN: u32 = u32::MAX;
 
 /// Raw hit/miss/eviction counters (monotonically increasing).
 #[derive(Debug, Clone, Copy, Default)]
@@ -226,7 +228,9 @@ impl BddManager {
             stats: Counters::default(),
             visit_stamp: Vec::new(),
             stamp_gen: 0,
+            support_work: Vec::new(),
             support_scratch: Vec::new(),
+            support_lens: Vec::new(),
         }
     }
 
@@ -276,6 +280,13 @@ impl BddManager {
     fn node(&self, g: Guard) -> Node {
         debug_assert!(!g.is_const(), "terminals have no node");
         self.nodes[g.idx()]
+    }
+
+    /// The decision at a non-constant guard: its top condition and the
+    /// guards of its false and true branches.
+    pub(crate) fn decision(&self, g: Guard) -> (Cond, Guard, Guard) {
+        let n = self.node(g);
+        (Cond::new(n.var), n.lo, n.hi)
     }
 
     fn mk(&mut self, var: u32, lo: Guard, hi: Guard) -> Guard {
@@ -494,7 +505,8 @@ impl BddManager {
     /// BDD variable order — identical contents to [`BddManager::support`]
     /// but allocation-free after warmup: visited nodes are tracked in a
     /// manager-owned stamp array with a generation counter, so "clearing"
-    /// the visited set is a single increment.
+    /// the visited set is a single increment, and the walk stack is
+    /// manager-owned too.
     pub fn support_into(&mut self, g: Guard, out: &mut Vec<Cond>) {
         out.clear();
         if g.is_const() {
@@ -513,7 +525,9 @@ impl BddManager {
             }
         };
         let gen = self.stamp_gen;
-        let mut work = vec![g];
+        let mut work = std::mem::take(&mut self.support_work);
+        work.clear();
+        work.push(g);
         while let Some(x) = work.pop() {
             if x.is_const() {
                 continue;
@@ -528,19 +542,31 @@ impl BddManager {
             work.push(n.lo);
             work.push(n.hi);
         }
+        self.support_work = work;
         out.sort_unstable();
         out.dedup();
     }
 
     /// Number of distinct conditions in the guard's support, computed
-    /// without returning them. Uses the same stamp scratch as
-    /// [`BddManager::support_into`]; the manager-owned buffer makes the
-    /// common `support(g).len() > depth` check allocation-free.
+    /// without returning them. Memoized per node: the first query of a
+    /// guard walks it once (with the same scratch as
+    /// [`BddManager::support_into`]); every later one is a table read.
     pub fn support_len(&mut self, g: Guard) -> usize {
+        if g.is_const() {
+            return 0;
+        }
+        if self.support_lens.len() < self.nodes.len() {
+            self.support_lens.resize(self.nodes.len(), UNKNOWN_LEN);
+        }
+        let known = self.support_lens[g.idx()];
+        if known != UNKNOWN_LEN {
+            return known as usize;
+        }
         let mut buf = std::mem::take(&mut self.support_scratch);
         self.support_into(g, &mut buf);
         let n = buf.len();
         self.support_scratch = buf;
+        self.support_lens[g.idx()] = n as u32;
         n
     }
 
@@ -621,100 +647,12 @@ impl BddManager {
             partial.unset(c);
         }
     }
-
-    /// Renders `g` as a sum of product terms using a naming function for
-    /// conditions, e.g. `c1_0.!c2_0 + !c1_0`.
-    ///
-    /// Pure read: takes `&self`, so callers formatting guards inside
-    /// otherwise-immutable contexts (state signatures, trace output) need
-    /// not clone the manager.
-    pub fn to_sop_string(&self, g: Guard, name: &dyn Fn(Cond) -> String) -> String {
-        if g.is_false() {
-            return "0".to_string();
-        }
-        if g.is_true() {
-            return "1".to_string();
-        }
-        let mut cubes = Vec::new();
-        let mut lits: Vec<(Cond, bool)> = Vec::new();
-        self.collect_cubes(g, &mut lits, &mut cubes);
-        cubes
-            .iter()
-            .map(|cube| {
-                cube.iter()
-                    .map(|&(c, v)| {
-                        let n = name(c);
-                        if v {
-                            n
-                        } else {
-                            format!("!{n}")
-                        }
-                    })
-                    .collect::<Vec<_>>()
-                    .join(".")
-            })
-            .collect::<Vec<_>>()
-            .join(" + ")
-    }
-
-    /// Renders `g` as a token stream over the same cube enumeration as
-    /// [`BddManager::to_sop_string`], appending to `out`.
-    ///
-    /// Encoding (injective, so two guards produce equal streams iff
-    /// they would produce equal SOP strings under an injective naming):
-    /// `FALSE` → `[SOP_FALSE]`, `TRUE` → `[SOP_TRUE]`, otherwise
-    /// `[SOP_CUBES + n, len(cube_1), lits…, …, len(cube_n), lits…]`
-    /// where each literal is `(name(cond) << 1) | polarity`. Callers
-    /// hand in a condition→token mapping instead of a condition→string
-    /// one; the scheduler's signature builder uses this to hash-cons
-    /// guard renderings without materializing strings.
-    pub fn sop_tokens(&self, g: Guard, name: &mut dyn FnMut(Cond) -> u64, out: &mut Vec<u64>) {
-        if g.is_false() {
-            out.push(SOP_FALSE);
-            return;
-        }
-        if g.is_true() {
-            out.push(SOP_TRUE);
-            return;
-        }
-        let mut cubes = Vec::new();
-        let mut lits: Vec<(Cond, bool)> = Vec::new();
-        self.collect_cubes(g, &mut lits, &mut cubes);
-        out.push(SOP_CUBES + cubes.len() as u64);
-        for cube in &cubes {
-            out.push(cube.len() as u64);
-            for &(c, v) in cube {
-                out.push((name(c) << 1) | v as u64);
-            }
-        }
-    }
-
-    fn collect_cubes(
-        &self,
-        g: Guard,
-        lits: &mut Vec<(Cond, bool)>,
-        out: &mut Vec<Vec<(Cond, bool)>>,
-    ) {
-        if g.is_false() {
-            return;
-        }
-        if g.is_true() {
-            out.push(lits.clone());
-            return;
-        }
-        let n = self.node(g);
-        lits.push((Cond::new(n.var), false));
-        self.collect_cubes(n.lo, lits, out);
-        lits.pop();
-        lits.push((Cond::new(n.var), true));
-        self.collect_cubes(n.hi, lits, out);
-        lits.pop();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SOP_CUBES, SOP_FALSE, SOP_TRUE};
 
     fn mgr3() -> (BddManager, Guard, Guard, Guard) {
         let mut m = BddManager::new();
@@ -946,6 +884,25 @@ mod tests {
         let ab = m.and(a, b);
         m.support_into(ab, &mut buf);
         assert_eq!(buf, vec![Cond::new(0), Cond::new(1)]);
+    }
+
+    #[test]
+    fn support_len_memo_matches_support_across_growth() {
+        // Memoized sizes must stay right for guards built before and
+        // after the memo table was last extended, on first and repeat
+        // queries alike.
+        let mut m = BddManager::new();
+        let mut guards = vec![Guard::TRUE, Guard::FALSE];
+        for v in 0..6 {
+            let l = m.literal(Cond::new(v), v % 2 == 0);
+            let prev = guards[guards.len() - 1];
+            let conj = m.and(prev, l);
+            let disj = m.or(conj, l);
+            guards.extend([l, conj, disj]);
+            for &g in &guards {
+                assert_eq!(m.support_len(g), m.support(g).len(), "{g:?}");
+            }
+        }
     }
 
     #[test]

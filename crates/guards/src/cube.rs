@@ -1,178 +1,108 @@
-//! Cubes: conjunctions of condition literals.
+//! Cube views of guards: a guard's paths to TRUE, each a conjunction of
+//! condition literals (the paper's `c_1 ∧ c_2`), rendered as a sum of
+//! products for display or as a token stream for hashing.
 //!
-//! Most speculation conditions produced during scheduling are plain
-//! conjunctions — the paper writes them as `c_1 ∧ c_2` — so a dedicated,
-//! cheaply inspectable representation is useful for display, tests, and the
-//! common fast path, with lossless conversion into the general BDD form.
+//! The BDD is the only guard representation. A cube here is just the
+//! literal list of one path, ordered by condition (the variable order).
 
-use crate::{Assignment, BddManager, Cond, Guard};
-use std::fmt;
+use crate::{BddManager, Cond, Guard};
 
-/// A single condition literal: a condition and the polarity it is assumed
-/// to take.
-///
-/// # Example
-///
-/// ```
-/// use guards::{Cond, Literal};
-/// let l = Literal::positive(Cond::new(1));
-/// assert_eq!(l.to_string(), "c1");
-/// assert_eq!((!l).to_string(), "!c1");
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Literal {
-    /// The condition instance.
-    pub cond: Cond,
-    /// `true` for the positive literal `c`, `false` for `¬c`.
-    pub value: bool,
-}
+/// Tag word [`BddManager::sop_tokens`] emits for the constant-false guard.
+pub const SOP_FALSE: u64 = 0;
+/// Tag word [`BddManager::sop_tokens`] emits for the constant-true guard.
+pub const SOP_TRUE: u64 = 1;
+/// Base tag for a non-constant guard: a stream opening with
+/// `SOP_CUBES + n` continues with `n` length-prefixed cubes.
+pub const SOP_CUBES: u64 = 2;
 
-impl Literal {
-    /// The positive literal `cond`.
-    pub const fn positive(cond: Cond) -> Self {
-        Literal { cond, value: true }
-    }
-
-    /// The negative literal `¬cond`.
-    pub const fn negative(cond: Cond) -> Self {
-        Literal { cond, value: false }
-    }
-
-    /// Converts to a [`Guard`].
-    pub fn guard(self, m: &mut BddManager) -> Guard {
-        m.literal(self.cond, self.value)
-    }
-}
-
-impl std::ops::Not for Literal {
-    type Output = Literal;
-
-    fn not(self) -> Literal {
-        Literal {
-            cond: self.cond,
-            value: !self.value,
-        }
-    }
-}
-
-impl fmt::Display for Literal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.value {
-            write!(f, "{}", self.cond)
-        } else {
-            write!(f, "!{}", self.cond)
-        }
-    }
-}
-
-/// A conjunction of literals over distinct conditions, kept sorted by
-/// condition.
-///
-/// The empty cube is the constant true. A contradictory pair of literals
-/// cannot be constructed: [`Cube::with`] returns `None` instead.
-///
-/// # Example
-///
-/// ```
-/// use guards::{Cond, Cube, Literal};
-/// let c = Cube::top()
-///     .with(Literal::positive(Cond::new(0)))
-///     .unwrap()
-///     .with(Literal::negative(Cond::new(2)))
-///     .unwrap();
-/// assert_eq!(c.to_string(), "c0.!c2");
-/// // Adding the opposite polarity of an existing literal is contradictory.
-/// assert!(c.with(Literal::negative(Cond::new(0))).is_none());
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Cube {
-    lits: Vec<Literal>,
-}
-
-impl Cube {
-    /// The empty cube (constant true).
-    pub fn top() -> Self {
-        Cube::default()
-    }
-
-    /// Builds a cube from literals.
+impl BddManager {
+    /// Renders `g` as a sum of product terms using a naming function for
+    /// conditions, e.g. `c1_0.!c2_0 + !c1_0`.
     ///
-    /// Returns `None` if two literals over the same condition have opposite
-    /// polarity (the conjunction would be constant false).
-    pub fn from_literals<I: IntoIterator<Item = Literal>>(lits: I) -> Option<Self> {
-        let mut cube = Cube::top();
-        for l in lits {
-            cube = cube.with(l)?;
+    /// Pure read: takes `&self`, so callers formatting guards inside
+    /// otherwise-immutable contexts (state signatures, trace output) need
+    /// not clone the manager.
+    pub fn to_sop_string(&self, g: Guard, name: &dyn Fn(Cond) -> String) -> String {
+        if g.is_false() {
+            return "0".to_string();
         }
-        Some(cube)
+        if g.is_true() {
+            return "1".to_string();
+        }
+        let mut cubes = Vec::new();
+        let mut lits: Vec<(Cond, bool)> = Vec::new();
+        self.collect_cubes(g, &mut lits, &mut cubes);
+        cubes
+            .iter()
+            .map(|cube| {
+                cube.iter()
+                    .map(|&(c, v)| {
+                        let n = name(c);
+                        if v {
+                            n
+                        } else {
+                            format!("!{n}")
+                        }
+                    })
+                    .collect::<Vec<_>>()
+                    .join(".")
+            })
+            .collect::<Vec<_>>()
+            .join(" + ")
     }
 
-    /// Returns this cube extended with `lit`, or `None` if the result would
-    /// be contradictory. Duplicate literals are absorbed.
-    pub fn with(&self, lit: Literal) -> Option<Self> {
-        match self.lits.binary_search_by_key(&lit.cond, |l| l.cond) {
-            Ok(i) => {
-                if self.lits[i].value == lit.value {
-                    Some(self.clone())
-                } else {
-                    None
-                }
+    /// Renders `g` as a token stream over the same cube enumeration as
+    /// [`BddManager::to_sop_string`], appending to `out`.
+    ///
+    /// Encoding (injective, so two guards produce equal streams iff
+    /// they would produce equal SOP strings under an injective naming):
+    /// `FALSE` → `[SOP_FALSE]`, `TRUE` → `[SOP_TRUE]`, otherwise
+    /// `[SOP_CUBES + n, len(cube_1), lits…, …, len(cube_n), lits…]`
+    /// where each literal is `(name(cond) << 1) | polarity`. Callers
+    /// hand in a condition→token mapping instead of a condition→string
+    /// one; the scheduler's signature builder uses this to hash-cons
+    /// guard renderings without materializing strings.
+    pub fn sop_tokens(&self, g: Guard, name: &mut dyn FnMut(Cond) -> u64, out: &mut Vec<u64>) {
+        if g.is_false() {
+            out.push(SOP_FALSE);
+            return;
+        }
+        if g.is_true() {
+            out.push(SOP_TRUE);
+            return;
+        }
+        let mut cubes = Vec::new();
+        let mut lits: Vec<(Cond, bool)> = Vec::new();
+        self.collect_cubes(g, &mut lits, &mut cubes);
+        out.push(SOP_CUBES + cubes.len() as u64);
+        for cube in &cubes {
+            out.push(cube.len() as u64);
+            for &(c, v) in cube {
+                out.push((name(c) << 1) | v as u64);
             }
-            Err(i) => {
-                let mut lits = self.lits.clone();
-                lits.insert(i, lit);
-                Some(Cube { lits })
-            }
         }
     }
 
-    /// `true` if the cube has no literals (constant true).
-    pub fn is_top(&self) -> bool {
-        self.lits.is_empty()
-    }
-
-    /// Number of literals.
-    pub fn len(&self) -> usize {
-        self.lits.len()
-    }
-
-    /// `true` if the cube has no literals.
-    pub fn is_empty(&self) -> bool {
-        self.lits.is_empty()
-    }
-
-    /// The literals, sorted by condition.
-    pub fn literals(&self) -> &[Literal] {
-        &self.lits
-    }
-
-    /// Converts the cube into a [`Guard`].
-    pub fn guard(&self, m: &mut BddManager) -> Guard {
-        let lits: Vec<Guard> = self.lits.iter().map(|l| l.guard(m)).collect();
-        m.and_all(lits)
-    }
-
-    /// Converts the cube into an [`Assignment`] (each literal pins its
-    /// condition).
-    pub fn to_assignment(&self) -> Assignment {
-        self.lits.iter().map(|l| (l.cond, l.value)).collect()
-    }
-}
-
-impl fmt::Display for Cube {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.lits.is_empty() {
-            return write!(f, "1");
+    fn collect_cubes(
+        &self,
+        g: Guard,
+        lits: &mut Vec<(Cond, bool)>,
+        out: &mut Vec<Vec<(Cond, bool)>>,
+    ) {
+        if g.is_false() {
+            return;
         }
-        let mut first = true;
-        for l in &self.lits {
-            if !first {
-                write!(f, ".")?;
-            }
-            first = false;
-            write!(f, "{l}")?;
+        if g.is_true() {
+            out.push(lits.clone());
+            return;
         }
-        Ok(())
+        let (c, lo, hi) = self.decision(g);
+        lits.push((c, false));
+        self.collect_cubes(lo, lits, out);
+        lits.pop();
+        lits.push((c, true));
+        self.collect_cubes(hi, lits, out);
+        lits.pop();
     }
 }
 
@@ -180,72 +110,79 @@ impl fmt::Display for Cube {
 mod tests {
     use super::*;
 
+    fn sop(m: &BddManager, g: Guard) -> String {
+        m.to_sop_string(g, &|c| c.to_string())
+    }
+
     #[test]
     fn literal_negation() {
-        let l = Literal::positive(Cond::new(0));
-        assert_eq!(!l, Literal::negative(Cond::new(0)));
-        assert_eq!(!!l, l);
+        let mut m = BddManager::new();
+        let l = m.literal(Cond::new(0), true);
+        let nl = m.not(l);
+        assert_eq!(nl, m.literal(Cond::new(0), false));
+        assert_eq!(m.not(nl), l);
+        assert_eq!(sop(&m, nl), "!c0");
     }
 
     #[test]
     fn cube_absorbs_duplicates() {
-        let l = Literal::positive(Cond::new(1));
-        let c = Cube::top().with(l).unwrap().with(l).unwrap();
-        assert_eq!(c.len(), 1);
+        let mut m = BddManager::new();
+        let l = m.literal(Cond::new(1), true);
+        let ll = m.and(l, l);
+        assert_eq!(ll, l);
+        assert_eq!(sop(&m, ll), "c1");
     }
 
     #[test]
     fn cube_rejects_contradiction() {
-        let c = Cube::from_literals([Literal::positive(Cond::new(0))]).unwrap();
-        assert!(c.with(Literal::negative(Cond::new(0))).is_none());
-        assert!(Cube::from_literals([
-            Literal::positive(Cond::new(0)),
-            Literal::negative(Cond::new(0)),
-        ])
-        .is_none());
+        let mut m = BddManager::new();
+        let p = m.literal(Cond::new(0), true);
+        let n = m.literal(Cond::new(0), false);
+        let g = m.and_all([p, n]);
+        assert!(g.is_false());
+        assert_eq!(sop(&m, g), "0");
     }
 
     #[test]
     fn cube_sorted_by_cond() {
-        let c = Cube::from_literals([
-            Literal::negative(Cond::new(5)),
-            Literal::positive(Cond::new(1)),
-        ])
-        .unwrap();
-        assert_eq!(c.to_string(), "c1.!c5");
+        let mut m = BddManager::new();
+        let n5 = m.literal(Cond::new(5), false);
+        let p1 = m.literal(Cond::new(1), true);
+        let g = m.and(n5, p1);
+        assert_eq!(sop(&m, g), "c1.!c5");
     }
 
     #[test]
     fn cube_guard_matches_manual_conjunction() {
         let mut m = BddManager::new();
-        let c = Cube::from_literals([
-            Literal::positive(Cond::new(0)),
-            Literal::negative(Cond::new(1)),
-        ])
-        .unwrap();
-        let g = c.guard(&mut m);
         let a = m.literal(Cond::new(0), true);
         let nb = m.literal(Cond::new(1), false);
-        assert_eq!(g, m.and(a, nb));
-        assert_eq!(Cube::top().guard(&mut m), Guard::TRUE);
+        assert_eq!(m.and_all([a, nb]), m.and(a, nb));
+        assert_eq!(m.and_all([]), Guard::TRUE);
     }
 
     #[test]
     fn cube_to_assignment() {
-        let c = Cube::from_literals([
-            Literal::positive(Cond::new(2)),
-            Literal::negative(Cond::new(0)),
-        ])
-        .unwrap();
-        let a = c.to_assignment();
-        assert_eq!(a.get(Cond::new(2)), Some(true));
-        assert_eq!(a.get(Cond::new(0)), Some(false));
-        assert_eq!(a.len(), 2);
+        // A cube has exactly one satisfying assignment over its support,
+        // pinning each literal's condition.
+        let mut m = BddManager::new();
+        let p2 = m.literal(Cond::new(2), true);
+        let n0 = m.literal(Cond::new(0), false);
+        let g = m.and(p2, n0);
+        let support = m.support(g);
+        let sats = m.assignments(g, &support);
+        assert_eq!(sats.len(), 1);
+        assert_eq!(sats[0].get(Cond::new(2)), Some(true));
+        assert_eq!(sats[0].get(Cond::new(0)), Some(false));
+        assert_eq!(sats[0].len(), 2);
     }
 
     #[test]
     fn top_displays_as_one() {
-        assert_eq!(Cube::top().to_string(), "1");
-        assert!(Cube::top().is_top());
+        let m = BddManager::new();
+        assert_eq!(sop(&m, Guard::TRUE), "1");
+        let mut toks = Vec::new();
+        m.sop_tokens(Guard::TRUE, &mut |c| u64::from(c.index()), &mut toks);
+        assert_eq!(toks, [SOP_TRUE]);
     }
 }

@@ -1,5 +1,5 @@
-//! Condition literals, cubes, and an ROBDD-backed guard algebra for
-//! speculative scheduling.
+//! Condition instances and an ROBDD-backed guard algebra for speculative
+//! scheduling.
 //!
 //! In speculative scheduling (Lakshminarayana, Raghunathan, Jha, DAC 1998),
 //! every speculatively executed operation is tagged with a *speculation
@@ -21,8 +21,9 @@
 //!   "for each combination of conditions" partitioning of Fig. 12), and
 //!   exact probability evaluation (the `∏ P(c_j)` factor of Eq. 5,
 //!   generalized to arbitrary guards).
-//! * [`Cube`] — a plain conjunction of literals, the common special case,
-//!   convenient for display and for constructing guards.
+//! * Cube views — a guard's paths as conjunctions of literals, rendered
+//!   as a sum of products ([`BddManager::to_sop_string`]) or as a token
+//!   stream for hashing ([`BddManager::sop_tokens`]).
 //! * [`Assignment`] — a partial mapping from conditions to outcomes.
 //!
 //! # Example
@@ -54,9 +55,9 @@ mod cube;
 mod prob;
 
 pub use assign::Assignment;
-pub use bdd::{BddManager, CacheStats, Guard, SOP_CUBES, SOP_FALSE, SOP_TRUE};
+pub use bdd::{BddManager, CacheStats, Guard};
 pub use conj::{ConjCache, ConjCacheStats};
-pub use cube::{Cube, Literal};
+pub use cube::{SOP_CUBES, SOP_FALSE, SOP_TRUE};
 pub use prob::CondProbs;
 
 use std::fmt;

@@ -3,7 +3,7 @@
 //! generated expressions. Runs on `spec_support::proptest_lite`, so the
 //! whole suite is deterministic and offline.
 
-use guards::{Assignment, BddManager, Cond, CondProbs, Cube, Guard, Literal};
+use guards::{Assignment, BddManager, Cond, CondProbs, Guard};
 use spec_support::props;
 use spec_support::proptest_lite as pl;
 
@@ -190,28 +190,28 @@ props! {
         assert!((pg - sum).abs() < 1e-9, "pg={pg} sum={sum}");
     }
 
-    /// Cubes agree with the BDD they convert to.
+    /// A conjunction of random literals — a cube — is FALSE exactly when
+    /// two literals contradict; otherwise it renders as a single product
+    /// term listing each distinct literal once, in condition order.
     fn cube_guard_agrees(
         lits in pl::vec_of(pl::tuple2(pl::range(0u32..NVARS), pl::boolean()), 0..6),
     ) {
-        let literals: Vec<Literal> = lits
-            .iter()
-            .map(|&(v, p)| Literal { cond: Cond::new(v), value: p })
-            .collect();
         let mut m = BddManager::new();
-        match Cube::from_literals(literals.clone()) {
-            Some(cube) => {
-                let g = cube.guard(&mut m);
-                let parts: Vec<Guard> = literals.iter().map(|l| l.guard(&mut m)).collect();
-                let direct = m.and_all(parts);
-                assert_eq!(g, direct);
-            }
-            None => {
-                // Contradictory literal sets collapse to FALSE directly.
-                let parts: Vec<Guard> = literals.iter().map(|l| l.guard(&mut m)).collect();
-                let direct = m.and_all(parts);
-                assert!(direct.is_false());
-            }
+        let parts: Vec<Guard> = lits.iter().map(|&(v, p)| m.literal(Cond::new(v), p)).collect();
+        let g = m.and_all(parts.iter().copied());
+        assert_eq!(g, parts.iter().fold(Guard::TRUE, |acc, &l| m.and(acc, l)));
+        let mut distinct = lits.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let contradictory = distinct.windows(2).any(|w| w[0].0 == w[1].0);
+        assert_eq!(g.is_false(), contradictory);
+        if !contradictory {
+            let term: Vec<String> = distinct
+                .iter()
+                .map(|&(v, p)| if p { format!("c{v}") } else { format!("!c{v}") })
+                .collect();
+            let want = if term.is_empty() { "1".to_string() } else { term.join(".") };
+            assert_eq!(m.to_sop_string(g, &|c| c.to_string()), want);
         }
     }
 }

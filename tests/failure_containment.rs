@@ -237,6 +237,50 @@ fn resilient_chain_reports_every_attempt_on_terminal_failure() {
     assert_eq!(j.matches("\"kind\":\"iteration_limit\"").count(), 4);
 }
 
+/// A design whose `while` loops nest `depth` deep, the innermost one
+/// accumulating into `s`.
+fn nested_loops_cdfg(depth: usize) -> cdfg::Cdfg {
+    let mut src = String::from("design deep { input n; output o; var s = 0;");
+    for d in 0..depth {
+        src += &format!(" var i{d} = 0; while (i{d} < n) {{");
+    }
+    src += " s = s + 1;";
+    for d in (0..depth).rev() {
+        src += &format!(" i{d} = i{d} + 1; }}");
+    }
+    src += " o = s; }";
+    hls_lang::lower::compile(&Program::parse(&src).unwrap()).unwrap()
+}
+
+#[test]
+fn too_deep_loop_nest_is_rejected_exactly_and_not_retried() {
+    let g = nested_loops_cdfg(9);
+    let deepest = g.ops().iter().map(|o| o.loop_path().len()).max();
+    assert_eq!(deepest, Some(9));
+    let alloc = Allocation::new()
+        .with(FuClass::Adder, 1)
+        .with(FuClass::Comparator, 1)
+        .with(FuClass::Incrementer, 1);
+    let lib = Library::dac98();
+    let cfg = SchedConfig::new(Mode::Speculative);
+    let err = schedule(&g, &lib, &alloc, &Default::default(), &cfg).unwrap_err();
+    assert_eq!(err, SchedError::NestTooDeep { depth: 9, max: 8 });
+    assert_eq!(err.kind(), "nest_too_deep");
+    assert!(!err.is_retryable());
+    assert_eq!(
+        err.to_json(),
+        "{\"kind\":\"nest_too_deep\",\"depth\":9,\"max\":8}"
+    );
+    let f = schedule_resilient(&g, &lib, &alloc, &Default::default(), &cfg).unwrap_err();
+    assert_eq!(f.error, err);
+    assert_eq!(
+        f.degradation.attempts.len(),
+        1,
+        "no configuration schedules a too-deep nest: {}",
+        f.degradation
+    );
+}
+
 #[test]
 fn budget_large_enough_changes_nothing() {
     // A generous deadline must not perturb the schedule: byte-identical
