@@ -326,6 +326,20 @@ pub(crate) fn cmp_src(it: &InstTable, a: &ValSrc, b: &ValSrc) -> Ordering {
     }
 }
 
+/// The loops enclosing `l`, outermost first: entry `d` is the loop whose
+/// iteration index sits at position `d` of the prefix of a loop context
+/// `(l, prefix)`.
+pub(crate) fn loop_ancestors(g: &cdfg::Cdfg, l: LoopId) -> Vec<LoopId> {
+    let mut ancestors = Vec::new();
+    let mut cur = g.loop_info(l).parent();
+    while let Some(a) = cur {
+        ancestors.push(a);
+        cur = g.loop_info(a).parent();
+    }
+    ancestors.reverse();
+    ancestors
+}
+
 /// Identity of one executed value version: operation instance + version.
 ///
 /// Derived `Ord` is `(allocation id, version)` — correct for grouping a
@@ -678,14 +692,7 @@ impl Ctx {
     /// find the guards the cofactor actually changes; collections with
     /// no affected guard are never written, so their copy-on-write
     /// storage stays shared with the sibling branch.
-    pub fn cofactor(
-        &mut self,
-        mgr: &mut BddManager,
-        var: Cond,
-        value: bool,
-        inst: CondInst,
-        trace: bool,
-    ) {
+    pub fn cofactor(&mut self, mgr: &mut BddManager, var: Cond, value: bool, inst: CondInst) {
         self.resolved_mut().insert(inst, value);
         let changed: Vec<(Key, Guard)> = self
             .avail
@@ -717,9 +724,6 @@ impl Ctx {
         if !changed.is_empty() {
             let cands = self.cands_mut();
             for &(i, ng) in &changed {
-                if ng.is_false() && trace {
-                    eprintln!("drop cand {:?} on {:?}={}", cands[i].inst, inst, value);
-                }
                 cands[i].guard = ng;
             }
             cands.retain(|c| !c.guard.is_false());
@@ -878,11 +882,9 @@ impl Ctx {
     /// rendered entries regardless of interner allocation order.
     ///
     /// Since the hash-consed [`Ctx::signature_hash`] took over the fold
-    /// index, this renderer survives as the debug-build collision
-    /// cross-check (the engine asserts that contexts sharing a hash
-    /// render identical strings) and as the test oracle for the token
-    /// scheme's equality relation.
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    /// index, this renderer survives only as the test oracle for the
+    /// token scheme's equality relation.
+    #[cfg(test)]
     pub fn signature(
         &self,
         g: &cdfg::Cdfg,
@@ -1017,13 +1019,7 @@ impl Ctx {
             let _ = write!(s, "F{class}:{busy:?};");
         }
         let shifted_prefix = |l: LoopId, pre: &Iter| -> Vec<i64> {
-            let mut ancestors = Vec::new();
-            let mut cur = g.loop_info(l).parent();
-            while let Some(a) = cur {
-                ancestors.push(a);
-                cur = g.loop_info(a).parent();
-            }
-            ancestors.reverse();
+            let ancestors = loop_ancestors(g, l);
             pre.iter()
                 .enumerate()
                 .map(|(d, &v)| {
@@ -1260,7 +1256,7 @@ mod tests {
         let false_guard = mgr.literal(var, false);
         ctx.obligations_mut()
             .insert(it.id(OpId::new(2), &[0]), false_guard);
-        ctx.cofactor(&mut mgr, var, true, inst, false);
+        ctx.cofactor(&mut mgr, var, true, inst);
         assert_eq!(ctx.avail.len(), 1, "validated value survives");
         assert!(ctx.avail.values().next().unwrap().guard.is_true());
         assert!(ctx.obligations.is_empty(), "false-guard obligation dropped");

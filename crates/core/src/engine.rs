@@ -7,8 +7,8 @@
 //! folding.
 
 use crate::ctx::{
-    cmp_inst, cmp_src, AvailInfo, Candidate, CondInst, CondTable, Ctx, InstId, InstTable, Iter,
-    Key, ValSrc, MAX_NEST,
+    cmp_inst, cmp_src, loop_ancestors, AvailInfo, Candidate, CondInst, CondTable, Ctx, InstId,
+    InstTable, Iter, Key, ValSrc, MAX_NEST,
 };
 use crate::fault::{FaultState, FaultStats, Probe};
 use crate::resolve::{Res, Tables};
@@ -64,8 +64,7 @@ pub struct PhaseTimers {
     /// Context partitioning over resolved-condition combinations
     /// (Fig. 12 step 4), including the per-branch cofactoring.
     pub partition: PhaseStat,
-    /// Canonical signature construction for the fold test (including
-    /// the debug-build string cross-check).
+    /// Canonical signature construction for the fold test.
     pub signature: PhaseStat,
     /// Fold-index probe plus rename derivation / index insertion.
     pub fold: PhaseStat,
@@ -208,23 +207,45 @@ fn panic_context(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// One entry of the criticality-ordered ready list a state grows from.
 /// `skip` marks entries rejected for a reason that cannot clear until
-/// the next state (see [`Feas::Never`]).
+/// the next state (every [`Reject`] but [`Reject::OperandMissing`]).
 struct ReadyEntry {
     crit: f64,
     idx: usize,
     skip: bool,
 }
 
-/// Feasibility verdict for one candidate against the growing state.
-enum Feas {
-    /// Issues now, chaining at the given combinational start depth.
-    Yes(f64),
-    /// Infeasible for the remainder of this state: every input of the
-    /// failed check is monotone or frozen until the boundary tick.
-    Never,
-    /// Infeasible right now, but a missing operand version could be
-    /// issued later in this same state (the chaining case).
-    NotYet,
+/// The first failing check of [`Engine::feasible`], in check order.
+///
+/// Every rejection but [`Reject::OperandMissing`] holds for the rest of
+/// the state: each input of its check is monotone or frozen until the
+/// boundary tick.
+enum Reject {
+    /// A side effect under a guard that is not TRUE (side effects never
+    /// speculate).
+    SideEffect,
+    /// Non-speculative mode: the guard is not TRUE yet.
+    Unresolved,
+    /// Single-path mode: the guard is off the predicted path or beyond
+    /// the speculation depth.
+    OffPath,
+    /// Speculative mode: the guard's support size exceeds the depth cap.
+    TooDeep(usize),
+    /// A memory-order token that is not live.
+    DeadToken(Key),
+    /// A memory-order token issued in this very state.
+    TokenIssuedThisState,
+    /// Operand `.0`'s version `.1` is not live. The one transient
+    /// rejection: the version may be issued later in this very state
+    /// and then chained.
+    OperandMissing(usize, Key),
+    /// Operand `.0` is a multi-cycle result still `.1` states from
+    /// readable.
+    OperandInFlight(usize, u32),
+    /// The chained combinational path does not fit the clock period, or
+    /// an operand is a same-state result of a non-chainable unit.
+    Chaining,
+    /// Every unit of the class is taken.
+    NoUnit(FuClass),
 }
 
 /// A loop context: a loop and the iteration prefix of its enclosing
@@ -288,11 +309,6 @@ struct Engine<'a> {
     /// signature token stream (see [`SigBuilder`]).
     sigs: FxHashMap<u128, (StateId, Vec<Key>)>,
     sig: SigBuilder,
-    /// Collision cross-check: in debug builds every hashed signature is
-    /// also rendered as the legacy string and any two contexts mapping to
-    /// one hash must render identically.
-    #[cfg(debug_assertions)]
-    sig_strings: FxHashMap<u128, String>,
     /// Guard-conjunction memo shared by all [`Res`] borrows. Valid
     /// while `resolved` and the floors of the context under
     /// construction are stable; cleared at every validity-window
@@ -333,11 +349,6 @@ struct Engine<'a> {
     /// Reusable rendering of a functional-unit class name, the key of
     /// [`Ctx::fu_busy`].
     class_buf: String,
-    /// `WAVESCHED_TRACE` presence, sampled once at construction — the
-    /// issue/sweep loops are far too hot for per-call env lookups.
-    trace: bool,
-    /// `WAVESCHED_DEBUG` presence, sampled once at construction.
-    debug: bool,
     /// Construction time, for the run's wall-clock accounting.
     started: Instant,
     /// Wall-clock point at which the run aborts with
@@ -391,8 +402,6 @@ impl<'a> Engine<'a> {
             memo: crate::resolve::GuardMemo::default(),
             events: Vec::new(),
             sig_trail: Vec::new(),
-            #[cfg(debug_assertions)]
-            sig_strings: FxHashMap::default(),
             crit_cache: FxHashMap::default(),
             prob_memo: FxHashMap::default(),
             cap_contrib: FxHashMap::default(),
@@ -402,8 +411,6 @@ impl<'a> Engine<'a> {
             dirty_buf: Vec::new(),
             oldest_buf: Vec::new(),
             class_buf: String::new(),
-            trace: std::env::var_os("WAVESCHED_TRACE").is_some(),
-            debug: std::env::var_os("WAVESCHED_DEBUG").is_some(),
             started,
             deadline: cfg
                 .budget
@@ -524,29 +531,11 @@ impl<'a> Engine<'a> {
     }
 
     /// Hashed canonical signature of a context, timed under the
-    /// `signature` phase (the timer spans the debug-build string
-    /// cross-check too, so the phase accounting reconciles in debug
-    /// runs). Debug builds additionally render the legacy string
-    /// signature and assert that the hash never aliases two distinct
-    /// strings (and that equal strings hash equally). Every probed
-    /// signature is appended to the trail for differential testing.
+    /// `signature` phase. Every probed signature is appended to the
+    /// trail for differential testing.
     fn hashed_signature(&mut self, ctx: &Ctx) -> u128 {
         let t = Instant::now();
         let (sig, _) = ctx.signature_hash(self.g, &self.ct, &mut self.mgr, &self.it, &mut self.sig);
-        #[cfg(debug_assertions)]
-        {
-            let (s, _) = ctx.signature(self.g, &self.ct, &mut self.mgr, &self.it);
-            match self.sig_strings.entry(sig) {
-                std::collections::hash_map::Entry::Occupied(e) => assert_eq!(
-                    e.get(),
-                    &s,
-                    "signature hash {sig:032x} aliases two distinct contexts"
-                ),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(s);
-                }
-            }
-        }
         self.stats.phases.signature.add(t.elapsed());
         self.sig_trail.push(sig);
         sig
@@ -607,8 +596,7 @@ impl<'a> Engine<'a> {
             self.boundary_checks(iterations)?;
             let t0 = Instant::now();
             self.grow_state(sid, &mut ctx)?;
-            let t_grow = t0.elapsed();
-            self.stats.phases.grow.add(t_grow);
+            self.stats.phases.grow.add(t0.elapsed());
             let t_tick = Instant::now();
             // `tick` promotes pending discharges (exit passes whose
             // consumers all issued) into `discharged`, which changes
@@ -625,15 +613,7 @@ impl<'a> Engine<'a> {
             self.stats.phases.book.add(t_tick.elapsed());
             let t1 = Instant::now();
             let branches = self.partition(ctx);
-            let t_part = t1.elapsed();
-            self.stats.phases.partition.add(t_part);
-            if self.trace {
-                eprintln!(
-                    "state {sid}: grow={t_grow:?} partition={t_part:?} branches={} bdd={}",
-                    branches.len(),
-                    self.mgr.node_count()
-                );
-            }
+            self.stats.phases.partition.add(t1.elapsed());
             let resolves: Vec<OpInst> = {
                 let mut set = BTreeSet::new();
                 for (when, _) in &branches {
@@ -645,27 +625,18 @@ impl<'a> Engine<'a> {
             };
             self.stg.state_mut(sid).resolves = resolves;
             for (when, mut bctx) in branches {
-                let tb = std::time::Instant::now();
+                let tb = Instant::now();
                 // Cofactoring changed `resolved` (and possibly floors):
                 // the guard memo's validity window ends here.
                 self.memo.clear();
                 self.promote_done(&mut bctx);
                 self.sweep(&mut bctx)?;
                 self.events.clear();
-                let t_sw = tb.elapsed();
-                self.stats.phases.sweep.add(t_sw);
-                let tg = std::time::Instant::now();
+                self.stats.phases.sweep.add(tb.elapsed());
+                let tg = Instant::now();
                 self.gc(&mut bctx);
                 self.gc_storm_check(&mut bctx)?;
-                let t_gc = tg.elapsed();
-                self.stats.phases.gc.add(t_gc);
-                if self.trace {
-                    eprintln!(
-                        "  branch: sweep={t_sw:?} gc={t_gc:?} avail={} cands={}",
-                        bctx.avail.len(),
-                        bctx.cands.len()
-                    );
-                }
+                self.stats.phases.gc.add(tg.elapsed());
                 self.stats.peak_ctx = self.stats.peak_ctx.max(bctx.avail.len());
                 let when: Vec<(OpInst, bool)> = when
                     .iter()
@@ -698,15 +669,6 @@ impl<'a> Engine<'a> {
                     });
                 } else {
                     let nid = self.stg.add_state();
-                    if self.debug {
-                        eprintln!(
-                            "new state {nid}: avail={} cands={} obls={} resolved={} sig={sig:032x}",
-                            bctx.avail.len(),
-                            bctx.cands.len(),
-                            bctx.obligations.len(),
-                            bctx.resolved.len(),
-                        );
-                    }
                     self.stats.states += 1;
                     if self.stats.states > self.cfg.max_states {
                         return Err(SchedError::StateLimit(self.cfg.max_states));
@@ -787,28 +749,16 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 match self.feasible(ctx, &ctx.cands[e.idx], &issued, &class_use) {
-                    Feas::Yes(start) => {
+                    Ok(start) => {
                         pick = Some((ri, start));
                         break;
                     }
-                    Feas::Never => e.skip = true,
-                    Feas::NotYet => {}
+                    Err(Reject::OperandMissing(..)) => {}
+                    Err(_) => e.skip = true,
                 }
             }
             let Some((ri, start)) = pick else { break };
             let idx = ready[ri].idx;
-            if self.trace {
-                let c = &ctx.cands[idx];
-                let (op, iter) = self.it.pair(c.inst);
-                eprintln!(
-                    "issue {:?}@{:?} cands={} avail={} bdd={}",
-                    op,
-                    iter,
-                    ctx.cands.len(),
-                    ctx.avail.len(),
-                    self.mgr.node_count()
-                );
-            }
             // `issue` removes the picked candidate — and, when its
             // guard is TRUE, every other candidate of the same
             // instance. Record the removed indices (sorted) so the
@@ -915,32 +865,28 @@ impl<'a> Engine<'a> {
         );
     }
 
-    /// Checks whether a candidate fits the current state; returns its
-    /// combinational start depth if it does, and otherwise classifies
-    /// the rejection: [`Feas::Never`] when no further issue in this
-    /// state can clear it (every input of the failed check is monotone
-    /// or frozen while the state grows), [`Feas::NotYet`] when a
-    /// still-missing operand version might be issued later in the same
-    /// state (the chaining case).
+    /// Checks whether a candidate fits the current state: its
+    /// combinational start depth if it does, else the first failing
+    /// check.
     fn feasible(
         &mut self,
         ctx: &Ctx,
         cand: &Candidate,
         issued: &FxHashSet<Key>,
         class_use: &FxHashMap<FuClass, u32>,
-    ) -> Feas {
+    ) -> Result<f64, Reject> {
         let kind = self.g.op(self.it.op(cand.inst)).kind();
         // Side effects never speculate (they commit architectural state).
         // The guard is fixed for the candidate's lifetime (widening
         // re-enters it as a fresh ready entry), so guard-based
         // rejections hold for the rest of the state.
         if kind.has_side_effect() && !cand.guard.is_true() {
-            return Feas::Never;
+            return Err(Reject::SideEffect);
         }
         match self.cfg.mode {
             Mode::NonSpeculative => {
                 if !cand.guard.is_true() {
-                    return Feas::Never;
+                    return Err(Reject::Unresolved);
                 }
             }
             Mode::SinglePath => {
@@ -948,12 +894,13 @@ impl<'a> Engine<'a> {
                     && (self.mgr.support_len(cand.guard) > self.cfg.max_spec_depth
                         || !self.predicted_cube(cand.guard))
                 {
-                    return Feas::Never;
+                    return Err(Reject::OffPath);
                 }
             }
             Mode::Speculative => {
-                if self.mgr.support_len(cand.guard) > self.cfg.max_spec_depth {
-                    return Feas::Never;
+                let support = self.mgr.support_len(cand.guard);
+                if support > self.cfg.max_spec_depth {
+                    return Err(Reject::TooDeep(support));
                 }
             }
         }
@@ -962,8 +909,11 @@ impl<'a> Engine<'a> {
         // absent from `avail` can only appear via an issue this state
         // (which also marks it `issued`), so both arms are permanent.
         for t in cand.tokens.iter().flatten() {
-            if !ctx.avail.contains_key(t) || issued.contains(t) {
-                return Feas::Never;
+            if !ctx.avail.contains_key(t) {
+                return Err(Reject::DeadToken(*t));
+            }
+            if issued.contains(t) {
+                return Err(Reject::TokenIssuedThisState);
             }
         }
         // Operand availability and chaining depth.
@@ -971,34 +921,28 @@ impl<'a> Engine<'a> {
         let frac = spec.as_ref().map_or(0.0, |s| s.frac_delay);
         let latency = spec.as_ref().map_or(0, |s| s.latency);
         let mut start = 0.0f64;
-        for o in &cand.operands {
+        for (i, o) in cand.operands.iter().enumerate() {
             if let ValSrc::Key(k) = o {
                 let Some(info) = ctx.avail.get(k) else {
-                    // The one transient rejection: the version may be
-                    // issued later in this very state and then chained.
-                    return Feas::NotYet;
+                    return Err(Reject::OperandMissing(i, *k));
                 };
                 if issued.contains(k) {
                     if info.depth >= 1.999 {
                         // Same-state result of a non-chainable unit;
                         // `depth` is fixed at issue.
-                        return Feas::Never;
+                        return Err(Reject::Chaining);
                     }
                     start = start.max(info.depth);
                 } else if info.ready_in > 0 {
-                    // Multi-cycle result still in flight; `ready_in`
-                    // only decrements at the state boundary tick.
-                    return Feas::Never;
+                    // `ready_in` only decrements at the boundary tick.
+                    return Err(Reject::OperandInFlight(i, info.ready_in));
                 }
             }
         }
         // All operands exist at this point, and existing keys never
         // later join `issued`, so `start` is final for this candidate.
-        if latency > 1 && start > 0.0 {
-            return Feas::Never;
-        }
-        if start + frac > 1.0 + 1e-9 {
-            return Feas::Never;
+        if (latency > 1 && start > 0.0) || start + frac > 1.0 + 1e-9 {
+            return Err(Reject::Chaining);
         }
         // Functional-unit capacity: `class_use` only grows and `fu_busy`
         // is frozen while the state grows.
@@ -1014,10 +958,10 @@ impl<'a> Engine<'a> {
                     .map_or(0, |v| v.len() as u32);
             }
             if !self.alloc.limit(class).allows(used) {
-                return Feas::Never;
+                return Err(Reject::NoUnit(class));
             }
         }
-        Feas::Yes(start)
+        Ok(start)
     }
 
     /// Builds the structured liveness report for a stuck context: every
@@ -1025,9 +969,7 @@ impl<'a> Engine<'a> {
     /// candidate at all (and what its resolution is waiting on), the
     /// starved functional-unit classes, and the loop bookkeeping.
     ///
-    /// Only runs on the failure path, so it may be as slow as it likes;
-    /// it re-runs the [`Self::feasible`] checks one by one to attribute
-    /// the first failing one.
+    /// Only runs on the failure path, so it may be as slow as it likes.
     fn stuck_report(&mut self, ctx: &mut Ctx) -> StuckReport {
         let mut starved: BTreeSet<String> = BTreeSet::new();
         let mut blocked: Vec<BlockedInst> = Vec::new();
@@ -1095,87 +1037,52 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Mirrors [`Self::feasible`] for a candidate in a *stalled* (empty)
-    /// state and names the first failing check. The per-state
-    /// `issued`/`class_use` sets are empty by construction: nothing was
-    /// issued in a stalled state.
+    /// Names the first failing [`Self::feasible`] check for a candidate
+    /// in a *stalled* (empty) state, recording zero-unit classes in
+    /// `starved`. The per-state `issued`/`class_use` sets are empty by
+    /// construction: nothing was issued in a stalled state.
     fn why_infeasible(
         &mut self,
         ctx: &Ctx,
         cand: &Candidate,
         starved: &mut BTreeSet<String>,
     ) -> String {
-        let kind = self.g.op(self.it.op(cand.inst)).kind();
-        if kind.has_side_effect() && !cand.guard.is_true() {
-            return "side effect awaiting full control resolution (never speculates)".into();
-        }
-        match self.cfg.mode {
-            Mode::NonSpeculative => {
-                if !cand.guard.is_true() {
-                    return "guard unresolved (non-speculative mode)".into();
-                }
+        let Err(reject) = self.feasible(ctx, cand, &FxHashSet::default(), &FxHashMap::default())
+        else {
+            return "feasible by every static check (transient stall)".into();
+        };
+        let name = |k: &Key| {
+            let (op, iter) = self.it.pair(k.inst);
+            format!("{}{:?}v{}", self.g.op(op).name(), iter, k.version)
+        };
+        match reject {
+            Reject::SideEffect => {
+                "side effect awaiting full control resolution (never speculates)".into()
             }
-            Mode::SinglePath => {
-                if !cand.guard.is_true()
-                    && (self.mgr.support_len(cand.guard) > self.cfg.max_spec_depth
-                        || !self.predicted_cube(cand.guard))
-                {
-                    return "guard off the predicted path or beyond the speculation depth".into();
-                }
+            Reject::Unresolved => "guard unresolved (non-speculative mode)".into(),
+            Reject::OffPath => {
+                "guard off the predicted path or beyond the speculation depth".into()
             }
-            Mode::Speculative => {
-                if self.mgr.support_len(cand.guard) > self.cfg.max_spec_depth {
-                    return format!(
-                        "guard support {} exceeds max_spec_depth {}",
-                        self.mgr.support_len(cand.guard),
-                        self.cfg.max_spec_depth
-                    );
-                }
+            Reject::TooDeep(support) => format!(
+                "guard support {support} exceeds max_spec_depth {}",
+                self.cfg.max_spec_depth
+            ),
+            Reject::DeadToken(t) => format!("memory-order token {} is not live", name(&t)),
+            Reject::TokenIssuedThisState => "memory-order token issued this state".into(),
+            Reject::OperandMissing(i, k) => {
+                format!("operand {i} version {} was collected", name(&k))
             }
-        }
-        for t in cand.tokens.iter().flatten() {
-            if !ctx.avail.contains_key(t) {
-                let (op, iter) = self.it.pair(t.inst);
-                return format!(
-                    "memory-order token {}{:?}v{} is not live",
-                    self.g.op(op).name(),
-                    iter,
-                    t.version
-                );
-            }
-        }
-        for (i, o) in cand.operands.iter().enumerate() {
-            if let ValSrc::Key(k) = o {
-                let Some(info) = ctx.avail.get(k) else {
-                    let (op, iter) = self.it.pair(k.inst);
-                    return format!(
-                        "operand {i} version {}{:?}v{} was collected",
-                        self.g.op(op).name(),
-                        iter,
-                        k.version
-                    );
-                };
-                if info.ready_in > 0 {
-                    return format!("operand {i} still in flight ({} cycles)", info.ready_in);
+            Reject::OperandInFlight(i, n) => format!("operand {i} still in flight ({n} cycles)"),
+            Reject::Chaining => "chained path exceeds the clock period".into(),
+            Reject::NoUnit(class) => {
+                if self.alloc.limit(class).allows(0) {
+                    format!("every {class} unit is busy with multi-cycle work")
+                } else {
+                    starved.insert(class.to_string());
+                    format!("allocation grants zero {class} units")
                 }
             }
         }
-        if let Some(s) = &self.lib.spec_for(kind) {
-            let class = classify(kind);
-            let cs = class.to_string();
-            let mut used = 0;
-            if !s.pipelined {
-                used += ctx.fu_busy.get(&cs).map_or(0, |v| v.len() as u32);
-            }
-            if !self.alloc.limit(class).allows(used) {
-                if !self.alloc.limit(class).allows(0) {
-                    starved.insert(cs.clone());
-                    return format!("allocation grants zero {cs} units");
-                }
-                return format!("every {cs} unit is busy with multi-cycle work");
-            }
-        }
-        "feasible by every static check (transient stall)".into()
     }
 
     /// Explains why an obligation has no candidate at all: an unsettled
@@ -1322,20 +1229,7 @@ impl<'a> Engine<'a> {
         let guard_str = match self.sop_memo.get(&cand.guard) {
             Some(s) => s.clone(),
             None => {
-                let s = {
-                    let ct = &self.ct;
-                    let it = &self.it;
-                    let g = self.g;
-                    self.mgr.to_sop_string(cand.guard, &|c| {
-                        let (op, iter) = it.pair(ct.inst_of(c));
-                        let mut s = g.op(op).name().to_string();
-                        for i in iter {
-                            s.push('_');
-                            s.push_str(&i.to_string());
-                        }
-                        s
-                    })
-                };
+                let s = self.guard_sop(cand.guard);
                 self.sop_memo.insert(cand.guard, s.clone());
                 s
             }
@@ -1352,6 +1246,46 @@ impl<'a> Engine<'a> {
         });
         self.stats.issues += 1;
         self.mark_op_changed(ctx, op);
+    }
+
+    /// One sweep pass: drains the context's dirty set into `dirty` and
+    /// re-generates every drained op over its window in `domain`
+    /// (`iters` is scratch). Each generation that adds candidates marks
+    /// the op changed and notes its iteration. Returns the number of
+    /// candidates added.
+    fn sweep_pass(
+        &mut self,
+        ctx: &mut Ctx,
+        domain: &Domain,
+        dirty: &mut Vec<OpId>,
+        iters: &mut Vec<Iter>,
+    ) -> usize {
+        let cfg = self.cfg;
+        dirty.clear();
+        dirty.extend(ctx.sweep_dirty.iter().copied());
+        ctx.sweep_dirty_mut().clear();
+        let mut added = 0usize;
+        for &opid in dirty.iter() {
+            if !self.useful[opid.index()] || self.g.op(opid).kind().is_source() {
+                continue;
+            }
+            enumerate_iters(self.g, opid, domain, ctx, iters);
+            for iter in iters.iter() {
+                let n = self.res().gen_candidates(
+                    ctx,
+                    opid,
+                    iter,
+                    cfg.max_versions,
+                    cfg.max_spec_depth,
+                );
+                if n > 0 {
+                    added += n;
+                    self.mark_op_changed(ctx, opid);
+                    self.note_iteration(ctx, opid, iter);
+                }
+            }
+        }
+        added
     }
 
     /// Generates candidates over the live iteration domain; bumps
@@ -1379,7 +1313,6 @@ impl<'a> Engine<'a> {
                 domain = self.iter_domain(ctx);
                 self.cap_lookahead(ctx, &mut domain);
                 self.mark_domain_growth(ctx, &domain);
-                domain_stale = false;
             }
             if self.cfg.reference_sweep {
                 self.mark_all(ctx);
@@ -1387,35 +1320,8 @@ impl<'a> Engine<'a> {
             if ctx.sweep_dirty.is_empty() {
                 break;
             }
-            dirty.clear();
-            dirty.extend(ctx.sweep_dirty.iter().copied());
-            ctx.sweep_dirty_mut().clear();
-            let mut added = 0usize;
-            for &opid in &dirty {
-                let op = self.g.op(opid);
-                if !self.useful[opid.index()] || op.kind().is_source() {
-                    continue;
-                }
-                enumerate_iters(self.g, opid, &domain, ctx, &mut iters);
-                for iter in &iters {
-                    let (max_versions, max_spec_depth) =
-                        (self.cfg.max_versions, self.cfg.max_spec_depth);
-                    let n =
-                        self.res()
-                            .gen_candidates(ctx, opid, iter, max_versions, max_spec_depth);
-                    if n > 0 {
-                        if self.trace {
-                            eprintln!("sweep: +{n} for {opid:?}@{iter:?}");
-                        }
-                        added += n;
-                        self.mark_op_changed(ctx, opid);
-                        self.note_iteration(ctx, opid, iter);
-                    }
-                }
-            }
-            if added > 0 {
-                domain_stale = true;
-            }
+            let added = self.sweep_pass(ctx, &domain, &mut dirty, &mut iters);
+            domain_stale = added > 0;
             // Reference mode marks everything each pass, so the dirty
             // set alone never quiesces — fall back to the legacy
             // nothing-generated fixpoint test.
@@ -1430,34 +1336,16 @@ impl<'a> Engine<'a> {
         // equivalence the differential tests prove means a clean
         // fixpoint regenerates nothing — so anything the pass adds is a
         // candidate the dropped event hid, and the run aborts instead
-        // of emitting a silently divergent schedule.
+        // of emitting a silently divergent schedule. The fixpoint pass
+        // generated nothing after `domain` was last computed, so it is
+        // still the context's domain.
         if self.faults.as_ref().is_some_and(|f| f.dropped_any) {
             if let Some(f) = &mut self.faults {
                 f.stats.audits += 1;
             }
             let events_before = self.events.len();
-            let mut domain = self.iter_domain(ctx);
-            self.cap_lookahead(ctx, &mut domain);
             self.mark_all(ctx);
-            dirty.clear();
-            dirty.extend(ctx.sweep_dirty.iter().copied());
-            ctx.sweep_dirty_mut().clear();
-            let mut added = 0usize;
-            for &opid in &dirty {
-                let op = self.g.op(opid);
-                if !self.useful[opid.index()] || op.kind().is_source() {
-                    continue;
-                }
-                enumerate_iters(self.g, opid, &domain, ctx, &mut iters);
-                for iter in &iters {
-                    let (max_versions, max_spec_depth) =
-                        (self.cfg.max_versions, self.cfg.max_spec_depth);
-                    let n =
-                        self.res()
-                            .gen_candidates(ctx, opid, iter, max_versions, max_spec_depth);
-                    added += n;
-                }
-            }
+            let added = self.sweep_pass(ctx, &domain, &mut dirty, &mut iters);
             if added > 0 || self.events.len() > events_before {
                 return Err(SchedError::Internal {
                     context: format!(
@@ -1890,193 +1778,127 @@ impl<'a> Engine<'a> {
 
         // Prune bookkeeping strictly below the enumeration domain: an
         // instance that can never be enumerated again cannot be
-        // re-issued, so its done/resolved entries are dead weight that
-        // would otherwise block state folding. Pruning anything the
-        // domain can still reach would allow re-issue — the thresholds
-        // must be the very same bounds `sweep` enumerates with.
-        let mins = live_mins(self.g, ctx, &self.it);
+        // re-issued, so its resolved/done/discharged entries are dead
+        // weight that would otherwise block state folding. Pruning
+        // anything the domain can still reach would allow re-issue — the
+        // thresholds must be the very same bounds `sweep` enumerates
+        // with. (Top-level discharged exit passes have an empty loop
+        // path and are never below the domain — they persist,
+        // identically in every steady-state context.)
         let domain = self.iter_domain(ctx);
-        let below = |op: OpId, iter: &Iter| -> bool {
-            let path = self.g.op(op).loop_path();
-            path.iter().enumerate().any(|(d, l)| {
-                if d >= iter.len() {
-                    return false;
-                }
-                match domain.get(&(*l, Iter::from_slice(&iter[..d]))) {
-                    Some((lo, _)) => iter[d] < *lo,
-                    None => false,
-                }
-            })
-        };
-        // Branch-condition resolutions are only ever referenced by
-        // same-iteration instances, so they die as soon as the live
-        // domain moves past their iteration. Loop-continue resolutions
-        // stay until the loop's bookkeeping is dropped (exit-view
-        // enumeration may still consult them).
         let it = &self.it;
-        let keep_resolved = |inst: &CondInst| -> bool {
+        let below = |inst: &InstId| -> bool {
             let (op, iter) = it.pair(*inst);
-            if self.tables.loop_of_cond.contains_key(&op) {
-                return !below(op, iter);
-            }
-            let path = self.g.op(op).loop_path();
-            for (d, &l) in path.iter().enumerate() {
-                if d >= iter.len() {
-                    break;
-                }
-                if let Some((lo, _)) = domain.get(&(l, Iter::from_slice(&iter[..d]))) {
-                    if iter[d] < *lo {
-                        return false;
-                    }
-                }
-            }
-            !below(op, iter)
-        };
-        let dead_resolved: Vec<CondInst> = ctx
-            .resolved
-            .keys()
-            .filter(|i| !keep_resolved(i))
-            .copied()
-            .collect();
-        let dead_done: Vec<InstId> = ctx
-            .done
-            .iter()
-            .filter(|inst| {
-                let (op, iter) = it.pair(**inst);
-                below(op, iter)
+            g.op(op).loop_path().iter().enumerate().any(|(d, l)| {
+                d < iter.len()
+                    && domain
+                        .get(&(*l, Iter::from_slice(&iter[..d])))
+                        .is_some_and(|(lo, _)| iter[d] < *lo)
             })
-            .copied()
-            .collect();
-        // Discharged loop-exit tokens die the same way `done` entries do:
-        // once the exit pass's own iteration leaves the enumeration
-        // domain no consumer can query it again, and a stale entry would
-        // block folding. (Top-level passes have an empty loop path and
-        // are never below the domain — they persist, identically in
-        // every steady-state context.)
+        };
+        let dead_resolved: Vec<CondInst> =
+            ctx.resolved.keys().filter(|i| below(i)).copied().collect();
+        let dead_done: Vec<InstId> = ctx.done.iter().filter(|i| below(i)).copied().collect();
         let dead_discharged: Vec<InstId> = ctx
             .discharged
             .iter()
-            .filter(|inst| {
-                let (op, iter) = it.pair(**inst);
-                below(op, iter)
-            })
+            .filter(|i| below(i))
             .copied()
             .collect();
-        if !dead_resolved.is_empty() {
-            {
-                let resolved = ctx.resolved_mut();
-                for i in &dead_resolved {
-                    resolved.remove(i);
-                }
-            }
-            // Un-recording a resolution resurrects the condition's
-            // literal as a free variable: chains that collapsed to
-            // FALSE under the old record become satisfiable again, so
-            // every guard that can reference the condition must
-            // re-generate (the reference sweep re-derives them all).
-            for i in dead_resolved {
-                let op = self.it.op(i);
-                self.mark_cond_changed(ctx, op);
-            }
-        }
-        if !dead_done.is_empty() {
-            {
-                let done = ctx.done_mut();
-                for i in &dead_done {
-                    done.remove(i);
-                }
-            }
-            // A pruned done entry un-blocks the instance's own
-            // generator (`gen_candidates` early-returns on done), so
-            // the op — its own first consumer — must re-generate.
-            for i in dead_done {
-                let op = self.it.op(i);
-                self.mark_op_changed(ctx, op);
-            }
-        }
-        if !dead_discharged.is_empty() {
-            {
-                let discharged = ctx.discharged_mut();
-                for i in &dead_discharged {
-                    discharged.remove(i);
-                }
-            }
-            // Discharge records feed `token()` settlement: dropping
-            // one changes what the exit pass's order consumers (and
-            // the pass itself) observe on the next generation.
-            for i in dead_discharged {
-                let op = self.it.op(i);
-                self.mark_op_changed(ctx, op);
-            }
-        }
+        // Un-recording a resolution resurrects the condition's literal
+        // as a free variable: chains that collapsed to FALSE under the
+        // old record become satisfiable again, so every guard that can
+        // reference the condition must re-generate.
+        self.prune_insts(
+            ctx,
+            dead_resolved,
+            |c, i| {
+                c.resolved_mut().remove(i);
+            },
+            Self::mark_cond_changed,
+        );
+        // A pruned done entry un-blocks the instance's own generator
+        // (`gen_candidates` early-returns on done), so the op — its own
+        // first consumer — must re-generate.
+        self.prune_insts(
+            ctx,
+            dead_done,
+            |c, i| {
+                c.done_mut().remove(i);
+            },
+            Self::mark_op_changed,
+        );
+        // Discharge records feed `token()` settlement: dropping one
+        // changes what the exit pass's order consumers (and the pass
+        // itself) observe on the next generation.
+        self.prune_insts(
+            ctx,
+            dead_discharged,
+            |c, i| {
+                c.discharged_mut().remove(i);
+            },
+            Self::mark_op_changed,
+        );
         // Horizons/floors: keep any loop that a live instance indexes, or
         // that the fanin cone of a pending obligation / candidate can
         // still reference through exit views.
-        let mut live_loops: BTreeSet<LoopId> = mins.keys().copied().collect();
-        for inst in ctx.obligations.keys() {
+        let mut live_loops = indexed_loops(g, ctx, &self.it);
+        for inst in ctx
+            .obligations
+            .keys()
+            .chain(ctx.cands.iter().map(|c| &c.inst))
+        {
             let op = self.it.op(*inst);
-            live_loops.extend(self.loops_needed[op.index()].iter().copied());
-        }
-        for c in ctx.cands.iter() {
-            let op = self.it.op(c.inst);
             live_loops.extend(self.loops_needed[op.index()].iter().copied());
         }
         // A loop context whose outer-iteration prefix left the
         // enumeration domain can never be entered again; its horizons,
         // floors and work floors are dead weight that would block
         // folding.
-        let prefix_live = |l: LoopId, prefix: &Iter| -> bool {
-            let mut ancestors = Vec::new();
-            let mut cur = self.g.loop_info(l).parent();
-            while let Some(a) = cur {
-                ancestors.push(a);
-                cur = self.g.loop_info(a).parent();
+        let keep = |l: &LoopId, prefix: &Iter| -> bool {
+            if !live_loops.contains(l) {
+                return false;
             }
-            ancestors.reverse();
+            let ancestors = loop_ancestors(g, *l);
             prefix.iter().enumerate().all(|(d, &v)| {
-                let Some(&a) = ancestors.get(d) else {
-                    return false;
-                };
-                match domain.get(&(a, Iter::from_slice(&prefix[..d]))) {
-                    Some((lo, hi)) => *lo <= v && v <= *hi,
-                    None => false,
-                }
+                ancestors.get(d).is_some_and(|&a| {
+                    domain
+                        .get(&(a, Iter::from_slice(&prefix[..d])))
+                        .is_some_and(|(lo, hi)| *lo <= v && v <= *hi)
+                })
             })
         };
-        let keep = |l: &LoopId, p: &Iter| live_loops.contains(l) && prefix_live(*l, p);
         // Floor entries collapse below-floor continue literals to TRUE
-        // and horizons bound the enumeration window: pruning either
-        // changes what the loop's readers derive next sweep.
+        // and horizons bound the enumeration window: pruning any of the
+        // three changes what the loop's readers derive next sweep.
         let mut pruned: BTreeSet<LoopId> = BTreeSet::new();
-        if ctx.horizon.keys().any(|(l, p)| !keep(l, p)) {
-            pruned.extend(
-                ctx.horizon
-                    .keys()
-                    .filter(|(l, p)| !keep(l, p))
-                    .map(|(l, _)| *l),
-            );
-            ctx.horizon_mut().retain(|(l, p), _| keep(l, p));
-        }
-        if ctx.floor.keys().any(|(l, p)| !keep(l, p)) {
-            pruned.extend(
-                ctx.floor
-                    .keys()
-                    .filter(|(l, p)| !keep(l, p))
-                    .map(|(l, _)| *l),
-            );
-            ctx.floor_mut().retain(|(l, p), _| keep(l, p));
-        }
-        if ctx.work_floor.keys().any(|(l, p)| !keep(l, p)) {
-            pruned.extend(
-                ctx.work_floor
-                    .keys()
-                    .filter(|(l, p)| !keep(l, p))
-                    .map(|(l, _)| *l),
-            );
-            ctx.work_floor_mut().retain(|(l, p), _| keep(l, p));
+        for map in [&mut ctx.horizon, &mut ctx.floor, &mut ctx.work_floor] {
+            if map.keys().any(|(l, p)| !keep(l, p)) {
+                pruned.extend(map.keys().filter(|(l, p)| !keep(l, p)).map(|(l, _)| *l));
+                Arc::make_mut(map).retain(|(l, p), _| keep(l, p));
+            }
         }
         for l in pruned {
             self.mark_loop_changed(ctx, l);
+        }
+    }
+
+    /// Removes the `dead` instances from one instance-keyed bookkeeping
+    /// collection of `ctx` (through `remove`), then reports each removed
+    /// instance's op through `mark`.
+    fn prune_insts(
+        &mut self,
+        ctx: &mut Ctx,
+        dead: Vec<InstId>,
+        remove: fn(&mut Ctx, &InstId),
+        mark: fn(&mut Self, &mut Ctx, OpId),
+    ) {
+        for i in &dead {
+            remove(ctx, i);
+        }
+        for i in dead {
+            let op = self.it.op(i);
+            mark(self, ctx, op);
         }
     }
 
@@ -2117,7 +1939,7 @@ impl<'a> Engine<'a> {
         for val in [true, false] {
             let mut c2 = ctx.clone();
             let t = Instant::now();
-            c2.cofactor(&mut self.mgr, var, val, inst, self.trace);
+            c2.cofactor(&mut self.mgr, var, val, inst);
             self.stats.phases.bdd.add(t.elapsed());
             self.bump_floor(&mut c2, inst, val);
             // The resolution (and any floor movement it absorbed)
@@ -2461,35 +2283,22 @@ fn enumerate_iters(g: &Cdfg, op: OpId, domain: &Domain, ctx: &Ctx, out: &mut Vec
     }
 }
 
-/// Minimum live iteration index per loop, for bookkeeping pruning.
-fn live_mins(g: &Cdfg, ctx: &Ctx, it: &InstTable) -> BTreeMap<LoopId, u32> {
-    let mut mins: BTreeMap<LoopId, u32> = BTreeMap::new();
-    let mut note = |op: OpId, iter: &[u32]| {
-        let path = g.op(op).loop_path();
-        for (d, &l) in path.iter().enumerate() {
-            if d < iter.len() {
-                let e = mins.entry(l).or_insert(u32::MAX);
-                *e = (*e).min(iter[d]);
-            }
-        }
-    };
-    for k in ctx.avail.keys() {
-        let (op, iter) = it.pair(k.inst);
-        note(op, iter);
+/// The loops some live instance (an available version, candidate,
+/// obligation, or pending condition) carries an iteration index for.
+fn indexed_loops(g: &Cdfg, ctx: &Ctx, it: &InstTable) -> BTreeSet<LoopId> {
+    let insts = ctx
+        .avail
+        .keys()
+        .map(|k| k.inst)
+        .chain(ctx.cands.iter().map(|c| c.inst))
+        .chain(ctx.obligations.keys().copied())
+        .chain(ctx.pending_conds.iter().map(|(k, _, _)| k.inst));
+    let mut loops = BTreeSet::new();
+    for inst in insts {
+        let (op, iter) = it.pair(inst);
+        loops.extend(g.op(op).loop_path().iter().take(iter.len()).copied());
     }
-    for c in ctx.cands.iter() {
-        let (op, iter) = it.pair(c.inst);
-        note(op, iter);
-    }
-    for inst in ctx.obligations.keys() {
-        let (op, iter) = it.pair(*inst);
-        note(op, iter);
-    }
-    for (k, _, _) in ctx.pending_conds.iter() {
-        let (op, iter) = it.pair(k.inst);
-        note(op, iter);
-    }
-    mins
+    loops
 }
 
 /// Register relabelings for a fold edge.
@@ -2625,6 +2434,13 @@ mod tests {
         assert!(
             report.headline.contains("check the allocation"),
             "headline kept the legacy one-liner: {report}"
+        );
+        assert_eq!(
+            report.to_string(),
+            "no progress towards s[] — check the allocation\n  \
+             starved FU classes: mult1\n  \
+             blocked *1[] guard=1 — allocation grants zero mult1 units\n  \
+             blocked s[] guard=1 — no value version for operand 0 (wire from *1)\n",
         );
     }
 

@@ -4,7 +4,7 @@
 //! along a new edge is schedule-equivalent (modulo a uniform per-loop
 //! iteration shift) to any existing state. The original implementation
 //! rendered every context into a canonical `String`
-//! ([`Ctx::signature`]) and keyed the fold index on it — megabytes of
+//! (`Ctx::signature`) and keyed the fold index on it — megabytes of
 //! formatting on the hot path, re-rendering shared substructure (guard
 //! SOPs, instance names, whole unchanged sections) for every branch of
 //! every state.
@@ -28,11 +28,12 @@
 //! content the string renderer serializes. Two contexts therefore get
 //! equal entry-id sequences exactly when they render equal strings —
 //! the equality relation the fold index requires — and the 128-bit
-//! hash collides only with ~2⁻¹²⁸-scale probability. Debug builds
-//! cross-check every hash against the retained string renderer (see
-//! the engine's `hashed_signature`).
+//! hash collides only with ~2⁻¹²⁸-scale probability. The string
+//! renderer survives as a test-only oracle: the
+//! `hashed_signature_agrees_with_string` property checks that both
+//! induce the same equality relation.
 
-use crate::ctx::{cmp_inst, CondTable, Ctx, InstId, InstTable, Iter, Key, ValSrc};
+use crate::ctx::{cmp_inst, loop_ancestors, CondTable, Ctx, InstId, InstTable, Iter, Key, ValSrc};
 use cdfg::{Cdfg, LoopId};
 use guards::{BddManager, Guard};
 use spec_support::fxhash::{hash128_ids, FxHashMap};
@@ -121,13 +122,7 @@ fn loop_atom(
     buf.clear();
     buf.push(NS_LOOP);
     buf.push(l.index() as i64);
-    let mut ancestors = Vec::new();
-    let mut cur = sh.g.loop_info(l).parent();
-    while let Some(a) = cur {
-        ancestors.push(a);
-        cur = sh.g.loop_info(a).parent();
-    }
-    ancestors.reverse();
+    let ancestors = loop_ancestors(sh.g, l);
     for (d, &v) in pre.iter().enumerate() {
         let shift = ancestors.get(d).map(|a| sh.shift_of(a)).unwrap_or(0);
         buf.push(i64::from(v) - shift);
@@ -190,15 +185,14 @@ fn push_guard(
 }
 
 impl Ctx {
-    /// Hash-consed equivalent of [`Ctx::signature`]: the 128-bit
+    /// Hash-consed equivalent of `Ctx::signature`: the 128-bit
     /// content hash of the canonical entry-token form of this context,
     /// plus the per-loop minimum indices needed for fold renames.
     ///
     /// Section order, per-section content order, canonical version
     /// ranks, and the per-loop shift basis are identical to the string
     /// renderer, so two contexts produce equal hashes exactly when they
-    /// produce equal strings (up to 128-bit hash collisions, which
-    /// debug builds cross-check away).
+    /// produce equal strings (up to 128-bit hash collisions).
     pub(crate) fn signature_hash(
         &self,
         g: &Cdfg,

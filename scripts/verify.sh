@@ -39,6 +39,11 @@ echo "== fault-injection smoke (SPEC_FAULT_CASES=24)"
 # skips the property is caught here, not silently.
 SPEC_FAULT_CASES=24 cargo test -q --offline -p integration --test fault_injection
 
+echo "== benchmark package tests"
+# `benchmark/` is its own cargo package (path deps on `crates/*`), so the
+# workspace test run above never compiles it.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== cargo clippy --offline --all-targets -- -D warnings"
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --offline --all-targets -- -D warnings

@@ -138,6 +138,22 @@ fn injected_panic_is_contained_as_internal() {
 }
 
 #[test]
+fn dropped_sweep_event_is_caught_by_the_reference_audit() {
+    // Dropping every dirty-marking event hides candidates from the
+    // incremental sweep; the audit pass that chases each fixpoint must
+    // find them and abort rather than ship a divergent schedule.
+    let mut cfg = SchedConfig::new(Mode::Speculative);
+    cfg.faults = Some(FaultPlan::parse("1:1:drop-sweep").unwrap());
+    match sched_with(&cfg).unwrap_err() {
+        SchedError::Internal { context } => assert!(
+            context.contains("reference audit"),
+            "the audit names itself: {context}"
+        ),
+        other => panic!("expected the audit's Internal error, got {other:?}"),
+    }
+}
+
+#[test]
 fn resilient_chain_recovers_from_speculative_cap_trip() {
     // TLC's multi-path speculative frontier creates several times more
     // states than its non-speculative baseline. A state cap sized to

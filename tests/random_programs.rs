@@ -5,41 +5,25 @@
 //! errors).
 
 use hls_lang::Program;
+use spec_support::rng::{Rng, SplitMix64};
 use std::collections::HashMap;
 use wavesched::{schedule, Mode, SchedConfig};
-
-/// A tiny deterministic LCG so the test needs no rand dependency wiring.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 /// Generates a random single-loop program over vars a, b and inputs
 /// x, y: a bounded counter loop whose body mixes arithmetic and nested
 /// branches.
 fn random_program(seed: u64) -> String {
-    let mut r = Lcg(seed.wrapping_add(17));
+    let mut r = SplitMix64::new(seed.wrapping_add(17));
     let ops = ["+", "-", "^"];
     let cmps = ["<", ">", "<=", ">=", "==", "!="];
     let mut body = String::new();
     for v in ["a", "b"] {
-        let op = ops[r.below(3) as usize];
-        let operand = ["x", "y", "i", "3"][r.below(4) as usize];
-        let cmp = cmps[r.below(6) as usize];
-        let lhs = ["a", "b", "i"][r.below(3) as usize];
-        let rhs = ["x", "y", "5"][r.below(3) as usize];
-        let alt_op = ops[r.below(3) as usize];
+        let op = ops[r.range(0..3usize)];
+        let operand = ["x", "y", "i", "3"][r.range(0..4usize)];
+        let cmp = cmps[r.range(0..6usize)];
+        let lhs = ["a", "b", "i"][r.range(0..3usize)];
+        let rhs = ["x", "y", "5"][r.range(0..3usize)];
+        let alt_op = ops[r.range(0..3usize)];
         body.push_str(&format!(
             "if ({lhs} {cmp} {rhs}) {{ {v} = {v} {op} {operand}; }} else {{ {v} = {v} {alt_op} 1; }}\n"
         ));
@@ -75,7 +59,7 @@ fn random_programs_schedule_and_verify() {
         let src = random_program(seed);
         let p = Program::parse(&src).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
         let g = hls_lang::lower::compile(&p).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        for mode in [Mode::NonSpeculative, Mode::Speculative] {
+        for mode in [Mode::NonSpeculative, Mode::Speculative, Mode::SinglePath] {
             let mut cfg = SchedConfig::new(mode);
             cfg.max_spec_depth = 3;
             let r = match schedule(&g, &lib, &alloc, &Default::default(), &cfg) {
@@ -84,10 +68,10 @@ fn random_programs_schedule_and_verify() {
             };
             scheduled += 1;
             let sim = hls_sim::StgSimulator::new(&g, &r.stg);
-            let mut rng = Lcg(seed.wrapping_mul(31).wrapping_add(5));
+            let mut rng = SplitMix64::new(seed.wrapping_mul(31).wrapping_add(5));
             for _ in 0..6 {
-                let x = rng.below(40) as i64 - 10;
-                let y = rng.below(40) as i64 - 10;
+                let x = rng.range(-10..30i64);
+                let y = rng.range(-10..30i64);
                 let inputs = [("x", x), ("y", y)];
                 let got = sim
                     .run(&inputs, &HashMap::new(), 100_000)
@@ -101,5 +85,5 @@ fn random_programs_schedule_and_verify() {
             }
         }
     }
-    assert_eq!(scheduled, 24, "every seed schedules in both modes");
+    assert_eq!(scheduled, 36, "every seed schedules in all three modes");
 }
