@@ -46,13 +46,28 @@ fn bench_golden_models(h: &mut Harness) {
             .expect("runs")
             .steps
     });
+    // Test1 runs a long data-dependent loop of loads and stores over two
+    // 256-cell memories: the loop-heavy design, one trace of it.
+    let w = workloads::test1().unwrap();
+    let vector = w.vectors(1).remove(0);
+    let inputs: Vec<(&str, i64)> = vector.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+    let image = hls_lang::MemImage {
+        contents: w.mem_init.clone(),
+    };
+    h.bench("sim/test1_interp_run", || {
+        hls_lang::interp::run(black_box(&w.program), &inputs, &image, 1_000_000)
+            .expect("runs")
+            .steps
+    });
 }
 
 /// Whole-call costs over fixed GCD trace sets: `measure` compiles the
-/// STG once per call and `profile` builds one execution plan per call,
-/// so these entries show what that set-up amortizes over. The `_1w`
-/// suffix keeps the measure entry comparable with older JSON, from when
-/// `measure` also ran on several worker threads.
+/// STG (and, when checking, the golden model) once per call and
+/// `profile` builds one execution plan per call, so these entries show
+/// what that set-up amortizes over. The `_1w` suffix keeps the unchecked
+/// measure entry comparable with older JSON, from when `measure` also
+/// ran on several worker threads; `_golden` checks every trace against
+/// the interpreter, as the paper binaries and the benchmark do.
 fn bench_trace_sets(h: &mut Harness) {
     let w = workloads::gcd().unwrap();
     let r = schedule(
@@ -69,6 +84,19 @@ fn bench_trace_sets(h: &mut Harness) {
         hls_sim::measure(black_box(&w.cdfg), &r.stg, &vectors, &mem, None, 100_000)
             .unwrap()
             .mean_cycles
+    });
+    h.bench("sim/gcd_measure_golden", || {
+        let m = hls_sim::measure(
+            black_box(&w.cdfg),
+            &r.stg,
+            &vectors,
+            &mem,
+            Some(&w.program),
+            100_000,
+        )
+        .unwrap();
+        assert_eq!(m.mismatches, 0);
+        m.mean_cycles
     });
     let vectors = hls_sim::trace::positive_vectors(7, &["x", "y"], 24.0, 63, 50);
     h.bench("sim/gcd_profile", || {

@@ -9,8 +9,12 @@
 //! * a lexer and recursive-descent parser ([`Program::parse`]);
 //! * an AST with a pretty-printer (`Display`) that reparses to the same
 //!   program;
-//! * a reference **interpreter** ([`interp::run`]) — the functional golden
-//!   model against which every schedule is verified;
+//! * a reference **interpreter** — the functional golden model against
+//!   which every schedule is verified. [`interp::Interpreter::new`]
+//!   compiles a program once, resolving every name to a slot, and runs
+//!   each input vector on plain vectors; [`interp::run`] compiles and
+//!   runs in one call. It executes the AST, independently of the CDFG
+//!   lowering;
 //! * a **CDFG lowering** ([`lower::compile`]) producing the
 //!   [`cdfg::Cdfg`] consumed by the schedulers, with if/else merged
 //!   through select operations and loop state turned into loop-carried

@@ -19,7 +19,12 @@ use stg::Stg;
 pub fn expected_cycles(stg: &Stg, probs: &BranchProbs) -> Option<f64> {
     let reach = stg.reachable();
     let n = reach.len();
-    let index_of = |sid: stg::StateId| reach.iter().position(|&s| s == sid);
+    // Matrix row of each reachable state, by state index.
+    let mut row = vec![None; stg.states().len()];
+    for (i, sid) in reach.iter().enumerate() {
+        row[sid.index()] = Some(i);
+    }
+    let index_of = |sid: stg::StateId| row[sid.index()];
     // Build A·E = b where A = I − P (restricted to transient states),
     // b = 1.
     let mut a = vec![vec![0.0f64; n]; n];

@@ -6,6 +6,7 @@ use crate::exec::profile_cdfg;
 use crate::sim::StgSimulator;
 use cdfg::analysis::BranchProbs;
 use cdfg::{Cdfg, Value};
+use hls_lang::interp::Interpreter;
 use std::collections::HashMap;
 use stg::Stg;
 
@@ -71,7 +72,8 @@ impl std::error::Error for MeasureError {}
 
 /// Simulates `stg` over every input vector, checking outputs and final
 /// memories against the `hls-lang` interpreter when `golden` is
-/// provided. The STG is compiled once ([`StgSimulator::new`]) and the
+/// provided. The STG ([`StgSimulator::new`]) and the golden model
+/// ([`Interpreter::new`]) are compiled once, and the
 /// golden model's memory image is built once, for all vectors.
 ///
 /// # Errors
@@ -97,7 +99,7 @@ pub fn measure(
         let image = hls_lang::MemImage {
             contents: mem_init.clone(),
         };
-        (p, image)
+        (Interpreter::new(p), image)
     });
     let mut total: u64 = 0;
     let mut best = u64::MAX;
@@ -111,13 +113,13 @@ pub fn measure(
                 vector: format!("{vec:?}"),
                 detail: e.to_string(),
             })?;
-        if let Some((p, image)) = &golden {
-            let want = hls_lang::interp::run(p, &inputs, image, 10_000_000).map_err(|e| {
-                MeasureError::Golden {
+        if let Some((model, image)) = &golden {
+            let want = model
+                .run(&inputs, image, 10_000_000)
+                .map_err(|e| MeasureError::Golden {
                     vector: format!("{vec:?}"),
                     detail: e.to_string(),
-                }
-            })?;
+                })?;
             mismatches += usize::from(want.outputs != out.outputs || want.mems != out.mems);
         }
         total += out.cycles;

@@ -1,23 +1,26 @@
 #!/usr/bin/env bash
-# Perf-regression gate: re-runs the scheduler bench into a scratch
-# directory and compares every bench's median against the committed
-# BENCH_schedulers.json. Fails if any median regresses by more than
-# 25% (override with SPEC_BENCH_CHECK_PCT), or if a baseline bench
-# disappeared from the fresh run. New benches (present only in the
-# fresh run) are ignored — they gain a baseline when scripts/bench.sh
-# refreshes the committed artifact.
+# Perf-regression gate: re-runs the scheduler and simulation benches
+# into a scratch directory and compares every bench's median against
+# the committed BENCH_schedulers.json and BENCH_simulation.json. Fails
+# if any median regresses by more than 25% (override with
+# SPEC_BENCH_CHECK_PCT), or if a baseline bench disappeared from the
+# fresh run. New benches (present only in the fresh run) are ignored —
+# they gain a baseline when scripts/bench.sh refreshes the committed
+# artifacts.
 #
 # Opt-in from the tier-1 gate: SPEC_BENCH_CHECK=1 scripts/verify.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BASELINE=BENCH_schedulers.json
+GROUPS_CHECKED="schedulers simulation"
 THRESHOLD_PCT="${SPEC_BENCH_CHECK_PCT:-25}"
 
-if [ ! -f "$BASELINE" ]; then
-    echo "bench_check: no committed $BASELINE to compare against"
-    exit 1
-fi
+for group in $GROUPS_CHECKED; do
+    if [ ! -f "BENCH_$group.json" ]; then
+        echo "bench_check: no committed BENCH_$group.json to compare against"
+        exit 1
+    fi
+done
 
 export CARGO_NET_OFFLINE=true
 export SPEC_BENCH_ITERS="${SPEC_BENCH_ITERS:-9}"
@@ -27,7 +30,9 @@ FRESH_DIR="$(mktemp -d)"
 trap 'rm -rf "$FRESH_DIR"' EXIT
 
 echo "== bench_check (iters=$SPEC_BENCH_ITERS warmup=$SPEC_BENCH_WARMUP threshold=${THRESHOLD_PCT}%)"
-SPEC_BENCH_DIR="$FRESH_DIR" cargo bench -q --offline --bench schedulers
+for group in $GROUPS_CHECKED; do
+    SPEC_BENCH_DIR="$FRESH_DIR" cargo bench -q --offline --bench "$group"
+done
 
 # The harness writes one bench per line, so "name median" pairs fall
 # out of a single substitution.
@@ -35,37 +40,41 @@ medians() {
     sed -n 's/.*"name": "\([^"]*\)".*"median": \([0-9]*\).*/\1 \2/p' "$1"
 }
 
-# A format drift in the bench JSON would make the sed above extract
-# nothing — and a compare-loop over zero baselines vacuously passes.
-# Fail loudly instead of silently gating nothing.
-if [ -z "$(medians "$BASELINE")" ]; then
-    echo "bench_check: FAILED — extracted zero medians from $BASELINE" \
-        "(format drift? update the medians() parser)"
-    exit 1
-fi
-if [ -z "$(medians "$FRESH_DIR/BENCH_schedulers.json")" ]; then
-    echo "bench_check: FAILED — extracted zero medians from the fresh run" \
-        "(format drift? update the medians() parser)"
-    exit 1
-fi
-
 fail=0
-while read -r name base; do
-    fresh="$(medians "$FRESH_DIR/BENCH_schedulers.json" |
-        awk -v n="$name" '$1 == n {print $2}')"
-    if [ -z "$fresh" ]; then
-        echo "bench_check: MISSING   $name (in baseline, absent from fresh run)"
-        fail=1
-    elif [ "$((fresh * 100))" -gt "$((base * (100 + THRESHOLD_PCT)))" ]; then
-        echo "bench_check: REGRESSED $name: median ${base} ns -> ${fresh} ns"
-        fail=1
-    else
-        echo "bench_check: ok        $name: median ${base} ns -> ${fresh} ns"
+for group in $GROUPS_CHECKED; do
+    baseline="BENCH_$group.json"
+    fresh_json="$FRESH_DIR/BENCH_$group.json"
+
+    # A format drift in the bench JSON would make the sed above extract
+    # nothing — and a compare-loop over zero baselines vacuously passes.
+    # Fail loudly instead of silently gating nothing.
+    if [ -z "$(medians "$baseline")" ]; then
+        echo "bench_check: FAILED — extracted zero medians from $baseline" \
+            "(format drift? update the medians() parser)"
+        exit 1
     fi
-done < <(medians "$BASELINE")
+    if [ -z "$(medians "$fresh_json")" ]; then
+        echo "bench_check: FAILED — extracted zero medians from the fresh $group run" \
+            "(format drift? update the medians() parser)"
+        exit 1
+    fi
+
+    while read -r name base; do
+        fresh="$(medians "$fresh_json" | awk -v n="$name" '$1 == n {print $2}')"
+        if [ -z "$fresh" ]; then
+            echo "bench_check: MISSING   $group/$name (in baseline, absent from fresh run)"
+            fail=1
+        elif [ "$((fresh * 100))" -gt "$((base * (100 + THRESHOLD_PCT)))" ]; then
+            echo "bench_check: REGRESSED $group/$name: median ${base} ns -> ${fresh} ns"
+            fail=1
+        else
+            echo "bench_check: ok        $group/$name: median ${base} ns -> ${fresh} ns"
+        fi
+    done < <(medians "$baseline")
+done
 
 # Absolute spec/baseline ratio gate on the stress tier of the fresh
-# run: speculative scheduling does strictly more work per state than
+# scheduler run (the simulation group has no such tier): speculative scheduling does strictly more work per state than
 # the baseline, but the incremental sweep must keep it within a
 # constant factor — a superlinear grow phase shows up here as a ratio
 # blowout long before the 25% self-regression gate trips. Override the
