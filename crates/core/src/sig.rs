@@ -37,7 +37,7 @@ use crate::ctx::{cmp_inst, loop_ancestors, CondTable, Ctx, InstId, InstTable, It
 use cdfg::{Cdfg, LoopId};
 use guards::{BddManager, Guard};
 use spec_support::fxhash::{hash128_ids, FxHashMap};
-use spec_support::interner::{Interner, SliceInterner};
+use spec_support::interner::SliceInterner;
 use std::collections::BTreeMap;
 
 /// Atom namespace discriminators: the first element of every interned
@@ -68,8 +68,6 @@ pub(crate) struct SigBuilder {
     atoms: SliceInterner<i64>,
     /// Whole signature entries as token streams over atom ids.
     entries: SliceInterner<u64>,
-    /// Functional-unit class display names.
-    classes: Interner<String>,
     atom_buf: Vec<i64>,
     entry_buf: Vec<u64>,
     ids_buf: Vec<u32>,
@@ -205,7 +203,6 @@ impl Ctx {
         let SigBuilder {
             atoms,
             entries,
-            classes,
             atom_buf,
             entry_buf,
             ids_buf,
@@ -350,7 +347,10 @@ impl Ctx {
         for (class, busy) in self.fu_busy.iter() {
             entry_buf.clear();
             entry_buf.push(TAG_F);
-            entry_buf.push(u64::from(classes.intern(class.clone())));
+            // The class name as length-prefixed bytes: injective, so
+            // entries stay equal exactly when the names are.
+            entry_buf.push(class.len() as u64);
+            entry_buf.extend(class.bytes().map(u64::from));
             entry_buf.push(busy.len() as u64);
             for &r in busy {
                 entry_buf.push(u64::from(r));

@@ -2,10 +2,9 @@
 
 use crate::exec::{bind_inputs, initial_mems};
 use cdfg::{Cdfg, OpKind, Value};
-use spec_support::interner::Interner;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use stg::{OpInst, StateId, Stg, ValRef};
+use stg::{Arg, SlotPlan, StateId, Stg, MAX_ARGS};
 
 /// Errors raised by STG simulation. Any of these indicates a scheduler
 /// bug (the STG is self-contained by construction) or a runaway design.
@@ -45,52 +44,15 @@ pub struct SimOutcome {
     pub cycles: u64,
 }
 
-/// Where a compiled operand comes from at run time.
-#[derive(Debug, Clone, Copy)]
-enum Arg {
-    Const(Value),
-    /// Index into the bound input values.
-    Input(usize),
-    /// A register slot.
-    Slot(u32),
-}
-
-/// The widest operand list of any operation kind (`Select`).
-const MAX_ARGS: usize = 3;
-
-/// A scheduled operation lowered onto register slots.
-#[derive(Debug)]
-struct SlotOp {
-    kind: OpKind,
-    args: [Arg; MAX_ARGS],
-    arity: usize,
-    dest: u32,
-}
-
-/// A transition whose `when` conditions and renames name slots.
-#[derive(Debug)]
-struct SlotTransition {
-    when: Vec<(u32, bool)>,
-    target: StateId,
-    renames: Vec<(u32, u32)>,
-}
-
-#[derive(Debug)]
-struct SlotState {
-    ops: Vec<SlotOp>,
-    transitions: Vec<SlotTransition>,
-}
-
 /// Cycle-accurate simulator for a scheduled STG.
 ///
-/// [`StgSimulator::new`] compiles the STG once: every operation
-/// instance it mentions is interned into a dense register slot, and
-/// each state is lowered to `(kind, operands, destination slot)` ops and
-/// slot-indexed transitions. [`StgSimulator::run`] then executes on a
-/// flat register file with a live bit per slot, so it is
-/// allocation-light per cycle: a cycle never hashes, and only a run's
-/// first renaming edge grows a buffer. Build one simulator per STG and
-/// reuse it across input vectors.
+/// [`StgSimulator::new`] compiles the STG once into a [`SlotPlan`]:
+/// every operation instance it mentions names a dense register slot,
+/// and each state is lowered to slot-named ops and transitions.
+/// [`StgSimulator::run`] then executes on a flat register file with a
+/// live bit per slot, so it is allocation-light per cycle: a cycle never
+/// hashes, and only a run's first renaming edge grows a buffer. Build one
+/// simulator per STG and reuse it across input vectors.
 ///
 /// # Example
 ///
@@ -119,15 +81,7 @@ pub struct StgSimulator<'a> {
     g: &'a Cdfg,
     start: StateId,
     stop: StateId,
-    states: Vec<SlotState>,
-    /// Slot → instance, used only to render error messages.
-    slots: Interner<OpInst>,
-}
-
-fn slot_of(slots: &mut Interner<OpInst>, inst: &OpInst) -> u32 {
-    slots
-        .lookup(inst)
-        .unwrap_or_else(|| slots.intern(inst.clone()))
+    plan: SlotPlan,
 }
 
 impl<'a> StgSimulator<'a> {
@@ -136,63 +90,14 @@ impl<'a> StgSimulator<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if a scheduled operation names an operation `g` lacks or
-    /// carries more operands than any operation kind takes.
+    /// Panics if a scheduled operation carries more operands than any
+    /// operation kind takes.
     pub fn new(g: &'a Cdfg, stg: &'a Stg) -> Self {
-        let mut slots = Interner::new();
-        let states = stg
-            .states()
-            .iter()
-            .map(|st| {
-                let mut ops = Vec::with_capacity(st.ops.len());
-                for op in &st.ops {
-                    assert!(
-                        op.operands.len() <= MAX_ARGS,
-                        "{} has {} operands",
-                        op.inst,
-                        op.operands.len()
-                    );
-                    let mut args = [Arg::Const(0); MAX_ARGS];
-                    for (a, o) in args.iter_mut().zip(&op.operands) {
-                        *a = match o {
-                            ValRef::Const(v) => Arg::Const(*v),
-                            ValRef::Input(i) => Arg::Input(i.index()),
-                            ValRef::Inst(inst) => Arg::Slot(slot_of(&mut slots, inst)),
-                        };
-                    }
-                    ops.push(SlotOp {
-                        kind: g.op(op.inst.op).kind(),
-                        args,
-                        arity: op.operands.len(),
-                        dest: slot_of(&mut slots, &op.inst),
-                    });
-                }
-                let transitions = st
-                    .transitions
-                    .iter()
-                    .map(|t| SlotTransition {
-                        when: t
-                            .when
-                            .iter()
-                            .map(|(inst, want)| (slot_of(&mut slots, inst), *want))
-                            .collect(),
-                        target: t.target,
-                        renames: t
-                            .renames
-                            .iter()
-                            .map(|(from, to)| (slot_of(&mut slots, from), slot_of(&mut slots, to)))
-                            .collect(),
-                    })
-                    .collect();
-                SlotState { ops, transitions }
-            })
-            .collect();
         StgSimulator {
             g,
             start: stg.start(),
             stop: stg.stop(),
-            states,
-            slots,
+            plan: SlotPlan::new(stg),
         }
     }
 
@@ -205,6 +110,10 @@ impl<'a> StgSimulator<'a> {
     /// # Errors
     ///
     /// See [`SimError`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a scheduled operation names an operation `g` lacks.
     pub fn run(
         &self,
         inputs: &[(&str, Value)],
@@ -217,11 +126,11 @@ impl<'a> StgSimulator<'a> {
         let mut outputs: Vec<Value> = vec![0; self.g.outputs().len()];
         // The register file: a value and a live bit per slot. A slot is
         // live once written and dead again after it is renamed away.
-        let mut vals: Vec<Value> = vec![0; self.slots.len()];
-        let mut live: Vec<bool> = vec![false; self.slots.len()];
+        let mut vals: Vec<Value> = vec![0; self.plan.slot_count()];
+        let mut live: Vec<bool> = vec![false; self.plan.slot_count()];
         let mut moved: Vec<(u32, Option<Value>)> = Vec::new();
         let missing = |what: &str, slot: u32, state: StateId| {
-            SimError::MissingValue(format!("{what}{} in {state}", self.slots.resolve(slot)))
+            SimError::MissingValue(format!("{what}{} in {state}", self.plan.inst(slot)))
         };
 
         let mut state = self.start;
@@ -231,19 +140,19 @@ impl<'a> StgSimulator<'a> {
                 return Err(SimError::CycleLimit(cycle_limit));
             }
             cycles += 1;
-            let st = &self.states[state.index()];
+            let st = self.plan.state(state);
             for op in &st.ops {
                 let mut buf = [0 as Value; MAX_ARGS];
-                for (b, a) in buf.iter_mut().zip(&op.args[..op.arity]) {
+                for (b, a) in buf.iter_mut().zip(op.args()) {
                     *b = match *a {
                         Arg::Const(v) => v,
-                        Arg::Input(i) => input_vals[i],
+                        Arg::Input(i) => input_vals[i.index()],
                         Arg::Slot(s) if live[s as usize] => vals[s as usize],
                         Arg::Slot(s) => return Err(missing("", s, state)),
                     };
                 }
-                let args = &buf[..op.arity];
-                let result = match op.kind {
+                let args = &buf[..op.args().len()];
+                let result = match self.g.op(op.op).kind() {
                     // Scheduled pass-throughs are register transfers of
                     // their single resolved source.
                     OpKind::Pass | OpKind::Select => args[0],
@@ -329,7 +238,7 @@ mod tests {
     use cdfg::{CdfgBuilder, OpId, Src};
     use hls_lang::Program;
     use hls_resources::{Allocation, FuClass, Library};
-    use stg::{ScheduledOp, Transition};
+    use stg::{OpInst, ScheduledOp, Transition, ValRef};
     use wavesched::{schedule, Mode, SchedConfig};
 
     fn run_design(src: &str, mode: Mode, alloc: Allocation, inputs: &[(&str, i64)]) -> SimOutcome {

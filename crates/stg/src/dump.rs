@@ -2,7 +2,7 @@
 //! Fig. 2 of the paper: states annotated with `op_iter/guard` labels and
 //! edges with condition combinations.
 
-use crate::{Stg, Transition};
+use crate::{ScheduledOp, State, Stg, Transition};
 use cdfg::Cdfg;
 use std::fmt::Write as _;
 
@@ -13,6 +13,16 @@ fn op_label(g: &Cdfg, inst: &crate::OpInst) -> String {
         s.push_str(&i.to_string());
     }
     s
+}
+
+/// A state's `op_iter/guard` labels (just `op_iter` when unguarded),
+/// joined by `sep`.
+fn ops_label(g: &Cdfg, st: &State, sep: &str) -> String {
+    let label = |o: &ScheduledOp| match o.guard_str.as_str() {
+        "1" => op_label(g, &o.inst),
+        guard => format!("{}/{guard}", op_label(g, &o.inst)),
+    };
+    st.ops.iter().map(label).collect::<Vec<_>>().join(sep)
 }
 
 fn edge_label(g: &Cdfg, t: &Transition) -> String {
@@ -44,18 +54,7 @@ pub fn render_text(stg: &Stg, g: &Cdfg) -> String {
             let _ = writeln!(out, "  {sid}: STOP");
             continue;
         }
-        let ops = st
-            .ops
-            .iter()
-            .map(|o| {
-                if o.guard_str == "1" {
-                    op_label(g, &o.inst)
-                } else {
-                    format!("{}/{}", op_label(g, &o.inst), o.guard_str)
-                }
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
+        let ops = ops_label(g, st, ", ");
         let _ = writeln!(out, "  {sid}: {{{ops}}}");
         for t in &st.transitions {
             let lbl = edge_label(g, t);
@@ -97,18 +96,7 @@ impl Stg {
                 );
                 continue;
             }
-            let ops = st
-                .ops
-                .iter()
-                .map(|o| {
-                    if o.guard_str == "1" {
-                        op_label(g, &o.inst)
-                    } else {
-                        format!("{}/{}", op_label(g, &o.inst), o.guard_str)
-                    }
-                })
-                .collect::<Vec<_>>()
-                .join("\\n");
+            let ops = ops_label(g, st, "\\n");
             let _ = writeln!(s, "  n{} [label=\"{}\\n{}\"];", sid.index(), sid, ops);
         }
         for sid in self.reachable() {

@@ -1,7 +1,6 @@
 //! The STG graph structure.
 
 use crate::{OpInst, ValRef};
-use cdfg::OpId;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -189,28 +188,6 @@ impl Stg {
         None
     }
 
-    /// Total number of scheduled operation issues across reachable working
-    /// states (a size statistic for reports).
-    pub fn scheduled_op_count(&self) -> usize {
-        self.reachable()
-            .iter()
-            .map(|s| self.states[s.index()].ops.len())
-            .sum()
-    }
-
-    /// All distinct CDFG operations issued anywhere in the STG (used by
-    /// RTL binding).
-    pub fn used_ops(&self) -> Vec<OpId> {
-        let mut v: Vec<OpId> = self
-            .states
-            .iter()
-            .flat_map(|s| s.ops.iter().map(|o| o.inst.op))
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
     /// Basic structural sanity: transition targets exist, and every
     /// non-STOP reachable state has at least one transition (schedules
     /// must terminate into STOP, not dead-end).
@@ -241,7 +218,6 @@ impl Stg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdfg::OpId;
 
     fn linear_stg() -> Stg {
         // start → s1 → stop
@@ -306,22 +282,6 @@ mod tests {
             renames: vec![],
         });
         assert!(g.check().is_ok());
-    }
-
-    #[test]
-    fn used_ops_dedups() {
-        let mut g = linear_stg();
-        let s1 = StateId(2);
-        for st in [g.start(), s1] {
-            g.state_mut(st).ops.push(ScheduledOp {
-                inst: OpInst::new(OpId::new(4), vec![st.index() as u32]),
-                operands: vec![],
-                latency: 1,
-                guard_str: "1".into(),
-            });
-        }
-        assert_eq!(g.used_ops(), vec![OpId::new(4)]);
-        assert_eq!(g.scheduled_op_count(), 2);
     }
 
     #[test]

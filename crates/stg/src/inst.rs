@@ -23,8 +23,6 @@ pub type IterVec = Vec<u32>;
 /// use cdfg::OpId;
 /// let i = OpInst::new(OpId::new(3), vec![2]);
 /// assert_eq!(i.to_string(), "op3_2");
-/// assert_eq!(i.shifted(-1).iter, vec![1]);
-/// assert_eq!(i.with_version(2).to_string(), "op3_2'v2");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpInst {
@@ -53,36 +51,6 @@ impl OpInst {
             op,
             iter: Vec::new(),
             version: 0,
-        }
-    }
-
-    /// Returns the same instance with a different version.
-    pub fn with_version(&self, version: u32) -> Self {
-        OpInst {
-            op: self.op,
-            iter: self.iter.clone(),
-            version,
-        }
-    }
-
-    /// Returns this instance with the *outermost* iteration index shifted
-    /// by `delta` — the uniform relabeling applied when a new state folds
-    /// onto an equivalent earlier one (the map *M* of Example 10).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shift would take an index negative or the instance
-    /// has no loop indices.
-    pub fn shifted(&self, delta: i64) -> Self {
-        let mut iter = self.iter.clone();
-        let first = iter.first_mut().expect("shifted() requires loop indices");
-        let v = i64::from(*first) + delta;
-        assert!(v >= 0, "iteration index underflow");
-        *first = v as u32;
-        OpInst {
-            op: self.op,
-            iter,
-            version: self.version,
         }
     }
 }
@@ -132,19 +100,11 @@ mod tests {
         let i = OpInst::new(OpId::new(7), vec![0, 3]);
         assert_eq!(i.to_string(), "op7_0_3");
         assert_eq!(OpInst::root(OpId::new(1)).to_string(), "op1");
-    }
-
-    #[test]
-    fn shifted_moves_outermost_index() {
-        let i = OpInst::new(OpId::new(0), vec![4, 2]);
-        assert_eq!(i.shifted(-3).iter, vec![1, 2]);
-        assert_eq!(i.shifted(1).iter, vec![5, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn shifted_rejects_negative() {
-        OpInst::new(OpId::new(0), vec![0]).shifted(-1);
+        let v2 = OpInst {
+            version: 2,
+            ..OpInst::new(OpId::new(3), vec![2])
+        };
+        assert_eq!(v2.to_string(), "op3_2'v2");
     }
 
     #[test]

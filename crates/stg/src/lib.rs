@@ -12,7 +12,9 @@
 //! The STG is deliberately self-contained for execution: every scheduled
 //! operation carries concrete operand references ([`ValRef`]), so a
 //! cycle-accurate simulator (in `hls-sim`) can execute the schedule
-//! without consulting the scheduler again.
+//! without consulting the scheduler again. Its consumers — the
+//! simulator, RTL binding and [`validate_dataflow`] — read it through one
+//! [`SlotPlan`], which names every instance by a dense slot.
 //!
 //! Key types: [`Stg`], [`State`], [`ScheduledOp`], [`Transition`],
 //! [`OpInst`] (an operation instance `op_iter` in the paper's notation),
@@ -24,9 +26,11 @@
 mod dump;
 mod graph;
 mod inst;
+mod slots;
 mod validate;
 
 pub use dump::render_text;
 pub use graph::{ScheduledOp, State, StateId, Stg, Transition};
 pub use inst::{IterVec, OpInst, ValRef};
+pub use slots::{Arg, SlotOp, SlotPlan, SlotSet, SlotState, SlotTransition, MAX_ARGS};
 pub use validate::{validate_dataflow, DataflowError};

@@ -10,8 +10,7 @@
 //! catches scheduler rename/fold bugs on paths no test trace happens to
 //! exercise.
 
-use crate::{OpInst, Stg, ValRef};
-use std::collections::BTreeSet;
+use crate::{Arg, OpInst, SlotPlan, SlotSet, Stg};
 
 /// A static dataflow violation: on some path into `state`, operation
 /// `reader` may read `missing` before any producer wrote it.
@@ -51,46 +50,39 @@ impl std::fmt::Display for DataflowError {
 ///
 /// Returns every violation found (empty ⇔ the STG is dataflow-sound).
 pub fn validate_dataflow(stg: &Stg) -> Result<(), Vec<DataflowError>> {
-    let n = stg.states().len();
-    // must_in[s]: instances guaranteed defined on entry to s. `None`
-    // marks "not yet computed" (top), so the first visit initializes.
-    let mut must_in: Vec<Option<BTreeSet<OpInst>>> = vec![None; n];
-    must_in[stg.start().index()] = Some(BTreeSet::new());
+    let plan = SlotPlan::new(stg);
+    // must_in[s]: slots guaranteed defined on entry to s. `None` marks
+    // "not yet computed" (top), so the first visit initializes.
+    let mut must_in: Vec<Option<SlotSet>> = vec![None; stg.states().len()];
+    must_in[stg.start().index()] = Some(SlotSet::new(plan.slot_count()));
+    let mut defined = SlotSet::new(plan.slot_count());
+    let mut out = SlotSet::new(plan.slot_count());
     let mut work = vec![stg.start()];
     while let Some(sid) = work.pop() {
-        let Some(inn) = must_in[sid.index()].clone() else {
+        let Some(inn) = &must_in[sid.index()] else {
             continue;
         };
-        let st = stg.state(sid);
-        let mut defined = inn;
+        defined.clone_from(inn);
+        let st = plan.state(sid);
         for op in &st.ops {
-            defined.insert(op.inst.clone());
+            defined.insert(op.dest);
         }
         for t in &st.transitions {
-            // Apply the edge's renames to the defined set.
-            let mut out = defined.clone();
-            for (from, _) in &t.renames {
+            // Apply the edge's renames to the defined set, atomically.
+            out.clone_from(&defined);
+            for &(from, _) in &t.renames {
                 out.remove(from);
             }
-            for (from, to) in &t.renames {
+            for &(from, to) in &t.renames {
                 if defined.contains(from) {
-                    out.insert(to.clone());
+                    out.insert(to);
                 }
             }
-            let slot = &mut must_in[t.target.index()];
-            let updated = match slot {
-                None => {
-                    *slot = Some(out);
+            let updated = match &mut must_in[t.target.index()] {
+                Some(prev) => prev.intersect_with(&out),
+                slot => {
+                    *slot = Some(out.clone());
                     true
-                }
-                Some(prev) => {
-                    let met: BTreeSet<OpInst> = prev.intersection(&out).cloned().collect();
-                    if &met != prev {
-                        *slot = Some(met);
-                        true
-                    } else {
-                        false
-                    }
                 }
             };
             if updated {
@@ -101,31 +93,31 @@ pub fn validate_dataflow(stg: &Stg) -> Result<(), Vec<DataflowError>> {
 
     // Check reads against the fixpoint.
     let mut errors = Vec::new();
+    let error = |state, reader: Option<u32>, missing| DataflowError {
+        state,
+        reader: reader.map(|r| plan.inst(r).clone()),
+        missing: plan.inst(missing).clone(),
+    };
     for sid in stg.reachable() {
-        let st = stg.state(sid);
-        let mut defined = must_in[sid.index()].clone().unwrap_or_default();
+        let st = plan.state(sid);
+        match &must_in[sid.index()] {
+            Some(inn) => defined.clone_from(inn),
+            None => defined.clear(),
+        }
         for op in &st.ops {
-            for o in &op.operands {
-                if let ValRef::Inst(inst) = o {
-                    if !defined.contains(inst) {
-                        errors.push(DataflowError {
-                            state: sid,
-                            reader: Some(op.inst.clone()),
-                            missing: inst.clone(),
-                        });
+            for &a in op.args() {
+                if let Arg::Slot(s) = a {
+                    if !defined.contains(s) {
+                        errors.push(error(sid, Some(op.dest), s));
                     }
                 }
             }
-            defined.insert(op.inst.clone());
+            defined.insert(op.dest);
         }
         for t in &st.transitions {
-            for (inst, _) in &t.when {
-                if !defined.contains(inst) {
-                    errors.push(DataflowError {
-                        state: sid,
-                        reader: None,
-                        missing: inst.clone(),
-                    });
+            for &(s, _) in &t.when {
+                if !defined.contains(s) {
+                    errors.push(error(sid, None, s));
                 }
             }
         }
@@ -140,7 +132,7 @@ pub fn validate_dataflow(stg: &Stg) -> Result<(), Vec<DataflowError>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ScheduledOp, Transition};
+    use crate::{ScheduledOp, Transition, ValRef};
     use cdfg::OpId;
 
     fn sop(op: u32, iter: Vec<u32>, operands: Vec<ValRef>) -> ScheduledOp {
@@ -218,6 +210,28 @@ mod tests {
         // Without the rename the read is a violation.
         g.state_mut(start).transitions[0].renames.clear();
         assert!(validate_dataflow(&g).is_err());
+    }
+
+    #[test]
+    fn swap_edge_renames_atomically() {
+        // start defines a and b; the edge swaps them (a→b, b→a). Applied
+        // atomically both stay defined; a one-pair-at-a-time application
+        // would lose one of them.
+        let mut g = Stg::new("t");
+        let (start, s1, stop) = (g.start(), g.add_state(), g.stop());
+        let (a, b) = (OpInst::root(OpId::new(0)), OpInst::root(OpId::new(1)));
+        g.state_mut(start).ops.push(sop(0, vec![], vec![]));
+        g.state_mut(start).ops.push(sop(1, vec![], vec![]));
+        g.state_mut(start).transitions.push(Transition {
+            when: vec![],
+            target: s1,
+            renames: vec![(a.clone(), b.clone()), (b.clone(), a.clone())],
+        });
+        g.state_mut(s1)
+            .ops
+            .push(sop(2, vec![], vec![ValRef::Inst(a), ValRef::Inst(b)]));
+        g.state_mut(s1).transitions.push(edge(stop));
+        assert_eq!(validate_dataflow(&g), Ok(()));
     }
 
     #[test]

@@ -1,102 +1,24 @@
-//! A generic interner: maps values to dense `u32` ids.
+//! A slice interner: maps slices to dense `u32` ids.
 //!
-//! Hot scheduler state (operation instances, iteration vectors) is
-//! dominated by small heap-allocated keys that are cloned and compared
-//! constantly. Interning replaces each distinct value with a dense
-//! `u32` id: equality becomes an integer compare, cloning becomes a
-//! `Copy`, and the value itself is stored exactly once. Ids are handed
-//! out in first-intern order and are stable for the interner's
-//! lifetime, which makes them usable as indices into side tables.
-//!
-//! The interner deliberately has no deletion: consumers rely on id
-//! stability, and the workloads here intern a bounded universe per run.
+//! The scheduler's signature builder names each shifted instance and
+//! each signature entry by the id of its token slice, so equality
+//! becomes an integer compare and every distinct slice is stored once.
+//! Ids are handed out in first-intern order and are stable for the
+//! interner's lifetime: it deliberately has no deletion, and the
+//! workloads here intern a bounded universe per run.
 
-use crate::fxhash::{FxHashMap, FxHasher};
+use crate::fxhash::FxHasher;
 use std::hash::{Hash, Hasher};
-
-/// Maps values to dense `u32` ids, storing each distinct value once.
-///
-/// # Example
-///
-/// ```
-/// use spec_support::interner::Interner;
-/// let mut i: Interner<Vec<u32>> = Interner::new();
-/// let a = i.intern(vec![1, 2]);
-/// let b = i.intern(vec![1, 2]);
-/// assert_eq!(a, b);
-/// assert_eq!(i.resolve(a), &[1, 2]);
-/// assert_eq!(i.len(), 1);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Interner<T> {
-    ids: FxHashMap<T, u32>,
-    values: Vec<T>,
-}
-
-impl<T: Hash + Eq + Clone> Interner<T> {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        Interner {
-            ids: FxHashMap::default(),
-            values: Vec::new(),
-        }
-    }
-
-    /// Interns `value`, returning its id. The id of the first intern of
-    /// a value is returned by every later intern of an equal value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `u32::MAX` distinct values are interned.
-    pub fn intern(&mut self, value: T) -> u32 {
-        if let Some(&id) = self.ids.get(&value) {
-            return id;
-        }
-        let id = u32::try_from(self.values.len()).expect("interner id overflow");
-        self.values.push(value.clone());
-        self.ids.insert(value, id);
-        id
-    }
-
-    /// The id of `value` if it has been interned.
-    pub fn lookup(&self, value: &T) -> Option<u32> {
-        self.ids.get(value).copied()
-    }
-
-    /// The value behind an id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not produced by this interner.
-    pub fn resolve(&self, id: u32) -> &T {
-        &self.values[id as usize]
-    }
-
-    /// Number of distinct interned values.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `true` if nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Iterates `(id, value)` pairs in id (first-intern) order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
-        self.values.iter().enumerate().map(|(i, v)| (i as u32, v))
-    }
-}
 
 /// Hash-conses *slices* of `T` into dense `u32` ids without allocating
 /// per lookup.
 ///
-/// [`Interner`] keyed on `Vec<T>` forces callers to build an owned
-/// `Vec` just to probe — exactly the allocation the hot path is trying
-/// to shed. `SliceInterner` stores every interned slice contiguously in
-/// one arena and probes an open-addressing index with the *borrowed*
-/// slice, so the common hit case does no allocation at all; a miss
-/// copies the slice into the arena once. Ids are handed out in
+/// A map keyed on `Vec<T>` forces callers to build an owned `Vec` just
+/// to probe — exactly the allocation the hot path is trying to shed.
+/// `SliceInterner` stores every interned slice contiguously in one
+/// arena and probes an open-addressing index with the *borrowed* slice,
+/// so the common hit case does no allocation at all; a miss copies the
+/// slice into the arena once. Ids are handed out in
 /// first-intern order and stay stable for the interner's lifetime (no
 /// deletion), so two ids are equal iff their slices are equal — the
 /// hash-consing invariant the scheduler's signature builder leans on.
@@ -221,29 +143,6 @@ impl<T: Hash + Eq + Copy> SliceInterner<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ids_are_dense_and_stable() {
-        let mut i: Interner<String> = Interner::new();
-        let a = i.intern("a".into());
-        let b = i.intern("b".into());
-        let a2 = i.intern("a".into());
-        assert_eq!((a, b, a2), (0, 1, 0));
-        assert_eq!(i.len(), 2);
-        assert_eq!(i.resolve(b), "b");
-        assert_eq!(i.lookup(&"b".to_string()), Some(1));
-        assert_eq!(i.lookup(&"c".to_string()), None);
-    }
-
-    #[test]
-    fn iter_in_id_order() {
-        let mut i: Interner<u64> = Interner::new();
-        for v in [9u64, 4, 7, 4] {
-            i.intern(v);
-        }
-        let pairs: Vec<(u32, u64)> = i.iter().map(|(id, &v)| (id, v)).collect();
-        assert_eq!(pairs, vec![(0, 9), (1, 4), (2, 7)]);
-    }
 
     #[test]
     fn slice_ids_are_dense_and_content_keyed() {

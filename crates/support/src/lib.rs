@@ -24,8 +24,8 @@
 //!   resistance buys nothing (BDD hash-consing, memo caches,
 //!   interners). Unseeded and platform-stable, with committed
 //!   reference vectors.
-//! * [`interner`] — a generic value→dense-`u32`-id interner, the
-//!   substrate for the scheduler's operation-instance table.
+//! * [`interner`] — a slice→dense-`u32`-id interner, the substrate for
+//!   the scheduler's hash-consed state signatures.
 //!
 //! Determinism is not just an infrastructure concern here: the paper's
 //! Table 1 / Fig. 13 cycle counts come from simulated input traces, so

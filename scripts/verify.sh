@@ -17,8 +17,10 @@ else
     echo "rustfmt not installed; skipping format check"
 fi
 
-echo "== cargo build --release --offline"
-cargo build --release --offline
+echo "== cargo build --release --offline --locked"
+# `--locked` fails instead of silently rewriting a committed lockfile
+# when a manifest changes.
+cargo build --release --offline --locked
 
 echo "== cargo test -q --offline (wall-clock capped)"
 # Failure containment must extend to the harness itself: a livelocked
@@ -42,7 +44,7 @@ SPEC_FAULT_CASES=24 cargo test -q --offline -p integration --test fault_injectio
 echo "== benchmark package tests"
 # `benchmark/` is its own cargo package (path deps on `crates/*`), so the
 # workspace test run above never compiles it.
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "== cargo clippy --offline --all-targets -- -D warnings"
 if cargo clippy --version >/dev/null 2>&1; then
