@@ -119,6 +119,18 @@ fn bench_markov(h: &mut Harness) {
     h.bench("sim/test1_markov_enc", || {
         hls_sim::markov::expected_cycles(black_box(&r.stg), &Default::default())
     });
+
+    // The largest STG the benchmark suite solves: DspClip under
+    // Wavesched-spec, profiled as the `table1` binary profiles.
+    let w = workloads::by_name("DspClip").unwrap();
+    let probs = hls_sim::profile(&w.cdfg, &w.vectors(spec_bench::TRACE_RUNS), &w.mem_init);
+    let mut cfg = SchedConfig::new(Mode::Speculative);
+    cfg.max_spec_depth = w.spec_depth;
+    let r = schedule(&w.cdfg, &w.library, &w.allocation, &probs, &cfg).expect("schedules");
+    assert_eq!(r.stg.reachable().len(), 843);
+    h.bench("sim/dspclip_spec_markov_enc", || {
+        hls_sim::markov::expected_cycles(black_box(&r.stg), &probs)
+    });
 }
 
 fn main() {

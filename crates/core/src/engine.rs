@@ -2236,7 +2236,7 @@ fn key_to_inst(it: &InstTable, k: &Key) -> OpInst {
     let (op, iter) = it.pair(k.inst);
     OpInst {
         op,
-        iter: iter.to_vec(),
+        iter: *iter,
         version: k.version,
     }
 }

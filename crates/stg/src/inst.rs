@@ -1,12 +1,17 @@
 //! Operation instances and operand references.
 
+use crate::inline::{InlineVec, MAX_NEST};
 use cdfg::{InputId, OpId, Value};
 use std::fmt;
 
 /// Iteration indices of the enclosing loops, outermost first — the
 /// indexing scheme of Wavesched used by the paper to distinguish `++1_0`
 /// from `++1_1`. Operations outside all loops have an empty vector.
-pub type IterVec = Vec<u32>;
+///
+/// Stored inline (at most [`MAX_NEST`] levels), so an [`OpInst`] owns no
+/// heap memory; it compares, orders, hashes and prints like the
+/// `Vec<u32>` with the same elements.
+pub type IterVec = InlineVec<u32, MAX_NEST>;
 
 /// One dynamic instance of a CDFG operation: the operation, the iteration
 /// indices of its enclosing loops, and a *version* discriminator.
@@ -37,10 +42,14 @@ pub struct OpInst {
 
 impl OpInst {
     /// Creates a version-0 instance.
-    pub fn new(op: OpId, iter: IterVec) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `iter` has more than [`MAX_NEST`] levels.
+    pub fn new(op: OpId, iter: impl Into<IterVec>) -> Self {
         OpInst {
             op,
-            iter,
+            iter: iter.into(),
             version: 0,
         }
     }
@@ -49,7 +58,7 @@ impl OpInst {
     pub fn root(op: OpId) -> Self {
         OpInst {
             op,
-            iter: Vec::new(),
+            iter: IterVec::new(),
             version: 0,
         }
     }

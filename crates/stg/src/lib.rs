@@ -25,12 +25,14 @@
 
 mod dump;
 mod graph;
+mod inline;
 mod inst;
 mod slots;
 mod validate;
 
 pub use dump::render_text;
 pub use graph::{ScheduledOp, State, StateId, Stg, Transition};
+pub use inline::{InlineVec, MAX_NEST};
 pub use inst::{IterVec, OpInst, ValRef};
 pub use slots::{Arg, SlotOp, SlotPlan, SlotSet, SlotState, SlotTransition, MAX_ARGS};
 pub use validate::{validate_dataflow, DataflowError};

@@ -3,8 +3,9 @@
 # into a scratch directory and compares every bench's median against
 # the committed BENCH_schedulers.json and BENCH_simulation.json. Fails
 # if any median regresses by more than 25% (override with
-# SPEC_BENCH_CHECK_PCT), or if a baseline bench disappeared from the
-# fresh run. New benches (present only in the fresh run) are ignored —
+# SPEC_BENCH_CHECK_PCT), if a baseline bench disappeared from the
+# fresh run, or if any scheduler bench's work counters (states, issues,
+# folds) differ from the committed ones at all. New benches (present only in the fresh run) are ignored —
 # they gain a baseline when scripts/bench.sh refreshes the committed
 # artifacts.
 #
@@ -72,6 +73,34 @@ for group in $GROUPS_CHECKED; do
         fi
     done < <(medians "$baseline")
 done
+
+# Exact work counters: states, issues and folds of a schedule are
+# deterministic, so every scheduler bench must reproduce the committed
+# counts exactly — a difference is a schedule change, not timer noise.
+counters() {
+    sed -n 's/.*"name": "\([^"]*\)".*"extra": {.*"states": \([0-9]*\).*"issues": \([0-9]*\).*"folds": \([0-9]*\).*/\1 \2 \3 \4/p' "$1"
+}
+base_counters="$(counters BENCH_schedulers.json)"
+fresh_counters="$(counters "$FRESH_DIR/BENCH_schedulers.json")"
+if [ -z "$base_counters" ] || [ -z "$fresh_counters" ]; then
+    echo "bench_check: FAILED — extracted zero work counters from the schedulers" \
+        "baseline or fresh run (format drift? update the counters() parser)"
+    exit 1
+fi
+while read -r name _; do
+    base="$(awk -v n="$name" '$1 == n {print $2, $3, $4}' <<<"$base_counters")"
+    fresh="$(awk -v n="$name" '$1 == n {print $2, $3, $4}' <<<"$fresh_counters")"
+    if [ -z "$base" ]; then
+        echo "bench_check: NOCOUNT   schedulers/$name (no states/issues/folds in the baseline)"
+        fail=1
+    elif [ "$fresh" != "$base" ]; then
+        echo "bench_check: COUNTERS  schedulers/$name: states issues folds" \
+            "$base -> ${fresh:-missing}"
+        fail=1
+    else
+        echo "bench_check: ok        schedulers/$name: states issues folds $base"
+    fi
+done < <(medians BENCH_schedulers.json)
 
 # Absolute spec/baseline ratio gate on the stress tier of the fresh
 # scheduler run (the simulation group has no such tier): speculative scheduling does strictly more work per state than

@@ -57,8 +57,8 @@ fn fig13_condition_chain_shares_a_state() {
         let mut not_iters = Vec::new();
         for op in &st.ops {
             match g.op(op.inst.op).kind() {
-                cdfg::OpKind::Eq => eq_iters.push(op.inst.iter.clone()),
-                cdfg::OpKind::Not => not_iters.push(op.inst.iter.clone()),
+                cdfg::OpKind::Eq => eq_iters.push(op.inst.iter),
+                cdfg::OpKind::Not => not_iters.push(op.inst.iter),
                 _ => {}
             }
         }
