@@ -43,6 +43,7 @@
 
 use cdfg::{InputId, LoopId, OpId, Value};
 use guards::{BddManager, Cond, Guard};
+use hls_resources::FuClass;
 use spec_support::fxhash::{FxHashMap, FxHasher};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
@@ -355,9 +356,8 @@ pub(crate) struct Ctx {
     pub pending_conds: Arc<Vec<(Key, Guard, u32)>>,
     /// Resolution history on this path (pruned to the live window).
     pub resolved: Arc<BTreeMap<CondInst, bool>>,
-    /// Busy non-pipelined units: class display name → remaining-state
-    /// counts.
-    pub fu_busy: Arc<BTreeMap<String, Vec<u32>>>,
+    /// Busy non-pipelined units: class → remaining-state counts.
+    pub fu_busy: Arc<BTreeMap<FuClass, Vec<u32>>>,
     /// Per loop context (loop, outer iteration prefix): highest iteration
     /// index instantiated so far.
     pub horizon: Arc<BTreeMap<(LoopId, Iter), u32>>,
@@ -438,7 +438,7 @@ impl Ctx {
     }
 
     /// Mutable access to `fu_busy` (clones the map if shared).
-    pub fn fu_busy_mut(&mut self) -> &mut BTreeMap<String, Vec<u32>> {
+    pub fn fu_busy_mut(&mut self) -> &mut BTreeMap<FuClass, Vec<u32>> {
         Arc::make_mut(&mut self.fu_busy)
     }
 
@@ -762,7 +762,7 @@ impl Ctx {
     /// [`Ctx::canonical_keys`]), so signature equality is set equality of
     /// rendered entries regardless of interner allocation order.
     ///
-    /// Since the hash-consed [`Ctx::signature_hash`] took over the fold
+    /// Since the token-stream [`Ctx::signature_hash`] took over the fold
     /// index, this renderer survives only as the test oracle for the
     /// token scheme's equality relation.
     #[cfg(test)]
@@ -1102,14 +1102,14 @@ mod tests {
                 operands: Operands::new(),
             },
         );
-        ctx.fu_busy_mut().insert("mult1".into(), vec![2, 1]);
+        ctx.fu_busy_mut().insert(FuClass::Multiplier, vec![2, 1]);
         let pass = it.id(OpId::new(7), &[]);
         ctx.exit_pending_mut().insert(pass, None);
         ctx.tick();
         let info = ctx.avail.values().next().unwrap();
         assert_eq!(info.ready_in, 1);
         assert_eq!(info.depth, 0.0);
-        assert_eq!(ctx.fu_busy["mult1"], vec![1]);
+        assert_eq!(ctx.fu_busy[&FuClass::Multiplier], vec![1]);
         assert!(
             ctx.exit_pending.is_empty() && ctx.discharged.contains(&pass),
             "pending exit discharges promote at the state boundary"

@@ -21,7 +21,7 @@ use hls_resources::{classify, Allocation, FuClass, Library};
 use spec_support::fxhash::{FxHashMap, FxHashSet};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stg::{OpInst, ScheduledOp, StateId, Stg, Transition, ValRef};
@@ -305,7 +305,7 @@ struct Engine<'a> {
     /// reference its literals). Drives cofactor-time dirty marking.
     cond_readers: Vec<Vec<OpId>>,
     stg: Stg,
-    /// Fold index keyed by the 128-bit content hash of the interned
+    /// Fold index keyed by the 128-bit content hash of the canonical
     /// signature token stream (see [`SigBuilder`]).
     sigs: FxHashMap<u128, (StateId, Vec<Key>)>,
     sig: SigBuilder,
@@ -346,9 +346,6 @@ struct Engine<'a> {
     /// Reusable accumulator of [`Self::cap_lookahead`]: the oldest
     /// unresolved condition iteration per loop context.
     oldest_buf: CapContrib,
-    /// Reusable rendering of a functional-unit class name, the key of
-    /// [`Ctx::fu_busy`].
-    class_buf: String,
     /// Construction time, for the run's wall-clock accounting.
     started: Instant,
     /// Wall-clock point at which the run aborts with
@@ -410,7 +407,6 @@ impl<'a> Engine<'a> {
             iter_buf: Vec::new(),
             dirty_buf: Vec::new(),
             oldest_buf: Vec::new(),
-            class_buf: String::new(),
             started,
             deadline: cfg
                 .budget
@@ -535,7 +531,7 @@ impl<'a> Engine<'a> {
     /// trail for differential testing.
     fn hashed_signature(&mut self, ctx: &Ctx) -> u128 {
         let t = Instant::now();
-        let (sig, _) = ctx.signature_hash(self.g, &self.ct, &mut self.mgr, &self.it, &mut self.sig);
+        let sig = ctx.signature_hash(self.g, &self.ct, &mut self.mgr, &self.it, &mut self.sig);
         self.stats.phases.signature.add(t.elapsed());
         self.sig_trail.push(sig);
         sig
@@ -950,12 +946,7 @@ impl<'a> Engine<'a> {
             let class = classify(kind);
             let mut used = class_use.get(&class).copied().unwrap_or(0);
             if !s.pipelined {
-                self.class_buf.clear();
-                let _ = write!(self.class_buf, "{class}");
-                used += ctx
-                    .fu_busy
-                    .get(self.class_buf.as_str())
-                    .map_or(0, |v| v.len() as u32);
+                used += ctx.fu_busy.get(&class).map_or(0, |v| v.len() as u32);
             }
             if !self.alloc.limit(class).allows(used) {
                 return Err(Reject::NoUnit(class));
@@ -1206,10 +1197,7 @@ impl<'a> Engine<'a> {
             let class = classify(kind);
             *class_use.entry(class).or_insert(0) += 1;
             if !s.pipelined && s.latency > 1 {
-                ctx.fu_busy_mut()
-                    .entry(class.to_string())
-                    .or_default()
-                    .push(s.latency);
+                ctx.fu_busy_mut().entry(class).or_default().push(s.latency);
             }
         }
         if kind.has_side_effect() {

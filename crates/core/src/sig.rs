@@ -1,49 +1,32 @@
-//! Hash-consed state signatures.
+//! Canonical state signatures as one token stream.
 //!
 //! The fold test of Fig. 12 step 11 asks whether the context reached
 //! along a new edge is schedule-equivalent (modulo a uniform per-loop
-//! iteration shift) to any existing state. The original implementation
-//! rendered every context into a canonical `String`
-//! (`Ctx::signature`) and keyed the fold index on it — megabytes of
-//! formatting on the hot path, re-rendering shared substructure (guard
-//! SOPs, instance names, whole unchanged sections) for every branch of
-//! every state.
-//!
-//! [`SigBuilder`] replaces the string with a two-level hash-consed
-//! token form:
-//!
-//! 1. every *atom* (a shifted instance or loop-context name) is
-//!    interned into a dense id, so the common case — a name already
-//!    seen in a previous state — is a hash probe, not a `format!`;
-//! 2. every signature *entry* (one `A`/`C`/`O`/… record of the string
-//!    renderer) is a short `u64` token stream over those atom ids,
-//!    interned again into an entry id;
-//! 3. the signature itself is the 128-bit content hash
-//!    ([`hash128_ids`]) of the entry-id sequence, used as the fold
-//!    index key.
-//!
-//! Token streams are built to be *decodable* (every variable-length
-//! run is length-prefixed or self-delimiting, every alternative is
-//! tagged), which makes the entry encoding injective on the shifted
-//! content the string renderer serializes. Two contexts therefore get
-//! equal entry-id sequences exactly when they render equal strings —
-//! the equality relation the fold index requires — and the 128-bit
-//! hash collides only with ~2⁻¹²⁸-scale probability. The string
-//! renderer survives as a test-only oracle: the
-//! `hashed_signature_agrees_with_string` property checks that both
-//! induce the same equality relation.
+//! iteration shift) to any existing state. Rendering each context to a
+//! canonical `String` (`Ctx::signature`) would format megabytes on the
+//! hot path, so [`Ctx::signature_hash`] writes the same content as one
+//! `u64` token stream and keys the fold index on its 128-bit
+//! [`hash128_words`]. Every entry opens with its section tag, and each
+//! variable-length field is length-prefixed or tagged: an instance name
+//! is `[op, len, shifted iter…]`, a loop context `[loop, len, shifted
+//! prefix…]`, a guard the self-delimiting run of
+//! [`BddManager::sop_tokens`]. The stream is therefore decodable, so
+//! the encoding is injective on the shifted content the string renderer
+//! serializes: two contexts produce equal streams exactly when they
+//! render equal strings, the equality relation the fold index needs.
+//! Only content is written (op and loop indices, iteration offsets,
+//! values), never an [`InstId`] or BDD node, so allocation order stays
+//! unobservable. The 128-bit hash is trusted: a collision is a
+//! ~2⁻¹²⁸-scale event. The string renderer survives as a test-only
+//! oracle: the `hashed_signature_agrees_with_string` property checks
+//! that both induce the same equality relation.
 
 use crate::ctx::{cmp_inst, loop_ancestors, CondTable, Ctx, InstId, InstTable, Iter, Key, ValSrc};
 use cdfg::{Cdfg, LoopId};
 use guards::{BddManager, Guard};
-use spec_support::fxhash::{hash128_ids, FxHashMap};
-use spec_support::interner::SliceInterner;
+use hls_resources::FuClass;
+use spec_support::fxhash::{hash128_words, FxHashMap};
 use std::collections::BTreeMap;
-
-/// Atom namespace discriminators: the first element of every interned
-/// atom slice, so an instance atom can never alias a loop-context atom.
-const NS_INST: i64 = 0;
-const NS_LOOP: i64 = 1;
 
 /// Entry tags, one per section of the string renderer.
 const TAG_A: u64 = 0; // available value version
@@ -59,133 +42,118 @@ const TAG_W: u64 = 9; // loop work floor
 const TAG_X: u64 = 10; // discharged loop-exit order token
 const TAG_E: u64 = 11; // pending loop-exit discharge
 
-/// Reusable hash-consing state for [`Ctx::signature_hash`], owned by
-/// the engine and shared across every signature of a run so atoms and
-/// entries common to many states are interned (and hashed) once.
+/// Reusable token buffers for [`Ctx::signature_hash`], owned by the
+/// engine so a run allocates them once.
 #[derive(Debug, Default)]
 pub(crate) struct SigBuilder {
-    /// Shifted instance / loop-context names.
-    atoms: SliceInterner<i64>,
-    /// Whole signature entries as token streams over atom ids.
-    entries: SliceInterner<u64>,
-    atom_buf: Vec<i64>,
-    entry_buf: Vec<u64>,
-    ids_buf: Vec<u32>,
-    cand_buf: Vec<u32>,
+    /// The signature's token stream.
+    words: Vec<u64>,
+    /// Candidate entries, back to back, before they are sorted.
+    cand_words: Vec<u64>,
+    /// `(start, end)` of each candidate entry in `cand_words`.
+    cand_spans: Vec<(usize, usize)>,
 }
 
-/// The read-only inputs every token helper needs: the graph, the
-/// interners, and the per-loop shift basis of the current context.
+/// The read-only inputs every token writer needs: the graph, the
+/// instance and condition tables, the manager, and the context's
+/// per-loop shift basis and canonical version ranks.
 struct Shift<'a> {
     g: &'a Cdfg,
     it: &'a InstTable,
     ct: &'a CondTable,
+    mgr: &'a BddManager,
     mins: &'a BTreeMap<LoopId, u32>,
+    vrank: &'a FxHashMap<Key, u32>,
 }
 
 impl Shift<'_> {
     fn shift_of(&self, l: &LoopId) -> i64 {
         i64::from(self.mins.get(l).copied().unwrap_or(0))
     }
-}
 
-/// Interns the shifted name of an instance: `[NS_INST, op,
-/// iter - mins…]`.
-fn inst_atom(
-    atoms: &mut SliceInterner<i64>,
-    buf: &mut Vec<i64>,
-    sh: &Shift<'_>,
-    inst: InstId,
-) -> u64 {
-    let (op, iter) = sh.it.pair(inst);
-    buf.clear();
-    buf.push(NS_INST);
-    buf.push(op.index() as i64);
-    let path = sh.g.op(op).loop_path();
-    for (d, &v) in iter.iter().enumerate() {
-        buf.push(i64::from(v) - sh.shift_of(&path[d]));
+    /// Appends the shifted name of an instance: `[op, len, iter -
+    /// mins…]`.
+    fn inst(&self, out: &mut Vec<u64>, inst: InstId) {
+        let (op, iter) = self.it.pair(inst);
+        out.push(op.index() as u64);
+        out.push(iter.len() as u64);
+        let path = self.g.op(op).loop_path();
+        for (d, &v) in iter.iter().enumerate() {
+            out.push((i64::from(v) - self.shift_of(&path[d])) as u64);
+        }
     }
-    u64::from(atoms.intern(buf))
-}
 
-/// Interns the shifted name of a loop context: `[NS_LOOP, loop,
-/// prefix - ancestor mins…]`.
-fn loop_atom(
-    atoms: &mut SliceInterner<i64>,
-    buf: &mut Vec<i64>,
-    sh: &Shift<'_>,
-    l: LoopId,
-    pre: &Iter,
-) -> u64 {
-    buf.clear();
-    buf.push(NS_LOOP);
-    buf.push(l.index() as i64);
-    let ancestors = loop_ancestors(sh.g, l);
-    for (d, &v) in pre.iter().enumerate() {
-        let shift = ancestors.get(d).map(|a| sh.shift_of(a)).unwrap_or(0);
-        buf.push(i64::from(v) - shift);
+    /// Appends the shifted name of a loop context: `[loop, len, prefix -
+    /// ancestor mins…]`.
+    fn loop_ctx(&self, out: &mut Vec<u64>, l: LoopId, pre: &Iter) {
+        out.push(l.index() as u64);
+        out.push(pre.len() as u64);
+        let ancestors = loop_ancestors(self.g, l);
+        for (d, &v) in pre.iter().enumerate() {
+            let shift = ancestors.get(d).map(|a| self.shift_of(a)).unwrap_or(0);
+            out.push((i64::from(v) - shift) as u64);
+        }
     }
-    u64::from(atoms.intern(buf))
-}
 
-/// Appends a key token pair: `[atom, vrank]`.
-fn push_key(
-    out: &mut Vec<u64>,
-    atoms: &mut SliceInterner<i64>,
-    buf: &mut Vec<i64>,
-    sh: &Shift<'_>,
-    vrank: &FxHashMap<Key, u32>,
-    k: &Key,
-) {
-    let a = inst_atom(atoms, buf, sh, k.inst);
-    out.push(a);
-    out.push(u64::from(vrank.get(k).copied().unwrap_or(k.version)));
-}
+    /// Appends a key: the instance name, then its canonical version rank.
+    fn key(&self, out: &mut Vec<u64>, k: &Key) {
+        self.inst(out, k.inst);
+        out.push(u64::from(self.vrank.get(k).copied().unwrap_or(k.version)));
+    }
 
-/// Appends a tagged value-source token run (fixed length per tag).
-fn push_src(
-    out: &mut Vec<u64>,
-    atoms: &mut SliceInterner<i64>,
-    buf: &mut Vec<i64>,
-    sh: &Shift<'_>,
-    vrank: &FxHashMap<Key, u32>,
-    s: &ValSrc,
-) {
-    match s {
-        ValSrc::Const(v) => {
-            out.push(0);
-            out.push(*v as u64);
+    /// Appends an optional key: `[0]` or `[1, key…]`.
+    fn opt_key(&self, out: &mut Vec<u64>, k: Option<&Key>) {
+        match k {
+            None => out.push(0),
+            Some(k) => {
+                out.push(1);
+                self.key(out, k);
+            }
         }
-        ValSrc::Input(i) => {
-            out.push(1);
-            out.push(i.index() as u64);
+    }
+
+    /// Appends a length-prefixed list of tagged value sources.
+    fn srcs(&self, out: &mut Vec<u64>, srcs: &[ValSrc]) {
+        out.push(srcs.len() as u64);
+        for s in srcs {
+            match s {
+                ValSrc::Const(v) => out.extend([0, *v as u64]),
+                ValSrc::Input(i) => out.extend([1, i.index() as u64]),
+                ValSrc::Key(k) => {
+                    out.push(2);
+                    self.key(out, k);
+                }
+            }
         }
-        ValSrc::Key(k) => {
-            out.push(2);
-            push_key(out, atoms, buf, sh, vrank, k);
-        }
+    }
+
+    /// Appends the SOP token run of a guard, naming each condition by
+    /// its shifted instance (the string renderer's `op@[shifted]`).
+    fn guard(&self, out: &mut Vec<u64>, gd: Guard) {
+        let mut name = |c, out: &mut Vec<u64>| self.inst(out, self.ct.inst_of(c));
+        self.mgr.sop_tokens(gd, &mut name, out);
     }
 }
 
-/// Appends the self-delimiting SOP token run of a guard, naming each
-/// condition by its shifted instance atom (mirrors the string
-/// renderer's `op@[shifted]` condition names).
-fn push_guard(
-    out: &mut Vec<u64>,
-    atoms: &mut SliceInterner<i64>,
-    buf: &mut Vec<i64>,
-    sh: &Shift<'_>,
-    mgr: &BddManager,
-    gd: Guard,
-) {
-    let mut name = |c: guards::Cond| inst_atom(atoms, buf, sh, sh.ct.inst_of(c));
-    mgr.sop_tokens(gd, &mut name, out);
+/// A functional-unit class as a fixed two-token run: variant, memory.
+fn class_tokens(class: FuClass) -> [u64; 2] {
+    match class {
+        FuClass::Adder => [0, 0],
+        FuClass::Subtracter => [1, 0],
+        FuClass::Multiplier => [2, 0],
+        FuClass::Comparator => [3, 0],
+        FuClass::EqComparator => [4, 0],
+        FuClass::Incrementer => [5, 0],
+        FuClass::Logic => [6, 0],
+        FuClass::Shifter => [7, 0],
+        FuClass::MemPort(m) => [8, m.index() as u64],
+        FuClass::Free => [9, 0],
+    }
 }
 
 impl Ctx {
-    /// Hash-consed equivalent of `Ctx::signature`: the 128-bit
-    /// content hash of the canonical entry-token form of this context,
-    /// plus the per-loop minimum indices needed for fold renames.
+    /// Token-stream equivalent of `Ctx::signature`: the 128-bit hash of
+    /// the canonical token form of this context.
     ///
     /// Section order, per-section content order, canonical version
     /// ranks, and the per-loop shift basis are identical to the string
@@ -198,24 +166,8 @@ impl Ctx {
         mgr: &mut BddManager,
         it: &InstTable,
         sb: &mut SigBuilder,
-    ) -> (u128, BTreeMap<LoopId, u32>) {
+    ) -> u128 {
         let mins = self.loop_mins(g, ct, mgr, it);
-        let SigBuilder {
-            atoms,
-            entries,
-            atom_buf,
-            entry_buf,
-            ids_buf,
-            cand_buf,
-        } = sb;
-        ids_buf.clear();
-        let sh = Shift {
-            g,
-            it,
-            ct,
-            mins: &mins,
-        };
-
         let avail_sorted = self.canonical_keys(it);
         // Canonical version renumbering, exactly as in the string
         // renderer: dense per-instance ranks over the content-sorted
@@ -229,133 +181,100 @@ impl Ctx {
                 *c += 1;
             }
         }
+        let sh = Shift {
+            g,
+            it,
+            ct,
+            mgr,
+            mins: &mins,
+            vrank: &vrank,
+        };
+        let SigBuilder {
+            words: out,
+            cand_words,
+            cand_spans,
+        } = sb;
+        out.clear();
 
         for k in &avail_sorted {
             let info = &self.avail[k];
-            entry_buf.clear();
-            entry_buf.push(TAG_A);
-            push_key(entry_buf, atoms, atom_buf, &sh, &vrank, k);
-            push_guard(entry_buf, atoms, atom_buf, &sh, mgr, info.guard);
-            entry_buf.push(u64::from(info.ready_in));
-            entry_buf.push(info.operands.len() as u64);
-            for o in &info.operands {
-                push_src(entry_buf, atoms, atom_buf, &sh, &vrank, o);
-            }
-            ids_buf.push(entries.intern(entry_buf));
+            out.push(TAG_A);
+            sh.key(out, k);
+            sh.guard(out, info.guard);
+            out.push(u64::from(info.ready_in));
+            sh.srcs(out, &info.operands);
         }
 
-        // Candidates are an unordered set: sort their entry ids by
-        // *interned content* — a canonicalization of the same multiset
-        // the string renderer canonicalizes by sorting rendered
-        // strings, so the equality relation is unchanged.
-        cand_buf.clear();
+        // Candidates are an unordered set: sort their entries by token
+        // content — a canonicalization of the same multiset the string
+        // renderer canonicalizes by sorting rendered strings, so the
+        // equality relation is unchanged.
+        cand_words.clear();
+        cand_spans.clear();
         for c in self.cands.iter() {
-            entry_buf.clear();
-            entry_buf.push(TAG_C);
-            let a = inst_atom(atoms, atom_buf, &sh, c.inst);
-            entry_buf.push(a);
-            entry_buf.push(c.operands.len() as u64);
-            for o in &c.operands {
-                push_src(entry_buf, atoms, atom_buf, &sh, &vrank, o);
-            }
-            entry_buf.push(c.tokens.len() as u64);
+            let start = cand_words.len();
+            cand_words.push(TAG_C);
+            sh.inst(cand_words, c.inst);
+            sh.srcs(cand_words, &c.operands);
+            cand_words.push(c.tokens.len() as u64);
             for t in &c.tokens {
-                match t {
-                    None => entry_buf.push(0),
-                    Some(k) => {
-                        entry_buf.push(1);
-                        push_key(entry_buf, atoms, atom_buf, &sh, &vrank, k);
-                    }
-                }
+                sh.opt_key(cand_words, t.as_ref());
             }
-            push_guard(entry_buf, atoms, atom_buf, &sh, mgr, c.guard);
-            cand_buf.push(entries.intern(entry_buf));
+            sh.guard(cand_words, c.guard);
+            cand_spans.push((start, cand_words.len()));
         }
-        cand_buf.sort_by(|&a, &b| entries.resolve(a).cmp(entries.resolve(b)));
-        ids_buf.extend_from_slice(cand_buf);
+        cand_spans.sort_unstable_by(|a, b| cand_words[a.0..a.1].cmp(&cand_words[b.0..b.1]));
+        for &(start, end) in cand_spans.iter() {
+            out.extend_from_slice(&cand_words[start..end]);
+        }
 
         let mut obls: Vec<(InstId, Guard)> =
             self.obligations.iter().map(|(i, g)| (*i, *g)).collect();
         obls.sort_by(|a, b| cmp_inst(it, a.0, b.0));
         for (inst, gd) in obls {
-            entry_buf.clear();
-            entry_buf.push(TAG_O);
-            let a = inst_atom(atoms, atom_buf, &sh, inst);
-            entry_buf.push(a);
-            push_guard(entry_buf, atoms, atom_buf, &sh, mgr, gd);
-            ids_buf.push(entries.intern(entry_buf));
+            out.push(TAG_O);
+            sh.inst(out, inst);
+            sh.guard(out, gd);
         }
 
         for (k, gd, r) in self.pending_conds.iter() {
-            entry_buf.clear();
-            entry_buf.push(TAG_P);
-            push_key(entry_buf, atoms, atom_buf, &sh, &vrank, k);
-            push_guard(entry_buf, atoms, atom_buf, &sh, mgr, *gd);
-            entry_buf.push(u64::from(*r));
-            ids_buf.push(entries.intern(entry_buf));
+            out.push(TAG_P);
+            sh.key(out, k);
+            sh.guard(out, *gd);
+            out.push(u64::from(*r));
         }
 
         let mut res: Vec<(InstId, bool)> = self.resolved.iter().map(|(i, v)| (*i, *v)).collect();
         res.sort_by(|a, b| cmp_inst(it, a.0, b.0));
         for (inst, v) in res {
-            entry_buf.clear();
-            entry_buf.push(TAG_R);
-            let a = inst_atom(atoms, atom_buf, &sh, inst);
-            entry_buf.push(a);
-            entry_buf.push(u64::from(v));
-            ids_buf.push(entries.intern(entry_buf));
+            out.push(TAG_R);
+            sh.inst(out, inst);
+            out.push(u64::from(v));
         }
 
-        let mut done: Vec<InstId> = self.done.iter().copied().collect();
-        done.sort_by(|a, b| cmp_inst(it, *a, *b));
-        for inst in done {
-            entry_buf.clear();
-            entry_buf.push(TAG_D);
-            let a = inst_atom(atoms, atom_buf, &sh, inst);
-            entry_buf.push(a);
-            ids_buf.push(entries.intern(entry_buf));
-        }
-
-        let mut disc: Vec<InstId> = self.discharged.iter().copied().collect();
-        disc.sort_by(|a, b| cmp_inst(it, *a, *b));
-        for inst in disc {
-            entry_buf.clear();
-            entry_buf.push(TAG_X);
-            let a = inst_atom(atoms, atom_buf, &sh, inst);
-            entry_buf.push(a);
-            ids_buf.push(entries.intern(entry_buf));
+        for (tag, set) in [(TAG_D, &self.done), (TAG_X, &self.discharged)] {
+            let mut insts: Vec<InstId> = set.iter().copied().collect();
+            insts.sort_by(|a, b| cmp_inst(it, *a, *b));
+            for inst in insts {
+                out.push(tag);
+                sh.inst(out, inst);
+            }
         }
 
         let mut pend: Vec<(InstId, Option<Key>)> =
             self.exit_pending.iter().map(|(i, k)| (*i, *k)).collect();
         pend.sort_by(|a, b| cmp_inst(it, a.0, b.0));
         for (inst, tok) in pend {
-            entry_buf.clear();
-            entry_buf.push(TAG_E);
-            let a = inst_atom(atoms, atom_buf, &sh, inst);
-            entry_buf.push(a);
-            match tok {
-                None => entry_buf.push(0),
-                Some(k) => {
-                    entry_buf.push(1);
-                    push_key(entry_buf, atoms, atom_buf, &sh, &vrank, &k);
-                }
-            }
-            ids_buf.push(entries.intern(entry_buf));
+            out.push(TAG_E);
+            sh.inst(out, inst);
+            sh.opt_key(out, tok.as_ref());
         }
 
         for (class, busy) in self.fu_busy.iter() {
-            entry_buf.clear();
-            entry_buf.push(TAG_F);
-            // The class name as length-prefixed bytes: injective, so
-            // entries stay equal exactly when the names are.
-            entry_buf.push(class.len() as u64);
-            entry_buf.extend(class.bytes().map(u64::from));
-            entry_buf.push(busy.len() as u64);
-            for &r in busy {
-                entry_buf.push(u64::from(r));
-            }
-            ids_buf.push(entries.intern(entry_buf));
+            out.push(TAG_F);
+            out.extend(class_tokens(*class));
+            out.push(busy.len() as u64);
+            out.extend(busy.iter().map(|&r| u64::from(r)));
         }
 
         for (tag, map) in [
@@ -364,24 +283,21 @@ impl Ctx {
             (TAG_W, &self.work_floor),
         ] {
             for ((l, pre), v) in map.iter() {
-                entry_buf.clear();
-                entry_buf.push(tag);
-                let a = loop_atom(atoms, atom_buf, &sh, *l, pre);
-                entry_buf.push(a);
-                entry_buf.push((i64::from(*v) - sh.shift_of(l)) as u64);
-                ids_buf.push(entries.intern(entry_buf));
+                out.push(tag);
+                sh.loop_ctx(out, *l, pre);
+                out.push((i64::from(*v) - sh.shift_of(l)) as u64);
             }
         }
 
-        (hash128_ids(ids_buf), mins)
+        hash128_words(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::{AvailInfo, Operands};
-    use cdfg::{CdfgBuilder, OpId, OpKind, Src};
+    use crate::ctx::{AvailInfo, Candidate, Operands};
+    use cdfg::{CdfgBuilder, InputId, OpId, OpKind, Src};
     use spec_support::props;
     use spec_support::proptest_lite as pl;
 
@@ -409,37 +325,156 @@ mod tests {
             .id()
     }
 
+    /// Every iteration a recipe can name lies below this bound.
+    const MAX_ITER: u32 = 12;
+
     /// One available-value entry of a recipe, positioned relative to
     /// the recipe's base iteration.
     #[derive(Debug, Clone)]
     struct Entry {
         iter: u32,
-        /// 0 = TRUE, 1 = positive literal, 2 = negative literal of the
-        /// loop condition at the same iteration.
         gsel: u32,
         ready: u32,
     }
 
-    /// A small randomized context: a handful of available versions of
-    /// the loop body's `Inc` at iterations `base + entry.iter`,
-    /// optionally a floor entry at `base`.
+    /// A candidate operand; `Key` names the `Inc` at an iteration offset.
+    #[derive(Debug, Clone)]
+    enum Operand {
+        Const(i64),
+        Input(u32),
+        Key(u32),
+    }
+
+    /// One candidate: the `Inc` (or, with `cond_op`, the loop condition)
+    /// at `iter`, its operands, its order tokens (`Some` names the `Inc`
+    /// at an iteration offset), and its guard selector.
+    #[derive(Debug, Clone)]
+    struct Cand {
+        iter: u32,
+        cond_op: bool,
+        gsel: u32,
+        operands: Vec<Operand>,
+        tokens: Vec<Option<u32>>,
+    }
+
+    /// A small randomized context: available versions, candidates,
+    /// obligations `(iter, gsel)`, resolution history `(iter, value)`
+    /// and `done` instances of the loop body, all at iterations `base +
+    /// offset`, optionally a floor entry at `base`.
     #[derive(Debug, Clone)]
     struct Recipe {
         base: u32,
-        entries: Vec<Entry>,
         with_floor: bool,
+        entries: Vec<Entry>,
+        cands: Vec<Cand>,
+        obligations: Vec<(u32, u32)>,
+        resolved: Vec<(u32, bool)>,
+        done: Vec<u32>,
     }
 
     fn arb_recipe() -> pl::Gen<Recipe> {
-        let entry = pl::tuple3(pl::range(0u32..4), pl::range(0u32..3), pl::range(0u32..2))
-            .map(|(iter, gsel, ready)| Entry { iter, gsel, ready });
-        pl::tuple3(pl::range(0u32..3), pl::vec_of(entry, 0..4), pl::boolean()).map(
-            |(base, entries, with_floor)| Recipe {
+        let off = || pl::range(0u32..4);
+        let entry = pl::tuple3(off(), off(), pl::range(0u32..2)).map(|(iter, gsel, ready)| Entry {
+            iter,
+            gsel,
+            ready,
+        });
+        let operand = pl::one_of(vec![
+            pl::range(-1i64..2).map(Operand::Const),
+            pl::range(0u32..2).map(Operand::Input),
+            off().map(Operand::Key),
+        ]);
+        let token = pl::tuple2(pl::boolean(), off()).map(|(some, o)| some.then_some(o));
+        let cand = pl::tuple3(
+            pl::tuple3(off(), pl::boolean(), off()),
+            pl::vec_of(operand, 0..3),
+            pl::vec_of(token, 0..3),
+        )
+        .map(|((iter, cond_op, gsel), operands, tokens)| Cand {
+            iter,
+            cond_op,
+            gsel,
+            operands,
+            tokens,
+        });
+        let history = pl::tuple3(
+            pl::vec_of(pl::tuple2(off(), off()), 0..3),
+            pl::vec_of(pl::tuple2(off(), pl::boolean()), 0..3),
+            pl::vec_of(off(), 0..3),
+        );
+        pl::tuple3(
+            pl::tuple3(pl::range(0u32..3), pl::boolean(), pl::vec_of(entry, 0..4)),
+            pl::vec_of(cand, 0..4),
+            history,
+        )
+        .map(
+            |((base, with_floor, entries), cands, (obligations, resolved, done))| Recipe {
                 base,
-                entries,
                 with_floor,
+                entries,
+                cands,
+                obligations,
+                resolved,
+                done,
             },
         )
+    }
+
+    /// `r` with every candidate operand retagged (`Const(v)` ↔
+    /// `Input(|v|)`, `Key(o)` → `Const(o)`) and every order token
+    /// toggled (`None` ↔ `Some(0)`): the same small numbers under other
+    /// tags, which an injective encoding must tell apart.
+    fn retag(r: &Recipe) -> Recipe {
+        let mut r = r.clone();
+        for c in &mut r.cands {
+            for o in &mut c.operands {
+                *o = match *o {
+                    Operand::Const(v) => Operand::Input(v.unsigned_abs() as u32),
+                    Operand::Input(i) => Operand::Const(i64::from(i)),
+                    Operand::Key(o) => Operand::Const(i64::from(o)),
+                };
+            }
+            for t in &mut c.tokens {
+                *t = if t.is_some() { None } else { Some(0) };
+            }
+        }
+        r
+    }
+
+    /// Allocates the loop condition's variables in iteration order, so
+    /// the BDD variable order (and with it every guard's cube order) is
+    /// the same for a context and its shifted copy.
+    fn cond_vars(g: &Cdfg, ct: &mut CondTable, it: &mut InstTable) {
+        let cond = g.loops()[0].cond();
+        for i in 0..MAX_ITER {
+            ct.var(it.id(cond, &[i]));
+        }
+    }
+
+    /// Guard selector `gsel` at iteration `i`: 0 = TRUE, 1/2 =
+    /// positive/negative literal of the loop condition at `i`, 3 = that
+    /// positive literal or the negative one at `i + 1` (two cubes).
+    fn guard_of(
+        gsel: u32,
+        i: u32,
+        g: &Cdfg,
+        mgr: &mut BddManager,
+        ct: &mut CondTable,
+        it: &mut InstTable,
+    ) -> Guard {
+        let cond = g.loops()[0].cond();
+        let mut lit = |i: u32, v: bool| {
+            let var = ct.var(it.id(cond, &[i]));
+            mgr.literal(var, v)
+        };
+        match gsel {
+            0 => Guard::TRUE,
+            1 | 2 => lit(i, gsel == 1),
+            _ => {
+                let (a, b) = (lit(i, true), lit(i + 1, false));
+                mgr.or(a, b)
+            }
+        }
     }
 
     fn build(
@@ -452,29 +487,58 @@ mod tests {
     ) -> Ctx {
         let op = inc_op(g);
         let cond = g.loops()[0].cond();
+        let at = r.base + shift;
         let mut ctx = Ctx::default();
         for e in &r.entries {
-            let i = r.base + shift + e.iter;
-            let guard = match e.gsel {
-                0 => Guard::TRUE,
-                v => {
-                    let var = ct.var(it.id(cond, &[i]));
-                    mgr.literal(var, v == 1)
-                }
-            };
+            let gd = guard_of(e.gsel, at + e.iter, g, mgr, ct, it);
             ctx.avail_mut().insert(
-                Key::new(it.id(op, &[i]), 0),
+                Key::new(it.id(op, &[at + e.iter]), 0),
                 AvailInfo {
-                    guard,
+                    guard: gd,
                     ready_in: e.ready,
                     depth: 0.0,
                     operands: Operands::new(),
                 },
             );
         }
-        if r.with_floor {
+        for c in &r.cands {
+            let gd = guard_of(c.gsel, at + c.iter, g, mgr, ct, it);
+            let mut operands = Operands::new();
+            for o in &c.operands {
+                operands.push(match *o {
+                    Operand::Const(v) => ValSrc::Const(v),
+                    Operand::Input(i) => ValSrc::Input(InputId::new(i)),
+                    Operand::Key(o) => ValSrc::Key(Key::new(it.id(op, &[at + o]), 0)),
+                });
+            }
+            let tokens = c
+                .tokens
+                .iter()
+                .map(|t| t.map(|o| Key::new(it.id(op, &[at + o]), 0)))
+                .collect();
+            let inst = it.id(if c.cond_op { cond } else { op }, &[at + c.iter]);
+            ctx.cands_mut().push(Candidate {
+                inst,
+                operands,
+                tokens,
+                guard: gd,
+            });
+        }
+        for &(i, gsel) in &r.obligations {
+            let gd = guard_of(gsel, at + i, g, mgr, ct, it);
+            ctx.obligations_mut().insert(it.id(op, &[at + i]), gd);
+        }
+        for &(i, v) in &r.resolved {
+            ctx.resolved_mut().insert(it.id(cond, &[at + i]), v);
+        }
+        for &i in &r.done {
+            ctx.done_mut().insert(it.id(op, &[at + i]));
+        }
+        // Resolution history and `done` are not part of the shift basis,
+        // so a recipe with either also gets the floor to anchor it.
+        if r.with_floor || !r.resolved.is_empty() || !r.done.is_empty() {
             let lp = g.loops()[0].id();
-            ctx.floor_mut().insert((lp, Iter::new()), r.base + shift);
+            ctx.floor_mut().insert((lp, Iter::new()), at);
         }
         ctx
     }
@@ -506,45 +570,61 @@ mod tests {
         let a = mk(&[3, 4], &mut it);
         let b = mk(&[7, 8], &mut it);
         let c = mk(&[3, 5], &mut it);
-        let (ha, mins_a) = a.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
-        let (ha2, _) = a.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
+        let ha = a.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
+        let ha2 = a.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
         assert_eq!(ha, ha2, "hash is deterministic across calls");
-        assert_eq!(mins_a[&lp], 3);
-        let (hb, mins_b) = b.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
+        assert_eq!(a.loop_mins(&g, &ct, &mut mgr, &it)[&lp], 3);
+        let hb = b.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
         assert_eq!(ha, hb, "uniformly shifted contexts fold");
-        assert_eq!(mins_b[&lp], 7);
-        let (hc, _) = c.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
+        assert_eq!(b.loop_mins(&g, &ct, &mut mgr, &it)[&lp], 7);
+        let hc = c.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
         assert_ne!(ha, hc, "non-uniform spacing does not fold");
     }
 
     props! {
         /// The hashed signature and the legacy string signature induce
         /// the same equivalence relation on contexts, including the
-        /// shifted-iteration fold cases of Example 10: a copy of a
-        /// context shifted uniformly by +2 iterations must fold with
-        /// the original under both renderers.
+        /// shifted-iteration fold cases of Example 10 (a copy of a
+        /// context shifted uniformly by +2 iterations folds with the
+        /// original under both renderers) and candidate insertion
+        /// order (the same candidates inserted in reverse fold too). A
+        /// retagged copy probes that every tag reaches the stream.
         fn hashed_signature_agrees_with_string(r1 in arb_recipe(), r2 in arb_recipe()) {
             let g = loop_cdfg();
             let mut mgr = BddManager::new();
             let mut ct = CondTable::default();
             let mut it = InstTable::default();
             let mut sb = SigBuilder::default();
-            let c1 = build(&r1, 0, &g, &mut mgr, &mut ct, &mut it);
-            let c2 = build(&r2, 0, &g, &mut mgr, &mut ct, &mut it);
-            let c1s = build(&r1, 2, &g, &mut mgr, &mut ct, &mut it);
-            let (s1, _) = c1.signature(&g, &ct, &mut mgr, &it);
-            let (s2, _) = c2.signature(&g, &ct, &mut mgr, &it);
-            let (s1s, _) = c1s.signature(&g, &ct, &mut mgr, &it);
-            let (h1, _) = c1.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
-            let (h2, _) = c2.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
-            let (h1s, _) = c1s.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
-            assert_eq!(s1, s1s, "shifted copy folds under the string renderer");
-            assert_eq!(h1, h1s, "shifted copy folds under the hashed renderer");
-            assert_eq!(
-                s1 == s2,
-                h1 == h2,
-                "equality relations diverge:\n  s1={s1}\n  s2={s2}\n  h1={h1:032x}\n  h2={h2:032x}"
-            );
+            cond_vars(&g, &mut ct, &mut it);
+            let mut r1r = r1.clone();
+            r1r.cands.reverse();
+            let ctxs = [
+                build(&r1, 0, &g, &mut mgr, &mut ct, &mut it),
+                build(&r1, 2, &g, &mut mgr, &mut ct, &mut it),
+                build(&r1r, 0, &g, &mut mgr, &mut ct, &mut it),
+                build(&r2, 0, &g, &mut mgr, &mut ct, &mut it),
+                build(&r2, 1, &g, &mut mgr, &mut ct, &mut it),
+                build(&retag(&r1), 0, &g, &mut mgr, &mut ct, &mut it),
+            ];
+            let mut sigs = Vec::new();
+            for c in &ctxs {
+                let (s, _) = c.signature(&g, &ct, &mut mgr, &it);
+                let h = c.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
+                sigs.push((s, h));
+            }
+            for (a, b, what) in [(0, 1, "shifted copy"), (0, 2, "reordered candidates")] {
+                assert_eq!(sigs[a].0, sigs[b].0, "{what} folds under the string renderer");
+                assert_eq!(sigs[a].1, sigs[b].1, "{what} folds under the hashed renderer");
+            }
+            for (i, (si, hi)) in sigs.iter().enumerate() {
+                for (sj, hj) in &sigs[i + 1..] {
+                    assert_eq!(
+                        si == sj,
+                        hi == hj,
+                        "equality relations diverge:\n  s={si}\n  s'={sj}\n  h={hi:032x}\n  h'={hj:032x}"
+                    );
+                }
+            }
         }
     }
 }

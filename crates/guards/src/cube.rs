@@ -54,15 +54,21 @@ impl BddManager {
     /// Renders `g` as a token stream over the same cube enumeration as
     /// [`BddManager::to_sop_string`], appending to `out`.
     ///
-    /// Encoding (injective, so two guards produce equal streams iff
-    /// they would produce equal SOP strings under an injective naming):
-    /// `FALSE` → `[SOP_FALSE]`, `TRUE` → `[SOP_TRUE]`, otherwise
-    /// `[SOP_CUBES + n, len(cube_1), lits…, …, len(cube_n), lits…]`
-    /// where each literal is `(name(cond) << 1) | polarity`. Callers
-    /// hand in a condition→token mapping instead of a condition→string
-    /// one; the scheduler's signature builder uses this to hash-cons
-    /// guard renderings without materializing strings.
-    pub fn sop_tokens(&self, g: Guard, name: &mut dyn FnMut(Cond) -> u64, out: &mut Vec<u64>) {
+    /// Encoding: `FALSE` → `[SOP_FALSE]`, `TRUE` → `[SOP_TRUE]`,
+    /// otherwise `[SOP_CUBES + n, len(cube_1), lits…, …, len(cube_n),
+    /// lits…]` where each literal is `polarity, name…`: the polarity
+    /// word (1 = positive) followed by whatever `name` appends for the
+    /// condition. If every name run is self-delimiting (prefix-free),
+    /// the whole stream is, and two guards produce equal streams iff
+    /// they would produce equal SOP strings under the same naming. The
+    /// scheduler's signature writes each condition's shifted instance
+    /// name inline this way, without materializing strings.
+    pub fn sop_tokens(
+        &self,
+        g: Guard,
+        name: &mut dyn FnMut(Cond, &mut Vec<u64>),
+        out: &mut Vec<u64>,
+    ) {
         if g.is_false() {
             out.push(SOP_FALSE);
             return;
@@ -78,7 +84,8 @@ impl BddManager {
         for cube in &cubes {
             out.push(cube.len() as u64);
             for &(c, v) in cube {
-                out.push((name(c) << 1) | v as u64);
+                out.push(u64::from(v));
+                name(c, out);
             }
         }
     }
@@ -182,7 +189,11 @@ mod tests {
         let m = BddManager::new();
         assert_eq!(sop(&m, Guard::TRUE), "1");
         let mut toks = Vec::new();
-        m.sop_tokens(Guard::TRUE, &mut |c| u64::from(c.index()), &mut toks);
+        m.sop_tokens(
+            Guard::TRUE,
+            &mut |c, out| out.push(u64::from(c.index())),
+            &mut toks,
+        );
         assert_eq!(toks, [SOP_TRUE]);
     }
 }

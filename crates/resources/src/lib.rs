@@ -38,7 +38,7 @@ use std::fmt;
 
 /// Functional-unit classes. Operation kinds map onto classes via
 /// [`classify`]; allocation constraints are expressed per class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FuClass {
     /// Two-operand adder (`add1`).
     Adder,

@@ -67,7 +67,9 @@ pub struct SlotState {
     pub transitions: Vec<SlotTransition>,
 }
 
-/// An STG lowered onto dense value slots; see the [module docs](self).
+/// An STG lowered onto dense value slots: every instance the STG
+/// mentions gets a `u32` slot in first-mention order, and each state is
+/// lowered to slot-named ops and transitions.
 #[derive(Debug)]
 pub struct SlotPlan {
     states: Vec<SlotState>,

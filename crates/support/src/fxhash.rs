@@ -135,7 +135,7 @@ fn mix64(x: u64) -> u64 {
 /// Unlike [`FxHasher`] — whose job is to index in-process hash tables
 /// where a collision only costs a probe — this hasher's output is used
 /// as a *content identity*: the scheduler keys its state-fold index on
-/// the 128-bit hash of a signature's entry-id slice, treating equal
+/// the 128-bit hash of a signature's token stream, treating equal
 /// hashes as equal states. That demands real avalanche, so every word
 /// passes through the (invertible, full-avalanche) splitmix64 finalizer
 /// in each of two independently seeded lanes, and the finish step folds
@@ -194,17 +194,6 @@ pub fn hash128_words(words: &[u64]) -> u128 {
     let mut h = Fx128Hasher::new();
     for &w in words {
         h.write_u64(w);
-    }
-    h.finish128()
-}
-
-/// Hashes a dense-id slice (e.g. interner ids) to 128 bits. Each id
-/// occupies one stream position, so `[1, 2]` and `[0x2_0000_0001]`
-/// cannot collide by packing.
-pub fn hash128_ids(ids: &[u32]) -> u128 {
-    let mut h = Fx128Hasher::new();
-    for &id in ids {
-        h.write_u32(id);
     }
     h.finish128()
 }
@@ -294,9 +283,6 @@ mod tests {
         for (input, want) in cases {
             assert_eq!(hash128_words(input), *want, "vector for {input:?}");
         }
-        // The u32 form occupies one stream position per id, matching
-        // the widened-word form exactly.
-        assert_eq!(hash128_ids(&[1, 2, 3]), hash128_words(&[1, 2, 3]));
     }
 
     /// Stream length is folded in: a trailing zero word is not an

@@ -12,20 +12,19 @@
 //!   testing with combinator generators, configurable case counts
 //!   (`SPEC_PROPTEST_CASES`), failing-seed reporting, and bounded
 //!   shrinking for integer and vector generators.
-//! * [`bench`] replaces `criterion` — a wall-clock micro-bench harness
+//! * [`mod@bench`] replaces `criterion` — a wall-clock micro-bench harness
 //!   (warmup + N timed iterations, median/p95) that emits
 //!   machine-readable `BENCH_*.json` files for perf trajectories.
 //!
-//! Two further modules serve the workspace's hot paths rather than its
+//! One further module serves the workspace's hot paths rather than its
 //! test infrastructure:
 //!
 //! * [`fxhash`] — the rustc multiply-xor hasher with `FxHashMap`/
 //!   `FxHashSet` aliases, for in-process keys where SipHash's DoS
 //!   resistance buys nothing (BDD hash-consing, memo caches,
-//!   interners). Unseeded and platform-stable, with committed
-//!   reference vectors.
-//! * [`interner`] — a slice→dense-`u32`-id interner, the substrate for
-//!   the scheduler's hash-consed state signatures.
+//!   instance tables) and a two-lane 128-bit stream hash that keys the
+//!   scheduler's fold index on a state signature's token stream.
+//!   Unseeded and platform-stable, with committed reference vectors.
 //!
 //! Determinism is not just an infrastructure concern here: the paper's
 //! Table 1 / Fig. 13 cycle counts come from simulated input traces, so
@@ -33,6 +32,5 @@
 
 pub mod bench;
 pub mod fxhash;
-pub mod interner;
 pub mod proptest_lite;
 pub mod rng;

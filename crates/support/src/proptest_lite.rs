@@ -6,8 +6,8 @@
 //! proposes strictly "smaller" variants of a failing value. Combinators
 //! ([`range`], [`boolean`], [`vec_of`], [`one_of`], [`tuple2`],
 //! [`recursive`], [`Gen::map`], …) compose generators the way
-//! `proptest` strategies did, and the [`props!`] macro turns property
-//! functions into `#[test]` items.
+//! `proptest` strategies did, and the [`props!`](crate::props) macro
+//! turns property functions into `#[test]` items.
 //!
 //! Runtime knobs (environment variables):
 //!
@@ -326,7 +326,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Runs `prop` against up to `config.cases` generated values and
 /// returns the first (shrunk) failure, or `None` if every case passes.
-/// [`run`] is the panicking wrapper used by [`props!`].
+/// [`run`] is the panicking wrapper used by
+/// [`props!`](crate::props).
 pub fn check<T: Clone + Debug + 'static>(
     name: &str,
     config: &Config,
@@ -377,7 +378,8 @@ pub fn check<T: Clone + Debug + 'static>(
 }
 
 /// Runs a property with the environment [`Config`], panicking with a
-/// replayable report on failure. This is what [`props!`] expands to.
+/// replayable report on failure. This is what
+/// [`props!`](crate::props) expands to.
 pub fn run<T: Clone + Debug + 'static>(name: &str, gen: Gen<T>, prop: impl Fn(&T)) {
     let config = Config::default();
     if let Some(f) = check(name, &config, &gen, prop) {

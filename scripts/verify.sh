@@ -22,6 +22,18 @@ echo "== cargo build --release --offline --locked"
 # when a manifest changes.
 cargo build --release --offline --locked
 
+echo "== determinism (table1, fig6 twice each, byte-identical)"
+# Seeded experiments must rerun byte-identically (the determinism
+# doctrine of DESIGN.md section 7); this takes well under a second.
+det_dir="$(mktemp -d)"
+trap 'rm -rf "$det_dir"' EXIT
+for bin in table1 fig6; do
+    "target/release/$bin" > "$det_dir/$bin.1"
+    "target/release/$bin" > "$det_dir/$bin.2"
+    cmp "$det_dir/$bin.1" "$det_dir/$bin.2" \
+        || { echo "$bin output differs between two runs"; exit 1; }
+done
+
 echo "== cargo test -q --offline (wall-clock capped)"
 # Failure containment must extend to the harness itself: a livelocked
 # scheduler (the class of bug the budget/cancellation machinery exists
@@ -52,6 +64,11 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
     echo "clippy not installed; skipping lint check"
 fi
+
+echo "== rustdoc (-D warnings)"
+# Broken or ambiguous intra-doc links fail here, e.g. a link left
+# pointing at a deleted module.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 echo "== bench smoke (1 iteration per entry)"
 for target in substrates schedulers simulation; do
