@@ -14,8 +14,66 @@ use cdfg::analysis::BranchProbs;
 use hls_resources::Allocation;
 use spec_bench::TRACE_RUNS;
 use spec_support::bench::{black_box, Harness};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use wavesched::{schedule, FaultPlan, Mode, PhaseTimers, SchedConfig, ScheduleResult};
 use workloads::Workload;
+
+thread_local! {
+    /// Heap allocations requested by this thread so far.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting every `alloc`, `alloc_zeroed` and
+/// `realloc` call per thread, so a bench can report how many heap
+/// allocations one `schedule` call made.
+struct CountingAlloc;
+
+impl CountingAlloc {
+    fn count() {
+        // A const-initialized `Cell` has no destructor, so the slot is
+        // never torn down; `try_with` only guards against that anyway.
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System` upholds the `GlobalAlloc` contract; the counter
+// update neither allocates nor touches the returned memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        // SAFETY: forwarded unchanged from our caller, who upholds
+        // `GlobalAlloc::alloc`'s requirements.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count();
+        // SAFETY: `ptr` and `layout` come from this allocator, i.e. from
+        // `System`, as our caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Heap allocations the current thread has requested so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 /// The workload's branch probabilities as `table1` profiles them.
 fn profiled(w: &Workload) -> BranchProbs {
@@ -23,7 +81,8 @@ fn profiled(w: &Workload) -> BranchProbs {
 }
 
 /// Times scheduling `w` under `alloc` and `cfg` (10 iterations) and
-/// annotates the bench with the last run's results (see [`annotate`]).
+/// annotates the bench with the last run's results and heap
+/// allocations (see [`annotate`]).
 fn bench_schedule(
     h: &mut Harness,
     name: &str,
@@ -34,23 +93,30 @@ fn bench_schedule(
 ) {
     let mut last = None;
     h.bench_n(name, 10, || {
+        let before = allocs();
         let r = schedule(black_box(&w.cdfg), &w.library, alloc, probs, cfg).expect("schedules");
+        let made = allocs() - before;
         let states = r.stg.working_state_count();
-        last = Some(r);
+        last = Some((r, made));
         black_box(states)
     });
-    annotate(h, &last.expect("at least one timed iteration"));
+    let (r, made) = last.expect("at least one timed iteration");
+    annotate(h, &r, made);
 }
 
-/// Records the last run's size (states, issues, folds), its per-phase
-/// nanosecond breakdown, and its containment counters (all zero on
-/// clean benches) in the bench's `extra`, so the artifact shows how much
-/// work the time bought and *where* it went.
-fn annotate(h: &mut Harness, r: &ScheduleResult) {
+/// Records the last run's size (states, issues, folds), its exact work
+/// counters (BDD nodes, and the `allocs` heap allocations the
+/// `schedule` call made on the bench thread), its per-phase nanosecond
+/// breakdown, and its containment counters (all zero on clean benches)
+/// in the bench's `extra`, so the artifact shows how much work the time
+/// bought and *where* it went.
+fn annotate(h: &mut Harness, r: &ScheduleResult, allocs: u64) {
     let stats = &r.stats;
     h.annotate("states", r.stg.working_state_count() as u64);
     h.annotate("issues", stats.issues as u64);
     h.annotate("folds", stats.folds as u64);
+    h.annotate("bdd_nodes", stats.bdd_nodes as u64);
+    h.annotate("allocs", allocs);
     let phases: &PhaseTimers = &stats.phases;
     for (key, stat) in [
         ("phase_grow_ns", phases.grow),

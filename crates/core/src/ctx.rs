@@ -46,8 +46,8 @@ use guards::{BddManager, Cond, Guard};
 use hls_resources::FuClass;
 use spec_support::fxhash::{FxHashMap, FxHasher};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
+use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 use stg::InlineVec;
 pub(crate) use stg::MAX_NEST;
@@ -208,24 +208,30 @@ pub(crate) fn cmp_src(it: &InstTable, a: &ValSrc, b: &ValSrc) -> Ordering {
     }
 }
 
-/// The loops enclosing `l`, outermost first: entry `d` is the loop whose
-/// iteration index sits at position `d` of the prefix of a loop context
-/// `(l, prefix)`.
-pub(crate) fn loop_ancestors(g: &cdfg::Cdfg, l: LoopId) -> Vec<LoopId> {
-    let mut ancestors = Vec::new();
-    let mut cur = g.loop_info(l).parent();
-    while let Some(a) = cur {
-        ancestors.push(a);
-        cur = g.loop_info(a).parent();
+/// The loop enclosing `l` at nesting depth `d` (0 = outermost): the
+/// loop whose iteration index sits at position `d` of the prefix of a
+/// loop context `(l, prefix)`. `None` past `l`'s own depth.
+pub(crate) fn loop_ancestor(g: &cdfg::Cdfg, l: LoopId, d: usize) -> Option<LoopId> {
+    let parent = |x: LoopId| g.loop_info(x).parent();
+    let depth = std::iter::successors(parent(l), |&a| parent(a)).count();
+    // The ancestor at depth `d` sits `depth - 1 - d` steps above the
+    // innermost enclosing loop.
+    std::iter::successors(parent(l), |&a| parent(a)).nth(depth.checked_sub(d + 1)?)
+}
+
+/// The shift of loop `l` in a [`Ctx::loop_mins`] basis: its minimum, or
+/// 0 for a loop the context does not index.
+pub(crate) fn loop_shift(mins: &[u32], l: LoopId) -> i64 {
+    match mins.get(l.index()) {
+        Some(&m) if m != u32::MAX => i64::from(m),
+        _ => 0,
     }
-    ancestors.reverse();
-    ancestors
 }
 
 /// Identity of one executed value version: operation instance + version.
 ///
 /// Derived `Ord` is `(allocation id, version)` — correct for grouping a
-/// `BTreeMap` range scan by instance, wrong for anything content-ordered
+/// sorted-map range scan by instance, wrong for anything content-ordered
 /// (use [`cmp_key`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) struct Key {
@@ -325,59 +331,310 @@ impl CondTable {
     }
 }
 
+/// An ordered map kept as one `Vec` of entries sorted by key.
+///
+/// Lookups are binary searches, [`VecMap::range`] bounds are
+/// `partition_point`s, and iteration runs in ascending key order — the
+/// order a `BTreeMap` iterates in, so every walk the schedule can
+/// observe is unchanged. Context maps hold tens of entries and are
+/// cloned at every copy-on-write fork: one contiguous buffer clones as a
+/// single allocation and a few `memcpy`s, where a tree re-allocates node
+/// by node.
+#[derive(Debug, PartialEq, Hash)]
+pub(crate) struct VecMap<K, V> {
+    entries: Vec<(K, V)>,
+}
+
+impl<K, V> Default for VecMap<K, V> {
+    fn default() -> Self {
+        VecMap {
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<K: Clone, V: Clone> Clone for VecMap<K, V> {
+    fn clone(&self) -> Self {
+        VecMap {
+            entries: self.entries.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+    }
+}
+
+/// The index range of `items`, sorted by `key`, whose keys lie in `range`.
+fn sorted_range<K: Ord, T>(
+    items: &[T],
+    key: impl Fn(&T) -> &K,
+    range: impl RangeBounds<K>,
+) -> std::ops::Range<usize> {
+    let lo = match range.start_bound() {
+        Bound::Included(s) => items.partition_point(|e| key(e) < s),
+        Bound::Excluded(s) => items.partition_point(|e| key(e) <= s),
+        Bound::Unbounded => 0,
+    };
+    let hi = match range.end_bound() {
+        Bound::Included(e) => items.partition_point(|x| key(x) <= e),
+        Bound::Excluded(e) => items.partition_point(|x| key(x) < e),
+        Bound::Unbounded => items.len(),
+    };
+    lo..hi.max(lo)
+}
+
+impl<K: Ord, V> VecMap<K, V> {
+    /// A map of `entries`, which must have distinct keys, in any order.
+    pub fn from_unsorted(mut entries: Vec<(K, V)>) -> Self {
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "duplicate keys"
+        );
+        VecMap { entries }
+    }
+
+    /// The entry buffer, for reuse.
+    pub fn into_entries(self) -> Vec<(K, V)> {
+        self.entries
+    }
+
+    /// The entries in order.
+    pub fn as_slice(&self) -> &[(K, V)] {
+        &self.entries
+    }
+
+    fn find(&self, k: &K) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(e, _)| e.cmp(k))
+    }
+
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The position of `k` in iteration order, if present.
+    pub fn position(&self, k: &K) -> Option<usize> {
+        self.find(k).ok()
+    }
+
+    pub fn contains_key(&self, k: &K) -> bool {
+        self.find(k).is_ok()
+    }
+
+    pub fn get(&self, k: &K) -> Option<&V> {
+        self.find(k).ok().map(|i| &self.entries[i].1)
+    }
+
+    pub fn get_mut(&mut self, k: &K) -> Option<&mut V> {
+        self.find(k).ok().map(|i| &mut self.entries[i].1)
+    }
+
+    /// Inserts or overwrites `k`, returning the previous value.
+    pub fn insert(&mut self, k: K, v: V) -> Option<V> {
+        match self.find(&k) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, v)),
+            Err(i) => {
+                self.entries.insert(i, (k, v));
+                None
+            }
+        }
+    }
+
+    /// The value of `k`, inserted as `init()` when absent.
+    pub fn get_or_insert_with(&mut self, k: K, init: impl FnOnce() -> V) -> &mut V {
+        let i = match self.find(&k) {
+            Ok(i) => i,
+            Err(i) => {
+                self.entries.insert(i, (k, init()));
+                i
+            }
+        };
+        &mut self.entries[i].1
+    }
+
+    pub fn remove(&mut self, k: &K) -> Option<V> {
+        self.find(k).ok().map(|i| self.entries.remove(i).1)
+    }
+
+    /// Keeps the entries `keep` accepts, visiting them in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) {
+        self.entries.retain_mut(|(k, v)| keep(k, v));
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.entries.iter().map(|(k, v)| (k, v))
+    }
+
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
+        self.entries.iter_mut().map(|(k, v)| (&*k, v))
+    }
+
+    pub fn keys(&self) -> impl Iterator<Item = &K> {
+        self.entries.iter().map(|(k, _)| k)
+    }
+
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.entries.iter().map(|(_, v)| v)
+    }
+
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.entries.iter_mut().map(|(_, v)| v)
+    }
+
+    /// The entries whose keys lie in `range`, in order.
+    pub fn range(&self, range: impl RangeBounds<K>) -> impl Iterator<Item = (&K, &V)> {
+        let r = sorted_range(&self.entries, |(k, _)| k, range);
+        self.entries[r].iter().map(|(k, v)| (k, v))
+    }
+}
+
+impl<K: Ord, V> std::ops::Index<&K> for VecMap<K, V> {
+    type Output = V;
+
+    fn index(&self, k: &K) -> &V {
+        self.get(k).expect("key present in VecMap")
+    }
+}
+
+/// An ordered set kept as one sorted `Vec`: the set counterpart of
+/// [`VecMap`], with the same lookup, order and fork-cost trade.
+#[derive(Debug, Clone, PartialEq, Hash)]
+pub(crate) struct VecSet<K> {
+    items: Vec<K>,
+}
+
+impl<K> Default for VecSet<K> {
+    fn default() -> Self {
+        VecSet { items: Vec::new() }
+    }
+}
+
+impl<K: Ord> VecSet<K> {
+    #[cfg(test)]
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    pub fn contains(&self, k: &K) -> bool {
+        self.items.binary_search(k).is_ok()
+    }
+
+    /// Inserts `k`; `false` if it was already present.
+    pub fn insert(&mut self, k: K) -> bool {
+        match self.items.binary_search(&k) {
+            Ok(_) => false,
+            Err(i) => {
+                self.items.insert(i, k);
+                true
+            }
+        }
+    }
+
+    /// Removes `k`; `false` if it was absent.
+    pub fn remove(&mut self, k: &K) -> bool {
+        match self.items.binary_search(k) {
+            Ok(i) => {
+                self.items.remove(i);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    #[cfg(test)]
+    /// Keeps the elements `keep` accepts, visiting them in order.
+    pub fn retain(&mut self, keep: impl FnMut(&K) -> bool) {
+        self.items.retain(keep);
+    }
+
+    pub fn clear(&mut self) {
+        self.items.clear();
+    }
+
+    /// The elements in order.
+    pub fn as_slice(&self) -> &[K] {
+        &self.items
+    }
+
+    pub fn iter(&self) -> std::slice::Iter<'_, K> {
+        self.items.iter()
+    }
+
+    #[cfg(test)]
+    /// The elements in `range`, in order.
+    pub fn range(&self, range: impl RangeBounds<K>) -> std::slice::Iter<'_, K> {
+        let r = sorted_range(&self.items, |k| k, range);
+        self.items[r].iter()
+    }
+}
+
 /// The scheduler's knowledge at a state boundary.
 ///
 /// # Copy-on-write layout
 ///
 /// Every collection field sits behind an [`Arc`]: `Ctx::clone` — the
 /// per-branch copy `partition` makes for each of the 2^k outcomes of a
-/// condition split — is k reference-count bumps, not a deep copy.
+/// condition split — is 14 reference-count bumps, not a deep copy.
 /// Reads go through `Deref` transparently; writers must go through the
 /// `*_mut` accessors ([`Arc::make_mut`]), which clone a field's
 /// collection only at first mutation while shared. The engine's
 /// mutation passes are written scan-before-mutate: they compute the
 /// delta read-only and touch the accessor only when the delta is
 /// non-empty, so a branch pays O(changed entries), not O(|Ctx|).
+///
+/// The keyed collections are flat: a [`VecMap`] or [`VecSet`] is one
+/// buffer sorted by key, so the clone a first write makes is a single
+/// allocation, and iteration runs in the ascending key order every
+/// section of the signature and every sweep drain relies on.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Ctx {
     /// Issued value versions and their validity guards.
-    pub avail: Arc<BTreeMap<Key, AvailInfo>>,
+    pub avail: Arc<VecMap<Key, AvailInfo>>,
     /// Schedulable conditioned instances.
     pub cands: Arc<Vec<Candidate>>,
     /// Instances whose consumption is decided: a version with a
     /// constant-true guard was issued, so no further version can be
     /// valid on this path.
-    pub done: Arc<BTreeSet<InstId>>,
+    pub done: Arc<VecSet<InstId>>,
     /// Outstanding side-effect obligations: instantiated effectful
     /// instances (memory writes, outputs) not yet validly executed.
-    pub obligations: Arc<BTreeMap<InstId, Guard>>,
+    pub obligations: Arc<VecMap<InstId, Guard>>,
     /// Computed-but-unresolved condition versions: key, validity guard,
     /// states until the result is ready.
     pub pending_conds: Arc<Vec<(Key, Guard, u32)>>,
     /// Resolution history on this path (pruned to the live window).
-    pub resolved: Arc<BTreeMap<CondInst, bool>>,
+    pub resolved: Arc<VecMap<CondInst, bool>>,
     /// Busy non-pipelined units: class → remaining-state counts.
-    pub fu_busy: Arc<BTreeMap<FuClass, Vec<u32>>>,
+    pub fu_busy: Arc<VecMap<FuClass, Vec<u32>>>,
     /// Per loop context (loop, outer iteration prefix): highest iteration
     /// index instantiated so far.
-    pub horizon: Arc<BTreeMap<(LoopId, Iter), u32>>,
+    pub horizon: Arc<VecMap<(LoopId, Iter), u32>>,
     /// Per loop context: all continue-condition instances below this
     /// index are known true on this path. Lets resolution history below
     /// the live window be pruned (else steady states would never fold).
-    pub floor: Arc<BTreeMap<(LoopId, Iter), u32>>,
+    pub floor: Arc<VecMap<(LoopId, Iter), u32>>,
     /// Per loop context: every direct-member instance below this index is
     /// already executed or control-dead. The candidate window never goes
     /// below it, and `done` entries under it can be pruned — the pair of
     /// facts that keeps lagging work schedulable without unbounded
     /// bookkeeping.
-    pub work_floor: Arc<BTreeMap<(LoopId, Iter), u32>>,
+    pub work_floor: Arc<VecMap<(LoopId, Iter), u32>>,
     /// Loop-exit order tokens whose serialization chain settled during
     /// the current state *and* whose producing loop is proven exited on
     /// this path, awaiting promotion to [`Ctx::discharged`] at the next
     /// state boundary. The recorded key (if any) is the predecessor
     /// token that settled the chain, kept so same-state port exclusivity
     /// still applies until the boundary.
-    pub exit_pending: Arc<BTreeMap<InstId, Option<Key>>>,
+    pub exit_pending: Arc<VecMap<InstId, Option<Key>>>,
     /// Exit-pass instances whose order token is permanently discharged
     /// on this path: the producing loop exited and its serialization
     /// chain settled in an earlier state, so consumers no longer carry a
@@ -385,17 +642,17 @@ pub(crate) struct Ctx {
     /// producing loop's resolution history and floors are pruned —
     /// without it, re-deriving the exit token from pruned history
     /// deadlocks every post-loop access.
-    pub discharged: Arc<BTreeSet<InstId>>,
+    pub discharged: Arc<VecSet<InstId>>,
     /// Sweep event feed: operations whose candidate-generation inputs
     /// changed on this path since the last sweep drained them. The
     /// incremental Fig.-12 sweep regenerates candidates only for these
-    /// ops instead of rescanning the whole graph each pass. A `BTreeSet`
+    /// ops instead of rescanning the whole graph each pass. A sorted set
     /// so the drain order is deterministic (op index order, the same
     /// order the legacy full scan used). Not part of the canonical
     /// signature: two contexts with equal schedules but different dirty
     /// sets still fold — a folded context's dirty set is discarded, and
     /// quiescence at state boundaries makes that sound.
-    pub sweep_dirty: Arc<BTreeSet<OpId>>,
+    pub sweep_dirty: Arc<VecSet<OpId>>,
     /// Sweep-domain baseline: the `(lo, hi)` candidate iteration window
     /// per loop context the last sweep ran against. Window growth
     /// (horizon/lookahead raised `hi`, floor retreat lowered `lo`, or a
@@ -403,12 +660,12 @@ pub(crate) struct Ctx {
     /// member ops must regenerate even though none of their operands
     /// changed. Not part of the canonical signature (it is derivable
     /// bookkeeping, like `sweep_dirty`).
-    pub sweep_domain: Arc<BTreeMap<(LoopId, Iter), (u32, u32)>>,
+    pub sweep_domain: Arc<VecMap<(LoopId, Iter), (u32, u32)>>,
 }
 
 impl Ctx {
     /// Mutable access to `avail` (clones the map if shared).
-    pub fn avail_mut(&mut self) -> &mut BTreeMap<Key, AvailInfo> {
+    pub fn avail_mut(&mut self) -> &mut VecMap<Key, AvailInfo> {
         Arc::make_mut(&mut self.avail)
     }
 
@@ -418,12 +675,12 @@ impl Ctx {
     }
 
     /// Mutable access to `done` (clones the set if shared).
-    pub fn done_mut(&mut self) -> &mut BTreeSet<InstId> {
+    pub fn done_mut(&mut self) -> &mut VecSet<InstId> {
         Arc::make_mut(&mut self.done)
     }
 
     /// Mutable access to `obligations` (clones the map if shared).
-    pub fn obligations_mut(&mut self) -> &mut BTreeMap<InstId, Guard> {
+    pub fn obligations_mut(&mut self) -> &mut VecMap<InstId, Guard> {
         Arc::make_mut(&mut self.obligations)
     }
 
@@ -433,47 +690,47 @@ impl Ctx {
     }
 
     /// Mutable access to `resolved` (clones the map if shared).
-    pub fn resolved_mut(&mut self) -> &mut BTreeMap<CondInst, bool> {
+    pub fn resolved_mut(&mut self) -> &mut VecMap<CondInst, bool> {
         Arc::make_mut(&mut self.resolved)
     }
 
     /// Mutable access to `fu_busy` (clones the map if shared).
-    pub fn fu_busy_mut(&mut self) -> &mut BTreeMap<FuClass, Vec<u32>> {
+    pub fn fu_busy_mut(&mut self) -> &mut VecMap<FuClass, Vec<u32>> {
         Arc::make_mut(&mut self.fu_busy)
     }
 
     /// Mutable access to `horizon` (clones the map if shared).
-    pub fn horizon_mut(&mut self) -> &mut BTreeMap<(LoopId, Iter), u32> {
+    pub fn horizon_mut(&mut self) -> &mut VecMap<(LoopId, Iter), u32> {
         Arc::make_mut(&mut self.horizon)
     }
 
     /// Mutable access to `floor` (clones the map if shared).
-    pub fn floor_mut(&mut self) -> &mut BTreeMap<(LoopId, Iter), u32> {
+    pub fn floor_mut(&mut self) -> &mut VecMap<(LoopId, Iter), u32> {
         Arc::make_mut(&mut self.floor)
     }
 
     /// Mutable access to `work_floor` (clones the map if shared).
-    pub fn work_floor_mut(&mut self) -> &mut BTreeMap<(LoopId, Iter), u32> {
+    pub fn work_floor_mut(&mut self) -> &mut VecMap<(LoopId, Iter), u32> {
         Arc::make_mut(&mut self.work_floor)
     }
 
     /// Mutable access to `exit_pending` (clones the map if shared).
-    pub fn exit_pending_mut(&mut self) -> &mut BTreeMap<InstId, Option<Key>> {
+    pub fn exit_pending_mut(&mut self) -> &mut VecMap<InstId, Option<Key>> {
         Arc::make_mut(&mut self.exit_pending)
     }
 
     /// Mutable access to `discharged` (clones the set if shared).
-    pub fn discharged_mut(&mut self) -> &mut BTreeSet<InstId> {
+    pub fn discharged_mut(&mut self) -> &mut VecSet<InstId> {
         Arc::make_mut(&mut self.discharged)
     }
 
     /// Mutable access to `sweep_dirty` (clones the set if shared).
-    pub fn sweep_dirty_mut(&mut self) -> &mut BTreeSet<OpId> {
+    pub fn sweep_dirty_mut(&mut self) -> &mut VecSet<OpId> {
         Arc::make_mut(&mut self.sweep_dirty)
     }
 
     /// Mutable access to `sweep_domain` (clones the map if shared).
-    pub fn sweep_domain_mut(&mut self) -> &mut BTreeMap<(LoopId, Iter), (u32, u32)> {
+    pub fn sweep_domain_mut(&mut self) -> &mut VecMap<(LoopId, Iter), (u32, u32)> {
         Arc::make_mut(&mut self.sweep_domain)
     }
 
@@ -531,8 +788,8 @@ impl Ctx {
         if !self.exit_pending.is_empty() {
             let pend = std::mem::take(Arc::make_mut(&mut self.exit_pending));
             let discharged = self.discharged_mut();
-            for inst in pend.into_keys() {
-                discharged.insert(inst);
+            for inst in pend.keys() {
+                discharged.insert(*inst);
             }
         }
         if self
@@ -645,87 +902,73 @@ impl Ctx {
         }
     }
 
-    /// All iteration indices in use for loop `l` at depth `d` of some
-    /// instance path, across the whole context; used by normalization.
+    /// The minimum iteration index in use per loop, across the whole
+    /// context, into `mins` (indexed by loop, `u32::MAX` where no
+    /// instance is indexed by the loop); used by normalization. `supp`
+    /// is scratch for guard supports.
     fn collect_loop_mins(
         &self,
         g: &cdfg::Cdfg,
         ct: &CondTable,
         mgr: &mut BddManager,
         it: &InstTable,
-    ) -> BTreeMap<LoopId, u32> {
-        let mut mins: BTreeMap<LoopId, u32> = BTreeMap::new();
-        fn note(g: &cdfg::Cdfg, mins: &mut BTreeMap<LoopId, u32>, op: OpId, iter: &[u32]) {
-            let path = g.op(op).loop_path();
-            for (d, &l) in path.iter().enumerate() {
-                if d < iter.len() {
-                    let e = mins.entry(l).or_insert(u32::MAX);
-                    *e = (*e).min(iter[d]);
-                }
+        mins: &mut [u32],
+        supp: &mut Vec<Cond>,
+    ) {
+        let mut note = |inst: InstId| {
+            let (op, iter) = it.pair(inst);
+            for (&l, &v) in g.op(op).loop_path().iter().zip(iter.iter()) {
+                let e = &mut mins[l.index()];
+                *e = (*e).min(v);
             }
-        }
-        let mut scratch: Vec<Cond> = Vec::new();
-        fn note_guard(
-            gd: Guard,
-            g: &cdfg::Cdfg,
-            ct: &CondTable,
-            mgr: &mut BddManager,
-            it: &InstTable,
-            scratch: &mut Vec<Cond>,
-            mins: &mut BTreeMap<LoopId, u32>,
-        ) {
-            mgr.support_into(gd, scratch);
-            for &c in scratch.iter() {
-                let (op, iter) = it.pair(ct.inst_of(c));
-                note(g, mins, op, iter);
+        };
+        let mut note_guard = |gd: Guard, note: &mut dyn FnMut(InstId)| {
+            mgr.support_into(gd, supp);
+            for &c in supp.iter() {
+                note(ct.inst_of(c));
             }
-        }
-        for (k, info) in self.avail.iter() {
-            let (op, iter) = it.pair(k.inst);
-            note(g, &mut mins, op, iter);
-            note_guard(info.guard, g, ct, mgr, it, &mut scratch, &mut mins);
-            for o in &info.operands {
+        };
+        let note_keys = |srcs: &Operands, note: &mut dyn FnMut(InstId)| {
+            for o in srcs {
                 if let ValSrc::Key(kk) = o {
-                    let (op, iter) = it.pair(kk.inst);
-                    note(g, &mut mins, op, iter);
+                    note(kk.inst);
                 }
             }
+        };
+        for (k, info) in self.avail.iter() {
+            note(k.inst);
+            note_guard(info.guard, &mut note);
+            note_keys(&info.operands, &mut note);
         }
         for c in self.cands.iter() {
-            let (op, iter) = it.pair(c.inst);
-            note(g, &mut mins, op, iter);
-            note_guard(c.guard, g, ct, mgr, it, &mut scratch, &mut mins);
-            for o in &c.operands {
-                if let ValSrc::Key(kk) = o {
-                    let (op, iter) = it.pair(kk.inst);
-                    note(g, &mut mins, op, iter);
-                }
-            }
+            note(c.inst);
+            note_guard(c.guard, &mut note);
+            note_keys(&c.operands, &mut note);
         }
         for (inst, gd) in self.obligations.iter() {
-            let (op, iter) = it.pair(*inst);
-            note(g, &mut mins, op, iter);
-            note_guard(*gd, g, ct, mgr, it, &mut scratch, &mut mins);
+            note(*inst);
+            note_guard(*gd, &mut note);
         }
         for (k, gd, _) in self.pending_conds.iter() {
-            let (op, iter) = it.pair(k.inst);
-            note(g, &mut mins, op, iter);
-            note_guard(*gd, g, ct, mgr, it, &mut scratch, &mut mins);
+            note(k.inst);
+            note_guard(*gd, &mut note);
         }
-        mins
     }
 
-    /// Keys of `avail` in content order — the canonical order the
-    /// signature renders and fold renames zip by. (The map's own order is
-    /// interner-allocation order, which differs between contexts that
-    /// discovered equivalent instances at different times.)
-    pub fn canonical_keys(&self, it: &InstTable) -> Vec<Key> {
-        let mut keys: Vec<Key> = self.avail.keys().copied().collect();
-        keys.sort_by(|a, b| cmp_key(it, a, b));
-        keys
+    /// Keys of `avail` in content order, into `out` — the canonical order
+    /// the signature renders and fold renames zip by. (The map's own
+    /// order is interner-allocation order, which differs between
+    /// contexts that discovered equivalent instances at different times.)
+    pub fn canonical_keys(&self, it: &InstTable, out: &mut Vec<Key>) {
+        out.clear();
+        out.extend(self.avail.keys().copied());
+        // Keys are distinct and content order is total on them, so the
+        // unstable sort is exact.
+        out.sort_unstable_by(|a, b| cmp_key(it, a, b));
     }
 
-    /// The canonical per-loop shift basis both signature renderers use:
+    /// The canonical per-loop shift basis both signature renderers use,
+    /// into `mins` (indexed by loop; read it through [`loop_shift`]):
     /// minimum live iteration index per loop, with loops that have no
     /// live indexed instance (typically: just exited) anchored at their
     /// floor so exit states of different iteration counts fold. Floors
@@ -736,15 +979,18 @@ impl Ctx {
         ct: &CondTable,
         mgr: &mut BddManager,
         it: &InstTable,
-    ) -> BTreeMap<LoopId, u32> {
-        let mut mins = self.collect_loop_mins(g, ct, mgr, it);
+        mins: &mut Vec<u32>,
+        supp: &mut Vec<Cond>,
+    ) {
+        mins.clear();
+        mins.resize(g.loops().len(), u32::MAX);
+        self.collect_loop_mins(g, ct, mgr, it, mins, supp);
         for ((l, _), f) in self.floor.iter() {
-            let e = mins.entry(*l).or_insert(*f);
+            let e = &mut mins[l.index()];
             if *e == u32::MAX {
                 *e = *f;
             }
         }
-        mins
     }
 
     /// Canonical signature of the context modulo a uniform per-loop
@@ -772,19 +1018,18 @@ impl Ctx {
         ct: &CondTable,
         mgr: &mut BddManager,
         it: &InstTable,
-    ) -> (String, BTreeMap<LoopId, u32>) {
-        let mins = self.loop_mins(g, ct, mgr, it);
+    ) -> (String, Vec<u32>) {
+        let mut mins = Vec::new();
+        self.loop_mins(g, ct, mgr, it, &mut mins, &mut Vec::new());
         let shift_iter = |op: OpId, iter: &[u32]| -> Vec<i64> {
             let path = g.op(op).loop_path();
             iter.iter()
                 .enumerate()
-                .map(|(d, &v)| {
-                    let l = path[d];
-                    i64::from(v) - i64::from(mins.get(&l).copied().unwrap_or(0))
-                })
+                .map(|(d, &v)| i64::from(v) - loop_shift(&mins, path[d]))
                 .collect()
         };
-        let avail_sorted = self.canonical_keys(it);
+        let mut avail_sorted = Vec::new();
+        self.canonical_keys(it, &mut avail_sorted);
         // Canonical version renumbering: versions are ranked densely per
         // instance in issue order, so contexts that differ only in how
         // many retired versions preceded the live ones still fold.
@@ -900,16 +1145,11 @@ impl Ctx {
             let _ = write!(s, "F{class}:{busy:?};");
         }
         let shifted_prefix = |l: LoopId, pre: &Iter| -> Vec<i64> {
-            let ancestors = loop_ancestors(g, l);
             pre.iter()
                 .enumerate()
                 .map(|(d, &v)| {
-                    let shift = ancestors
-                        .get(d)
-                        .and_then(|a| mins.get(a))
-                        .copied()
-                        .unwrap_or(0);
-                    i64::from(v) - i64::from(shift)
+                    let shift = loop_ancestor(g, l, d).map_or(0, |a| loop_shift(&mins, a));
+                    i64::from(v) - shift
                 })
                 .collect()
         };
@@ -917,17 +1157,17 @@ impl Ctx {
             // Shift the horizon by the loop's own min, and the outer
             // prefix by each ancestor loop's min.
             let pre_shifted = shifted_prefix(*l, pre);
-            let hs = i64::from(*h) - i64::from(mins.get(l).copied().unwrap_or(0));
+            let hs = i64::from(*h) - loop_shift(&mins, *l);
             let _ = write!(s, "H{l}@{pre_shifted:?}:{hs};");
         }
         for ((l, pre), fl) in self.floor.iter() {
             let pre_shifted = shifted_prefix(*l, pre);
-            let fs = i64::from(*fl) - i64::from(mins.get(l).copied().unwrap_or(0));
+            let fs = i64::from(*fl) - loop_shift(&mins, *l);
             let _ = write!(s, "L{l}@{pre_shifted:?}:{fs};");
         }
         for ((l, pre), wf) in self.work_floor.iter() {
             let pre_shifted = shifted_prefix(*l, pre);
-            let ws_ = i64::from(*wf) - i64::from(mins.get(l).copied().unwrap_or(0));
+            let ws_ = i64::from(*wf) - loop_shift(&mins, *l);
             let _ = write!(s, "W{l}@{pre_shifted:?}:{ws_};");
         }
         (s, mins)
@@ -1045,6 +1285,86 @@ mod tests {
             assert_eq!(oa == ob, a == b);
             assert_eq!(fx(&oa), fx(&a));
             assert_eq!(format!("{oa:?}"), format!("{a:?}"));
+        }
+    }
+
+    /// One step of a random map/set workload over small keys, so hits,
+    /// misses and same-instance version runs are all common.
+    #[derive(Debug, Clone)]
+    enum MapOp {
+        Insert(Key, u32),
+        Remove(Key),
+        Get(Key),
+        /// Keep entries whose version is not divisible by `.0`.
+        Retain(u32),
+        /// Every version of one instance, as the scheduler ranges.
+        Range(InstId),
+        /// Get-or-insert, then bump the value.
+        Bump(Key),
+    }
+
+    fn arb_key() -> pl::Gen<Key> {
+        pl::tuple2(pl::range(0u32..5), pl::range(0u32..4)).map(|(i, v)| Key::new(InstId(i), v))
+    }
+
+    fn arb_map_op() -> pl::Gen<MapOp> {
+        pl::one_of(vec![
+            pl::tuple2(arb_key(), pl::range(0u32..100)).map(|(k, v)| MapOp::Insert(k, v)),
+            arb_key().map(MapOp::Remove),
+            arb_key().map(MapOp::Get),
+            pl::range(2u32..4).map(MapOp::Retain),
+            pl::range(0u32..6).map(|i| MapOp::Range(InstId(i))),
+            arb_key().map(MapOp::Bump),
+        ])
+    }
+
+    props! {
+        /// The sorted-vector map and set answer every operation the
+        /// scheduler uses exactly as `BTreeMap`/`BTreeSet` do, and iterate
+        /// in the same order after every step.
+        fn vec_collections_behave_like_btree(ops in pl::vec_of(arb_map_op(), 0..40)) {
+            use std::collections::{BTreeMap, BTreeSet};
+            let mut map: VecMap<Key, u32> = VecMap::default();
+            let mut bmap: BTreeMap<Key, u32> = BTreeMap::new();
+            let mut set: VecSet<Key> = VecSet::default();
+            let mut bset: BTreeSet<Key> = BTreeSet::new();
+            for op in &ops {
+                match *op {
+                    MapOp::Insert(k, v) => {
+                        assert_eq!(map.insert(k, v), bmap.insert(k, v));
+                        assert_eq!(set.insert(k), bset.insert(k));
+                    }
+                    MapOp::Remove(k) => {
+                        assert_eq!(map.remove(&k), bmap.remove(&k));
+                        assert_eq!(set.remove(&k), bset.remove(&k));
+                    }
+                    MapOp::Get(k) => {
+                        assert_eq!(map.get(&k), bmap.get(&k));
+                        assert_eq!(map.contains_key(&k), bmap.contains_key(&k));
+                        assert_eq!(map.position(&k), bmap.keys().position(|x| *x == k));
+                        assert_eq!(set.contains(&k), bset.contains(&k));
+                    }
+                    MapOp::Retain(m) => {
+                        map.retain(|k, _| k.version % m != 0);
+                        bmap.retain(|k, _| k.version % m != 0);
+                        set.retain(|k| k.version % m != 0);
+                        bset.retain(|k| k.version % m != 0);
+                    }
+                    MapOp::Range(i) => {
+                        let r = Key::version_range(i);
+                        assert!(map.range(r.clone()).eq(bmap.range(r.clone())));
+                        assert!(set.range(r.clone()).eq(bset.range(r)));
+                    }
+                    MapOp::Bump(k) => {
+                        *map.get_or_insert_with(k, || 7) += 1;
+                        *bmap.entry(k).or_insert(7) += 1;
+                    }
+                }
+                assert_eq!(map.len(), bmap.len());
+                assert!(map.iter().eq(bmap.iter()));
+                assert!(set.iter().eq(bset.iter()));
+                assert_eq!(set.len(), bset.len());
+            }
         }
     }
 
@@ -1172,8 +1492,8 @@ mod tests {
         let (sig_a, mins_a) = a.signature(&g, &ct, &mut mgr, &it);
         let (sig_b, mins_b) = b.signature(&g, &ct, &mut mgr, &it);
         assert_eq!(sig_a, sig_b, "uniformly shifted contexts fold");
-        assert_eq!(mins_a[&lp], 3);
-        assert_eq!(mins_b[&lp], 7);
+        assert_eq!(mins_a[lp.index()], 3);
+        assert_eq!(mins_b[lp.index()], 7);
         let c = mk(&[3, 5], &mut it);
         let (sig_c, _) = c.signature(&g, &ct, &mut mgr, &it);
         assert_ne!(sig_a, sig_c, "non-uniform spacing does not fold");
@@ -1213,9 +1533,11 @@ mod tests {
         let (sa, _) = a.signature(&g, &ct, &mut mgr, &it);
         let (sb, _) = b.signature(&g, &ct, &mut mgr, &it);
         assert_eq!(sa, sb);
-        assert_eq!(a.canonical_keys(&it), b.canonical_keys(&it));
+        let (mut ck, mut ck_b) = (Vec::new(), Vec::new());
+        a.canonical_keys(&it, &mut ck);
+        b.canonical_keys(&it, &mut ck_b);
+        assert_eq!(ck, ck_b);
         // Canonical keys are content-sorted even though id order differs.
-        let ck = a.canonical_keys(&it);
         assert_eq!(ck[0].inst, i0);
         assert_eq!(ck[1].inst, i1);
     }

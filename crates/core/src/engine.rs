@@ -7,11 +7,11 @@
 //! folding.
 
 use crate::ctx::{
-    cmp_inst, cmp_src, loop_ancestors, AvailInfo, Candidate, CondInst, CondTable, Ctx, InstId,
-    InstTable, Iter, Key, ValSrc, MAX_NEST,
+    cmp_inst, cmp_src, loop_ancestor, AvailInfo, Candidate, CondInst, CondTable, Ctx, InstId,
+    InstTable, Iter, Key, ValSrc, VecMap, MAX_NEST,
 };
 use crate::fault::{FaultState, FaultStats, Probe};
-use crate::resolve::{Res, Tables};
+use crate::resolve::{GenScratch, Res, Tables};
 use crate::sig::SigBuilder;
 use crate::{BlockedInst, Mode, SchedConfig, SchedError, StuckReport};
 use cdfg::analysis::{self, BranchProbs};
@@ -257,7 +257,7 @@ type LoopCtx = (LoopId, Iter);
 type CapContrib = Vec<(LoopCtx, u32)>;
 
 /// The candidate iteration window `(lo, hi)` per loop context.
-type Domain = BTreeMap<LoopCtx, (u32, u32)>;
+type Domain = VecMap<LoopCtx, (u32, u32)>;
 
 /// The value of `key` in a per-loop-context accumulator, inserted as
 /// `init` when absent. Few loop contexts are live at once, so these
@@ -346,6 +346,19 @@ struct Engine<'a> {
     /// Reusable accumulator of [`Self::cap_lookahead`]: the oldest
     /// unresolved condition iteration per loop context.
     oldest_buf: CapContrib,
+    /// Reusable buffers of the resolution walk ([`Res::scratch`]).
+    gen: GenScratch,
+    /// Spare entry buffers for [`Self::iter_domain`] results.
+    domain_bufs: Vec<Vec<(LoopCtx, (u32, u32))>>,
+    /// Reusable buffers of [`Self::gc`]: the live mark of each `avail`
+    /// entry by position, the version lists of the consumer walk, the
+    /// ops of dropped versions, and the live loops by index.
+    gc_marks: Vec<bool>,
+    gc_versions: Vec<(ValSrc, Guard)>,
+    gc_ops: Vec<OpId>,
+    gc_loops: Vec<bool>,
+    /// Reusable list of the candidate indices one issue removes.
+    removed_buf: Vec<usize>,
     /// Construction time, for the run's wall-clock accounting.
     started: Instant,
     /// Wall-clock point at which the run aborts with
@@ -407,6 +420,13 @@ impl<'a> Engine<'a> {
             iter_buf: Vec::new(),
             dirty_buf: Vec::new(),
             oldest_buf: Vec::new(),
+            gen: GenScratch::default(),
+            domain_bufs: Vec::new(),
+            gc_marks: Vec::new(),
+            gc_versions: Vec::new(),
+            gc_ops: Vec::new(),
+            gc_loops: Vec::new(),
+            removed_buf: Vec::new(),
             started,
             deadline: cfg
                 .budget
@@ -460,6 +480,7 @@ impl<'a> Engine<'a> {
             it: &mut self.it,
             memo: &mut self.memo,
             events: &mut self.events,
+            scratch: &mut self.gen,
         }
     }
 
@@ -527,8 +548,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Hashed canonical signature of a context, timed under the
-    /// `signature` phase. Every probed signature is appended to the
-    /// trail for differential testing.
+    /// `signature` phase; leaves the context's canonical keys in
+    /// `self.sig`. Every probed signature is appended to the trail for
+    /// differential testing.
     fn hashed_signature(&mut self, ctx: &Ctx) -> u128 {
         let t = Instant::now();
         let sig = ctx.signature_hash(self.g, &self.ct, &mut self.mgr, &self.it, &mut self.sig);
@@ -577,7 +599,7 @@ impl<'a> Engine<'a> {
             return self.finish();
         }
         let sig = self.hashed_signature(&ctx0);
-        let keys0 = ctx0.canonical_keys(&self.it);
+        let keys0 = self.sig.canonical_keys().to_vec();
         self.sigs.insert(sig, (start, keys0));
         self.stats.states = 1;
 
@@ -649,7 +671,7 @@ impl<'a> Engine<'a> {
                 let sig = self.hashed_signature(&bctx);
                 let t_fold = Instant::now();
                 if let Some((tid, old_keys)) = self.sigs.get(&sig) {
-                    let renames = fold_renames(&bctx, old_keys, &self.it);
+                    let renames = fold_renames(self.sig.canonical_keys(), old_keys, &self.it);
                     let tid = *tid;
                     self.stats.phases.fold.add(t_fold.elapsed());
                     if tid == sid && when.is_empty() && self.stg.state(sid).ops.is_empty() {
@@ -669,7 +691,7 @@ impl<'a> Engine<'a> {
                     if self.stats.states > self.cfg.max_states {
                         return Err(SchedError::StateLimit(self.cfg.max_states));
                     }
-                    let keys = bctx.canonical_keys(&self.it);
+                    let keys = self.sig.canonical_keys().to_vec();
                     self.sigs.insert(sig, (nid, keys));
                     self.stats.phases.fold.add(t_fold.elapsed());
                     self.stg.state_mut(sid).transitions.push(Transition {
@@ -760,16 +782,19 @@ impl<'a> Engine<'a> {
             // instance. Record the removed indices (sorted) so the
             // surviving ready entries can be remapped in place.
             let inst = ctx.cands[idx].inst;
-            let removed: Vec<usize> = if ctx.cands[idx].guard.is_true() {
-                ctx.cands
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.inst == inst)
-                    .map(|(i, _)| i)
-                    .collect()
+            let mut removed = std::mem::take(&mut self.removed_buf);
+            removed.clear();
+            if ctx.cands[idx].guard.is_true() {
+                removed.extend(
+                    ctx.cands
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, c)| c.inst == inst)
+                        .map(|(i, _)| i),
+                );
             } else {
-                vec![idx]
-            };
+                removed.push(idx);
+            }
             self.issue(sid, ctx, idx, start, &mut issued, &mut class_use);
             ready.retain_mut(|e| {
                 if removed.binary_search(&e.idx).is_ok() {
@@ -778,13 +803,14 @@ impl<'a> Engine<'a> {
                 e.idx -= removed.partition_point(|&r| r < e.idx);
                 true
             });
+            self.removed_buf = removed;
             self.sweep(ctx)?;
             if self.cfg.reference_sweep {
                 self.events.clear();
                 ready = self.build_ready(ctx);
             } else {
-                let events = std::mem::take(&mut self.events);
-                for ev in events {
+                let mut events = std::mem::take(&mut self.events);
+                for ev in events.drain(..) {
                     match ev {
                         crate::resolve::CandEvent::Added(i) => {
                             self.ready_insert(&mut ready, ctx, i)
@@ -804,6 +830,7 @@ impl<'a> Engine<'a> {
                         crate::resolve::CandEvent::Retokened(_) => {}
                     }
                 }
+                self.events = events;
             }
         }
         // Stall / deadlock detection: an empty state must be waiting on
@@ -1091,7 +1118,9 @@ impl<'a> Engine<'a> {
             }
         }
         for (i, p) in g.op(op).ports().iter().enumerate() {
-            if r.port_versions(ctx, p, op, iter).is_empty() {
+            let mut versions = Vec::new();
+            r.port_versions(ctx, p, op, iter, &mut versions);
+            if versions.is_empty() {
                 return format!(
                     "no value version for operand {i} ({})",
                     describe_port(r.g, p)
@@ -1197,7 +1226,9 @@ impl<'a> Engine<'a> {
             let class = classify(kind);
             *class_use.entry(class).or_insert(0) += 1;
             if !s.pipelined && s.latency > 1 {
-                ctx.fu_busy_mut().entry(class).or_default().push(s.latency);
+                ctx.fu_busy_mut()
+                    .get_or_insert_with(class, Vec::new)
+                    .push(s.latency);
             }
         }
         if kind.has_side_effect() {
@@ -1292,16 +1323,10 @@ impl<'a> Engine<'a> {
         // horizons, and work floors. Mid-sweep, all of those mutate only
         // under a generator's `n > 0` path, so passes that generated
         // nothing reuse the previous pass's domain verbatim.
-        let mut domain = Domain::new();
-        let mut domain_stale = true;
+        let mut domain = self.swept_domain(ctx);
         let mut dirty = std::mem::take(&mut self.dirty_buf);
         let mut iters = std::mem::take(&mut self.iter_buf);
         loop {
-            if domain_stale {
-                domain = self.iter_domain(ctx);
-                self.cap_lookahead(ctx, &mut domain);
-                self.mark_domain_growth(ctx, &domain);
-            }
             if self.cfg.reference_sweep {
                 self.mark_all(ctx);
             }
@@ -1309,12 +1334,15 @@ impl<'a> Engine<'a> {
                 break;
             }
             let added = self.sweep_pass(ctx, &domain, &mut dirty, &mut iters);
-            domain_stale = added > 0;
             // Reference mode marks everything each pass, so the dirty
             // set alone never quiesces — fall back to the legacy
             // nothing-generated fixpoint test.
             if self.cfg.reference_sweep && added == 0 {
                 break;
+            }
+            if added > 0 {
+                let stale = std::mem::replace(&mut domain, self.swept_domain(ctx));
+                self.recycle_domain(stale);
             }
         }
         // Containment audit for the dropped-sweep-event fault: once any
@@ -1335,6 +1363,7 @@ impl<'a> Engine<'a> {
             self.mark_all(ctx);
             let added = self.sweep_pass(ctx, &domain, &mut dirty, &mut iters);
             if added > 0 || self.events.len() > events_before {
+                self.recycle_domain(domain);
                 return Err(SchedError::Internal {
                     context: format!(
                         "dropped sweep event detected by reference audit: \
@@ -1345,7 +1374,18 @@ impl<'a> Engine<'a> {
         }
         self.dirty_buf = dirty;
         self.iter_buf = iters;
+        self.recycle_domain(domain);
         Ok(())
+    }
+
+    /// The candidate window a sweep pass enumerates: the live domain
+    /// under the lookahead cap. Marks the readers of every loop whose
+    /// window grew.
+    fn swept_domain(&mut self, ctx: &mut Ctx) -> Domain {
+        let mut domain = self.iter_domain(ctx);
+        self.cap_lookahead(ctx, &mut domain);
+        self.mark_domain_growth(ctx, &domain);
+        domain
     }
 
     /// Containment audit for the gc-storm fault: re-runs the
@@ -1381,7 +1421,7 @@ impl<'a> Engine<'a> {
             return;
         }
         let mut grew: BTreeSet<LoopId> = BTreeSet::new();
-        for (key, &(lo, hi)) in domain {
+        for (key, &(lo, hi)) in domain.iter() {
             match ctx.sweep_domain.get(key) {
                 Some(&(plo, phi)) => {
                     if lo < plo || hi > phi {
@@ -1393,7 +1433,7 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        *ctx.sweep_domain_mut() = domain.clone();
+        ctx.sweep_domain_mut().clone_from(domain);
         for l in grew {
             self.mark_loop_changed(ctx, l);
         }
@@ -1523,10 +1563,11 @@ impl<'a> Engine<'a> {
     /// The live iteration window per loop context, derived from the keys
     /// present in the context (plus one beyond each horizon so loops can
     /// keep unrolling).
-    fn iter_domain(&self, ctx: &Ctx) -> Domain {
-        // Accumulate the windows with linear lookup and build the
-        // ordered map once.
-        let mut dom: Vec<(LoopCtx, (u32, u32))> = Vec::new();
+    fn iter_domain(&mut self, ctx: &Ctx) -> Domain {
+        // Accumulate the windows with linear lookup in a spare buffer,
+        // then sort it once.
+        let mut dom = self.domain_bufs.pop().unwrap_or_default();
+        dom.clear();
         fn note(dom: &mut Vec<(LoopCtx, (u32, u32))>, g: &Cdfg, op: OpId, iter: &[u32]) {
             let path = g.op(op).loop_path();
             for (d, &l) in path.iter().enumerate() {
@@ -1555,19 +1596,23 @@ impl<'a> Engine<'a> {
             e.0 = e.0.min(*h);
             e.1 = e.1.max(h + 1);
         }
-        dom.into_iter()
-            .map(|(key, mut e)| {
-                if e.0 == u32::MAX {
-                    e.0 = 0;
-                }
-                // Lagging (not-yet-done) iterations stay enumerable even
-                // when every live value has moved past them.
-                let wf = ctx.work_floor.get(&key).copied().unwrap_or(0);
-                e.0 = e.0.min(wf);
-                e.1 = e.1.max(e.0 + 1);
-                (key, e)
-            })
-            .collect()
+        for (key, e) in dom.iter_mut() {
+            if e.0 == u32::MAX {
+                e.0 = 0;
+            }
+            // Lagging (not-yet-done) iterations stay enumerable even
+            // when every live value has moved past them.
+            let wf = ctx.work_floor.get(key).copied().unwrap_or(0);
+            e.0 = e.0.min(wf);
+            e.1 = e.1.max(e.0 + 1);
+        }
+        VecMap::from_unsorted(dom)
+    }
+
+    /// Returns a domain's buffer to the pool [`Self::iter_domain`] draws
+    /// from.
+    fn recycle_domain(&mut self, domain: Domain) {
+        self.domain_bufs.push(domain.into_entries());
     }
 
     /// Promotes versions whose guard resolved to constant true:
@@ -1594,46 +1639,47 @@ impl<'a> Engine<'a> {
     /// per-iteration bookkeeping below the live window. Without this,
     /// steady-state loop contexts would never fold.
     fn gc(&mut self, ctx: &mut Ctx) {
-        let mut marks: FxHashSet<Key> = FxHashSet::default();
+        // One live mark per `avail` entry, by position: positions hold
+        // until the retain below, and marking a key that is not
+        // available is a no-op.
+        let mut marks = std::mem::take(&mut self.gc_marks);
+        marks.clear();
+        marks.resize(ctx.avail.len(), false);
+        let mut unmarked = ctx.avail.len();
         for c in ctx.cands.iter() {
             for o in &c.operands {
                 if let ValSrc::Key(k) = o {
-                    marks.insert(*k);
+                    mark_live(&ctx.avail, &mut marks, &mut unmarked, k);
                 }
             }
             for t in c.tokens.iter().flatten() {
-                marks.insert(*t);
+                mark_live(&ctx.avail, &mut marks, &mut unmarked, t);
             }
         }
         for (k, _, _) in ctx.pending_conds.iter() {
-            marks.insert(*k);
+            mark_live(&ctx.avail, &mut marks, &mut unmarked, k);
         }
         // Potential-consumer sweep: any not-yet-decided instance marks
-        // every version that could still feed it. `unmarked` tracks the
-        // keys whose fate is still open; once it drains, the retain
-        // below is a no-op no matter what further marking would find,
-        // so the port walks can stop. Two caveats keep the shortcut
-        // invisible: `token()` can record a provable exit settlement as
-        // a side effect, so ops with order deps are still visited in
-        // their original position; and every instance in the window has
-        // already been swept at least once (window growth marks it), so
-        // the skipped resolution walks would have allocated no new BDD
-        // variables or literals anyway.
-        let mut unmarked: FxHashSet<Key> = ctx
-            .avail
-            .keys()
-            .filter(|k| !marks.contains(k))
-            .copied()
-            .collect();
+        // every version that could still feed it. `unmarked` counts the
+        // keys whose fate is still open; once it drops to zero, the
+        // retain below is a no-op no matter what further marking would
+        // find, so the port walks can stop. Two caveats keep the
+        // shortcut invisible: `token()` can record a provable exit
+        // settlement as a side effect, so ops with order deps are still
+        // visited in their original position; and every instance in the
+        // window has already been swept at least once (window growth
+        // marks it), so the skipped resolution walks would have
+        // allocated no new BDD variables or literals anyway.
         let domain = self.iter_domain(ctx);
         let g = self.g;
         let mut iters = std::mem::take(&mut self.iter_buf);
+        let mut versions = std::mem::take(&mut self.gc_versions);
         for op in g.ops() {
             if !self.useful[op.id().index()] || op.kind().is_source() {
                 continue;
             }
             let has_order = !op.order_deps().is_empty();
-            if unmarked.is_empty() && !has_order {
+            if unmarked == 0 && !has_order {
                 continue;
             }
             enumerate_iters(g, op.id(), &domain, ctx, &mut iters);
@@ -1645,7 +1691,7 @@ impl<'a> Engine<'a> {
                 {
                     continue;
                 }
-                if unmarked.is_empty() && !has_order {
+                if unmarked == 0 && !has_order {
                     break;
                 }
                 let mut r = self.res();
@@ -1654,25 +1700,27 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 if op.kind().is_pass_through() {
-                    if !unmarked.is_empty() {
-                        for (v, gv) in r.copy_versions(ctx, op.id(), iter) {
+                    if unmarked > 0 {
+                        versions.clear();
+                        r.copy_versions(ctx, op.id(), iter, &mut versions);
+                        for &(v, gv) in &versions {
                             if let ValSrc::Key(k) = v {
                                 if !r.mgr.and(ctrl, gv).is_false() {
-                                    marks.insert(k);
-                                    unmarked.remove(&k);
+                                    mark_live(&ctx.avail, &mut marks, &mut unmarked, &k);
                                 }
                             }
                         }
                     }
                     continue;
                 }
-                if !unmarked.is_empty() {
+                if unmarked > 0 {
                     for p in op.ports() {
-                        for (v, gv) in r.port_versions(ctx, p, op.id(), iter) {
+                        versions.clear();
+                        r.port_versions(ctx, p, op.id(), iter, &mut versions);
+                        for &(v, gv) in &versions {
                             if let ValSrc::Key(k) = v {
                                 if !r.mgr.and(ctrl, gv).is_false() {
-                                    marks.insert(k);
-                                    unmarked.remove(&k);
+                                    mark_live(&ctx.avail, &mut marks, &mut unmarked, &k);
                                 }
                             }
                         }
@@ -1680,52 +1728,61 @@ impl<'a> Engine<'a> {
                 }
                 for p in op.order_deps() {
                     if let Ok(Some(k)) = r.token(ctx, p, op.id(), iter) {
-                        marks.insert(k);
-                        unmarked.remove(&k);
+                        mark_live(&ctx.avail, &mut marks, &mut unmarked, &k);
                     }
                 }
             }
         }
         self.iter_buf = iters;
-        if !unmarked.is_empty() {
+        self.gc_versions = versions;
+        self.recycle_domain(domain);
+        if unmarked > 0 {
             // Dropping a version re-enables its op's generator: the
             // issued-dedup and max-versions caps read `avail`, so the
             // next sweep may derive candidates it previously refused.
-            // Mark the dropped ops exactly as a full re-sort would
-            // observe the change.
-            let dropped: BTreeSet<OpId> = ctx
-                .avail
-                .keys()
-                .filter(|k| !marks.contains(k))
-                .map(|k| self.it.op(k.inst))
-                .collect();
-            ctx.avail_mut().retain(|k, _| marks.contains(k));
-            for op in dropped {
+            // Mark the dropped ops, in op order, exactly as a full
+            // re-sort would observe the change.
+            let mut dropped = std::mem::take(&mut self.gc_ops);
+            dropped.clear();
+            dropped.extend(
+                ctx.avail
+                    .keys()
+                    .zip(&marks)
+                    .filter(|(_, &live)| !live)
+                    .map(|(k, _)| self.it.op(k.inst)),
+            );
+            dropped.sort_unstable();
+            dropped.dedup();
+            let mut pos = 0;
+            ctx.avail_mut().retain(|_, _| {
+                pos += 1;
+                marks[pos - 1]
+            });
+            for &op in &dropped {
                 self.mark_op_changed(ctx, op);
             }
+            self.gc_ops = dropped;
         }
         // Tombstone operand provenance that references collected keys:
         // keeping dead names would pin the iteration window open and
         // block steady-state folding. (An emptied list can never collide
         // with a real candidate's operand list, so re-issue dedup stays
-        // sound.)
-        let live: FxHashSet<Key> = ctx.avail.keys().copied().collect();
-        let any_dead = ctx.avail.values().any(|info| {
+        // sound.) `marks` now flags the entries to tombstone.
+        let avail = &ctx.avail;
+        marks.clear();
+        marks.extend(avail.values().map(|info| {
             info.operands
                 .iter()
-                .any(|o| matches!(o, ValSrc::Key(k) if !live.contains(k)))
-        });
-        if any_dead {
-            for info in ctx.avail_mut().values_mut() {
-                let dead = info
-                    .operands
-                    .iter()
-                    .any(|o| matches!(o, ValSrc::Key(k) if !live.contains(k)));
+                .any(|o| matches!(o, ValSrc::Key(k) if !avail.contains_key(k)))
+        }));
+        if marks.contains(&true) {
+            for (info, &dead) in ctx.avail_mut().values_mut().zip(&marks) {
                 if dead {
                     info.operands.clear();
                 }
             }
         }
+        self.gc_marks = marks;
 
         // Advance work floors: iteration w of a loop context is complete
         // when every direct member's instance at w is executed or
@@ -1830,26 +1887,30 @@ impl<'a> Engine<'a> {
         // Horizons/floors: keep any loop that a live instance indexes, or
         // that the fanin cone of a pending obligation / candidate can
         // still reference through exit views.
-        let mut live_loops = indexed_loops(g, ctx, &self.it);
+        let mut live_loops = std::mem::take(&mut self.gc_loops);
+        live_loops.clear();
+        live_loops.resize(g.loops().len(), false);
+        mark_indexed_loops(g, ctx, &self.it, &mut live_loops);
         for inst in ctx
             .obligations
             .keys()
             .chain(ctx.cands.iter().map(|c| &c.inst))
         {
             let op = self.it.op(*inst);
-            live_loops.extend(self.loops_needed[op.index()].iter().copied());
+            for l in &self.loops_needed[op.index()] {
+                live_loops[l.index()] = true;
+            }
         }
         // A loop context whose outer-iteration prefix left the
         // enumeration domain can never be entered again; its horizons,
         // floors and work floors are dead weight that would block
         // folding.
         let keep = |l: &LoopId, prefix: &Iter| -> bool {
-            if !live_loops.contains(l) {
+            if !live_loops[l.index()] {
                 return false;
             }
-            let ancestors = loop_ancestors(g, *l);
             prefix.iter().enumerate().all(|(d, &v)| {
-                ancestors.get(d).is_some_and(|&a| {
+                loop_ancestor(g, *l, d).is_some_and(|a| {
                     domain
                         .get(&(a, Iter::from_slice(&prefix[..d])))
                         .is_some_and(|(lo, hi)| *lo <= v && v <= *hi)
@@ -1866,6 +1927,8 @@ impl<'a> Engine<'a> {
                 Arc::make_mut(map).retain(|(l, p), _| keep(l, p));
             }
         }
+        self.gc_loops = live_loops;
+        self.recycle_domain(domain);
         for l in pruned {
             self.mark_loop_changed(ctx, l);
         }
@@ -2020,33 +2083,62 @@ fn useful_ops(g: &Cdfg) -> Vec<bool> {
 }
 
 /// Per op: the ops whose candidate generation reads this op's context
-/// entries, plus the op itself. Generation reads `avail` only of an
-/// op's *direct* port and ordering sources — a consumer of a
-/// pass-through sees the pass-through's *issued copies*, never its
-/// sources (pass-throughs are scheduled as real register transfers),
-/// and steering/control guards resolve structurally through
-/// `resolved`/`floor`, which are frozen while a state grows. One hop
-/// therefore suffices for the sweep memo's event fan-out.
+/// entries, plus the op itself. Generation reads the `avail` of an op's
+/// *direct* port sources — a consumer of a pass-through sees the
+/// pass-through's *issued copies*, never its sources (pass-throughs are
+/// scheduled as real register transfers), and steering/control guards
+/// resolve structurally through `resolved`/`floor`, which are frozen
+/// while a state grows — so one hop suffices for value ports. Order
+/// tokens are the exception: settling one walks past dead accesses and
+/// loop-exit token views to *their* predecessors, so an op reads every
+/// access its order chain reaches through them, and an issue anywhere
+/// along that chain must re-generate it.
 fn direct_consumers(g: &Cdfg) -> Vec<Vec<OpId>> {
     let n = g.ops().len();
     let mut consumers: Vec<Vec<OpId>> = vec![Vec::new(); n];
     for (i, v) in consumers.iter_mut().enumerate() {
         v.push(OpId::new(i as u32));
     }
+    let sources = |p: &PortKind, out: &mut Vec<OpId>| match *p {
+        PortKind::Wire(s) => out.push(s),
+        PortKind::Carried { src, init, .. } | PortKind::Exit { src, init, .. } => {
+            out.push(src);
+            out.push(init);
+        }
+    };
+    let mut read: Vec<OpId> = Vec::new();
+    let mut seen = vec![false; n];
     for op in g.ops() {
-        let mut add = |s: OpId| {
+        read.clear();
+        for p in op.ports() {
+            sources(p, &mut read);
+        }
+        // Order-token settlement looks *through* predecessors: a dead
+        // access forwards to its own order predecessors, and a
+        // pass-through (a loop-exit token view) to its port.
+        seen.fill(false);
+        let mut stack: Vec<OpId> = Vec::new();
+        for p in op.order_deps() {
+            sources(p, &mut stack);
+        }
+        while let Some(x) = stack.pop() {
+            if std::mem::replace(&mut seen[x.index()], true) {
+                continue;
+            }
+            read.push(x);
+            let xo = g.op(x);
+            if xo.kind() == cdfg::OpKind::Pass {
+                sources(&xo.ports()[0], &mut stack);
+            } else {
+                for p in xo.order_deps() {
+                    sources(p, &mut stack);
+                }
+            }
+        }
+        for s in &read {
             let v = &mut consumers[s.index()];
             if !v.contains(&op.id()) {
                 v.push(op.id());
-            }
-        };
-        for p in op.ports().iter().chain(op.order_deps()) {
-            match *p {
-                PortKind::Wire(s) => add(s),
-                PortKind::Carried { src, init, .. } | PortKind::Exit { src, init, .. } => {
-                    add(src);
-                    add(init);
-                }
             }
         }
     }
@@ -2271,9 +2363,10 @@ fn enumerate_iters(g: &Cdfg, op: OpId, domain: &Domain, ctx: &Ctx, out: &mut Vec
     }
 }
 
-/// The loops some live instance (an available version, candidate,
-/// obligation, or pending condition) carries an iteration index for.
-fn indexed_loops(g: &Cdfg, ctx: &Ctx, it: &InstTable) -> BTreeSet<LoopId> {
+/// Flags in `live` (indexed by loop) the loops some live instance (an
+/// available version, candidate, obligation, or pending condition)
+/// carries an iteration index for.
+fn mark_indexed_loops(g: &Cdfg, ctx: &Ctx, it: &InstTable, live: &mut [bool]) {
     let insts = ctx
         .avail
         .keys()
@@ -2281,23 +2374,34 @@ fn indexed_loops(g: &Cdfg, ctx: &Ctx, it: &InstTable) -> BTreeSet<LoopId> {
         .chain(ctx.cands.iter().map(|c| c.inst))
         .chain(ctx.obligations.keys().copied())
         .chain(ctx.pending_conds.iter().map(|(k, _, _)| k.inst));
-    let mut loops = BTreeSet::new();
     for inst in insts {
         let (op, iter) = it.pair(inst);
-        loops.extend(g.op(op).loop_path().iter().take(iter.len()).copied());
+        for l in g.op(op).loop_path().iter().take(iter.len()) {
+            live[l.index()] = true;
+        }
     }
-    loops
 }
 
-/// Register relabelings for a fold edge.
+/// Marks `k` live in a gc pass's per-position `marks` over `avail`,
+/// counting down `unmarked` the first time an entry is marked.
+fn mark_live(avail: &VecMap<Key, AvailInfo>, marks: &mut [bool], unmarked: &mut usize, k: &Key) {
+    if let Some(p) = avail.position(k) {
+        if !marks[p] {
+            marks[p] = true;
+            *unmarked -= 1;
+        }
+    }
+}
+
+/// Register relabelings for a fold edge: `new_keys` are the folding
+/// context's canonical keys, `old_keys` the fold target's.
 ///
 /// Equal signatures guarantee the two contexts' value registries
 /// correspond positionally *in content order* (the signature serializes
 /// `avail` content-sorted), so the rename map simply pairs the folding
 /// context's canonical keys with the fold target's — realizing the
 /// variable relabelings of Example 10 without re-deriving shifts.
-fn fold_renames(ctx: &Ctx, old_keys: &[Key], it: &InstTable) -> Vec<(OpInst, OpInst)> {
-    let new_keys = ctx.canonical_keys(it);
+fn fold_renames(new_keys: &[Key], old_keys: &[Key], it: &InstTable) -> Vec<(OpInst, OpInst)> {
     debug_assert_eq!(new_keys.len(), old_keys.len(), "signature collision");
     new_keys
         .iter()
@@ -2603,17 +2707,23 @@ mod tests {
     /// event-driven sweep with its incrementally patched ready list
     /// must reproduce the reference regenerate-and-re-sort sweep
     /// *exactly* — same error status, same states, same per-state issue
-    /// order, same fold signature trail.
+    /// order, same fold signature trail — and each of its fixpoints must
+    /// survive the reference audit.
     mod differential {
         use super::*;
         use spec_support::props;
         use spec_support::proptest_lite as pl;
 
         /// Random schedulable sources: straight-line code, branches,
-        /// and a bounded loop over binops drawn from `{+, -, <, ==}`
-        /// (adder, subtracter, comparator, eq-comparator — classes the
+        /// reads and writes of a memory `M`, a bounded loop, and up to
+        /// two data-dependent loops scanning `M` (the FindminSharedMem
+        /// shape), over binops drawn from `{+, -, <, ==}` (adder,
+        /// subtracter, comparator, eq-comparator — classes the
         /// differential allocation grants generously, so programs
-        /// schedule rather than get stuck).
+        /// schedule rather than get stuck). Every access to `M` is
+        /// ordered after the previous one, so memory statements around
+        /// and between the loops build the order-token chains that
+        /// settle through loop exits.
         fn arb_expr() -> pl::Gen<String> {
             let leaf = pl::one_of(vec![
                 pl::range(0i64..8).map(|v| v.to_string()),
@@ -2622,6 +2732,8 @@ mod tests {
                     pl::just("y"),
                     pl::just("a"),
                     pl::just("b"),
+                    pl::just("M[a]"),
+                    pl::just("M[1]"),
                 ])
                 .map(str::to_string),
             ]);
@@ -2641,8 +2753,11 @@ mod tests {
         }
 
         fn arb_stmt() -> pl::Gen<String> {
-            let assign = pl::tuple2(pl::one_of(vec![pl::just("a"), pl::just("b")]), arb_expr())
-                .map(|(n, e)| format!("{n} = {e};"));
+            let assign = pl::tuple2(
+                pl::one_of(vec![pl::just("a"), pl::just("b"), pl::just("M[b]")]),
+                arb_expr(),
+            )
+            .map(|(n, e)| format!("{n} = {e};"));
             pl::recursive(2, assign, |inner| {
                 pl::one_of(vec![
                     pl::tuple3(arb_expr(), inner.clone(), inner.clone())
@@ -2653,16 +2768,31 @@ mod tests {
         }
 
         fn arb_src() -> pl::Gen<String> {
-            pl::tuple3(arb_stmt(), arb_stmt(), pl::boolean()).map(|(s1, s2, with_loop)| {
-                let body = if with_loop {
-                    format!("while (i < 3) {{ {s1} i = i + 1; }} {s2}")
+            pl::tuple3(
+                pl::tuple2(arb_stmt(), arb_stmt()),
+                pl::boolean(),
+                pl::range(0u32..3),
+            )
+            .map(|((s1, s2), with_loop, scans)| {
+                let counted = if with_loop {
+                    format!("while (i < 3) {{ {s1} i = i + 1; }}")
                 } else {
-                    format!("{s1} {s2}")
+                    s1
+                };
+                let scan1 = if scans >= 1 {
+                    "while (j < x) { var u = M[j]; if (u < a) { a = u; } j = j + 1; }"
+                } else {
+                    ""
+                };
+                let scan2 = if scans >= 2 {
+                    "while (k < y) { var w = M[k]; if (w < b) { b = b + 1; } k = k + 1; }"
+                } else {
+                    ""
                 };
                 format!(
-                    "design rnd {{ input x, y; output o;
-                      var a = x; var b = y; var i = 0;
-                      {body}
+                    "design rnd {{ input x, y; output o; mem M[8];
+                      var a = x; var b = y; var i = 0; var j = 0; var k = 0;
+                      {counted} {scan1} {s2} {scan2}
                       o = a + b; }}"
                 )
             })
@@ -2676,7 +2806,8 @@ mod tests {
                 .with(FuClass::Subtracter, 2)
                 .with(FuClass::Comparator, 2)
                 .with(FuClass::EqComparator, 2)
-                .with(FuClass::Incrementer, 2);
+                .with(FuClass::Incrementer, 2)
+                .with(FuClass::MemPort(cdfg::MemId::new(0)), 1);
             let probs = BranchProbs::new();
             let mut cfg = SchedConfig::new(mode);
             cfg.max_states = 512;
@@ -2707,6 +2838,17 @@ mod tests {
                     a.is_ok(),
                     b.is_ok()
                 ),
+            }
+            // A missed event can delay a generation without changing the
+            // schedule it converges to. Arm the dropped-event audit with
+            // no probe that fires, so every incremental fixpoint must
+            // also be a reference fixpoint, where it is reached.
+            let mut audited = Engine::new(&g, &lib, &alloc, &probs, &cfg);
+            let mut faults = FaultState::new(crate::FaultPlan::new(0).with_probes(Vec::new()));
+            faults.dropped_any = true;
+            audited.faults = Some(faults);
+            if let Err(SchedError::Internal { context }) = audited.run() {
+                panic!("{mode}: {context}\n{src}");
             }
         }
 

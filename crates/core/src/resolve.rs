@@ -103,6 +103,32 @@ pub(crate) enum CandEvent {
     Retokened(usize),
 }
 
+/// Reusable buffers of the resolution walk, owned by the engine so the
+/// per-call version lists and candidate products are allocated once per
+/// run rather than once per call.
+#[derive(Debug, Default)]
+pub(crate) struct GenScratch {
+    /// Select-steering instances of [`Res::copy_versions`].
+    steer: Vec<((OpId, Iter), Guard)>,
+    /// The buffers of one [`Res::gen_candidates`] call, moved out while
+    /// it runs.
+    gen: GenBufs,
+}
+
+/// The buffers of one [`Res::gen_candidates`] call.
+#[derive(Debug, Default)]
+struct GenBufs {
+    /// The version set of the port (or copy source) being combined.
+    versions: Vec<(ValSrc, Guard)>,
+    /// Operand combinations so far, and the next port's extension.
+    combos: Vec<(Operands, Guard)>,
+    next: Vec<(Operands, Guard)>,
+    /// Indices of the instance's existing candidates.
+    mine: Vec<usize>,
+    /// Settled ordering tokens.
+    tokens: Vec<Option<Key>>,
+}
+
 /// Bundle of mutable scheduling state threaded through resolution.
 pub(crate) struct Res<'a> {
     pub g: &'a Cdfg,
@@ -112,6 +138,7 @@ pub(crate) struct Res<'a> {
     pub it: &'a mut InstTable,
     pub memo: &'a mut GuardMemo,
     pub events: &'a mut Vec<CandEvent>,
+    pub scratch: &'a mut GenScratch,
 }
 
 impl Res<'_> {
@@ -269,57 +296,68 @@ impl Res<'_> {
         acc
     }
 
-    /// All currently derivable value versions of `(op, iter)` with
-    /// their validity guards. Pass-throughs (selects, passes) are
-    /// *scheduled* as free copy operations — each loop iteration's merge
-    /// gets a fresh registry name, which is what lets steady-state
-    /// contexts fold under a uniform iteration shift (the register
-    /// transfers of Fig. 14) — so their versions, like any real op's,
-    /// are their issued keys.
-    pub fn value_versions(&mut self, ctx: &Ctx, op: OpId, iter: &[u32]) -> Vec<(ValSrc, Guard)> {
+    /// Appends to `out` all currently derivable value versions of `(op,
+    /// iter)` with their validity guards. Pass-throughs (selects,
+    /// passes) are *scheduled* as free copy operations — each loop
+    /// iteration's merge gets a fresh registry name, which is what lets
+    /// steady-state contexts fold under a uniform iteration shift (the
+    /// register transfers of Fig. 14) — so their versions, like any real
+    /// op's, are their issued keys.
+    pub fn value_versions(
+        &mut self,
+        ctx: &Ctx,
+        op: OpId,
+        iter: &[u32],
+        out: &mut Vec<(ValSrc, Guard)>,
+    ) {
         match self.g.op(op).kind() {
-            OpKind::Const(v) => vec![(ValSrc::Const(v), Guard::TRUE)],
-            OpKind::Input(i) => vec![(ValSrc::Input(i), Guard::TRUE)],
+            OpKind::Const(v) => out.push((ValSrc::Const(v), Guard::TRUE)),
+            OpKind::Input(i) => out.push((ValSrc::Input(i), Guard::TRUE)),
             _ => {
                 // Issued versions (real ops and pass-through copies). An
                 // instance never interned has never been issued.
                 let Some(inst) = self.it.get(op, iter) else {
-                    return Vec::new();
+                    return;
                 };
-                let mut out = Vec::new();
                 for (k, info) in ctx.avail.range(Key::version_range(inst)) {
                     if !info.guard.is_false() {
                         out.push((ValSrc::Key(*k), info.guard));
                     }
                 }
-                out
             }
         }
     }
 
-    /// The values a pass-through *copy* candidate would capture: the
-    /// recursive resolution through the select/pass structure
-    /// (Observation 1 of the paper).
-    pub fn copy_versions(&mut self, ctx: &Ctx, op: OpId, iter: &[u32]) -> Vec<(ValSrc, Guard)> {
+    /// Appends to `out` the values a pass-through *copy* candidate would
+    /// capture: the recursive resolution through the select/pass
+    /// structure (Observation 1 of the paper).
+    pub fn copy_versions(
+        &mut self,
+        ctx: &Ctx,
+        op: OpId,
+        iter: &[u32],
+        out: &mut Vec<(ValSrc, Guard)>,
+    ) {
         let g = self.g;
         match g.op(op).kind() {
-            OpKind::Pass => self.port_versions(ctx, &g.op(op).ports()[0], op, iter),
+            OpKind::Pass => self.port_versions(ctx, &g.op(op).ports()[0], op, iter, out),
             OpKind::Select => {
                 let ports = g.op(op).ports();
                 // Steering resolves *structurally* to condition instances:
                 // speculation through a select must work before (and keep
                 // working after) the condition's value version exists —
                 // Example 6 schedules op7 while op4 is still unscheduled.
-                let steer = self.inst_versions(ctx, &ports[0], op, iter);
-                let mut out = Vec::new();
-                for ((sop, siter), gs) in steer {
+                let mut steer = std::mem::take(&mut self.scratch.steer);
+                steer.clear();
+                self.inst_versions(ctx, &ports[0], op, iter, &mut steer);
+                let start = out.len();
+                for &((sop, siter), gs) in &steer {
                     match g.op(sop).kind() {
                         OpKind::Const(v) => {
                             let side = if v != 0 { &ports[1] } else { &ports[2] };
-                            for (x, gx) in self.port_versions(ctx, side, op, iter) {
-                                let g = self.mgr.and(gs, gx);
-                                push_version(&mut out, x, g);
-                            }
+                            let from = out.len();
+                            self.port_versions(ctx, side, op, iter, out);
+                            self.and_from(out, from, gs);
                         }
                         OpKind::Input(_) => {
                             panic!(
@@ -334,47 +372,49 @@ impl Res<'_> {
                                 if gsl.is_false() {
                                     continue;
                                 }
-                                for (x, gx) in self.port_versions(ctx, side, op, iter) {
-                                    let g = self.mgr.and(gsl, gx);
-                                    push_version(&mut out, x, g);
-                                }
+                                let from = out.len();
+                                self.port_versions(ctx, side, op, iter, out);
+                                self.and_from(out, from, gsl);
                             }
                         }
                     }
                 }
-                self.merged(out)
+                self.scratch.steer = steer;
+                self.merge_from(out, start);
             }
             other => panic!("copy_versions on non-pass-through {other}"),
         }
     }
 
-    /// Versions of one input port of `consumer` at `iter`, following the
-    /// port's wire / loop-carried / loop-exit semantics.
+    /// Appends to `out` the versions of one input port of `consumer` at
+    /// `iter`, following the port's wire / loop-carried / loop-exit
+    /// semantics.
     pub fn port_versions(
         &mut self,
         ctx: &Ctx,
         port: &PortKind,
         consumer: OpId,
         iter: &[u32],
-    ) -> Vec<(ValSrc, Guard)> {
+        out: &mut Vec<(ValSrc, Guard)>,
+    ) {
         match *port {
             PortKind::Wire(src) => {
                 let slen = self.g.op(src).loop_path().len();
-                self.value_versions(ctx, src, &iter[..slen])
+                self.value_versions(ctx, src, &iter[..slen], out)
             }
             PortKind::Carried { lp, src, init } => {
                 let d = depth_of(self.g, consumer, lp);
                 let k = iter[d];
                 if k == 0 {
                     let ilen = self.g.op(init).loop_path().len();
-                    self.value_versions(ctx, init, &iter[..ilen])
+                    self.value_versions(ctx, init, &iter[..ilen], out)
                 } else {
                     // A loop-invariant carried source (an in-loop
                     // assignment that resolved to an outer producer)
                     // has no iteration axis to step back along: read
                     // it at its own, shorter frame.
                     let prev = previous_iteration(self.g, src, iter, d);
-                    self.value_versions(ctx, src, &prev)
+                    self.value_versions(ctx, src, &prev, out)
                 }
             }
             PortKind::Exit { lp, src, init } => {
@@ -387,7 +427,7 @@ impl Res<'_> {
                 // be shorter; reads below truncate to it.
                 let base = exit_base(self.g, cond, iter);
                 let slen = self.g.op(src).loop_path().len();
-                let mut out = Vec::new();
+                let start = out.len();
                 // Exit before the first iteration: the initial value,
                 // valid when c_0 is false.
                 let ilen = self.g.op(init).loop_path().len();
@@ -397,10 +437,9 @@ impl Res<'_> {
                     self.lit(ctx, cond, &ci, false)
                 };
                 if !exit0.is_false() {
-                    for (x, gx) in self.value_versions(ctx, init, &base[..ilen.min(base.len())]) {
-                        let g = self.mgr.and(exit0, gx);
-                        push_version(&mut out, x, g);
-                    }
+                    let from = out.len();
+                    self.value_versions(ctx, init, &base[..ilen.min(base.len())], out);
+                    self.and_from(out, from, exit0);
                 }
                 // Exit after iteration j: src@j, valid when c_{j+1} is
                 // false (src@j's own guard carries the continuation
@@ -412,8 +451,9 @@ impl Res<'_> {
                     // A loop-invariant source reads at its own (outer)
                     // frame — the same versions for every exit arm; the
                     // per-j exit guards OR together in the merge.
-                    let vs = self.value_versions(ctx, src, &si[..slen.min(si.len())]);
-                    if vs.is_empty() {
+                    let from = out.len();
+                    self.value_versions(ctx, src, &si[..slen.min(si.len())], out);
+                    if out.len() == from {
                         continue;
                     }
                     // Exit after iteration j: the loop must have continued
@@ -426,45 +466,45 @@ impl Res<'_> {
                     let mut exit_g = self.lit(ctx, cond, &ci, false);
                     exit_g = self.chain(ctx, exit_g, cond, &si, base.len(), 0..=j);
                     if exit_g.is_false() {
+                        out.truncate(from);
                         continue;
                     }
-                    for (x, gx) in vs {
-                        let g = self.mgr.and(exit_g, gx);
-                        push_version(&mut out, x, g);
-                    }
+                    self.and_from(out, from, exit_g);
                 }
-                self.merged(out)
+                self.merge_from(out, start);
             }
         }
     }
 
     /// Resolves a port *structurally* to the operation instances that
     /// could produce its value, with the guards selecting among them —
-    /// without requiring any value version to exist yet. Used for select
-    /// steering, where only the condition's *identity* matters.
+    /// without requiring any value version to exist yet — appending them
+    /// to `out`. Used for select steering, where only the condition's
+    /// *identity* matters.
     pub fn inst_versions(
         &mut self,
         ctx: &Ctx,
         port: &PortKind,
         consumer: OpId,
         iter: &[u32],
-    ) -> Vec<((OpId, Iter), Guard)> {
+        out: &mut Vec<((OpId, Iter), Guard)>,
+    ) {
         match *port {
             PortKind::Wire(src) => {
                 let slen = self.g.op(src).loop_path().len();
-                self.inst_of(ctx, src, &iter[..slen])
+                self.inst_of(ctx, src, &iter[..slen], out)
             }
             PortKind::Carried { lp, src, init } => {
                 let d = depth_of(self.g, consumer, lp);
                 let k = iter[d];
                 if k == 0 {
                     let ilen = self.g.op(init).loop_path().len();
-                    self.inst_of(ctx, init, &iter[..ilen])
+                    self.inst_of(ctx, init, &iter[..ilen], out)
                 } else {
                     // Loop-invariant sources have no iteration axis;
                     // see `port_versions`.
                     let prev = previous_iteration(self.g, src, iter, d);
-                    self.inst_of(ctx, src, &prev)
+                    self.inst_of(ctx, src, &prev, out)
                 }
             }
             PortKind::Exit { lp, src, init } => {
@@ -473,7 +513,6 @@ impl Res<'_> {
                 // the source's — a loop-invariant source sits outside.
                 let base = exit_base(self.g, cond, iter);
                 let slen = self.g.op(src).loop_path().len();
-                let mut out = Vec::new();
                 let ilen = self.g.op(init).loop_path().len();
                 let exit0 = {
                     let mut ci = base;
@@ -481,12 +520,9 @@ impl Res<'_> {
                     self.lit(ctx, cond, &ci, false)
                 };
                 if !exit0.is_false() {
-                    for (i, gi) in self.inst_of(ctx, init, &base[..ilen.min(base.len())]) {
-                        let g = self.mgr.and(exit0, gi);
-                        if !g.is_false() {
-                            out.push((i, g));
-                        }
-                    }
+                    let from = out.len();
+                    self.inst_of(ctx, init, &base[..ilen.min(base.len())], out);
+                    self.and_from(out, from, exit0);
                 }
                 let h = ctx.horizon.get(&(lp, base)).copied().unwrap_or(0);
                 for j in 0..=h {
@@ -499,39 +535,36 @@ impl Res<'_> {
                     if exit_g.is_false() {
                         continue;
                     }
-                    for (i, gi) in self.inst_of(ctx, src, &si[..slen.min(si.len())]) {
-                        let g = self.mgr.and(exit_g, gi);
-                        if !g.is_false() {
-                            out.push((i, g));
-                        }
-                    }
+                    let from = out.len();
+                    self.inst_of(ctx, src, &si[..slen.min(si.len())], out);
+                    self.and_from(out, from, exit_g);
                 }
-                out
             }
         }
     }
 
-    /// Structural instance resolution of an op: pass-throughs forward,
-    /// selects fan out by their steering literal, everything else is
-    /// itself.
-    fn inst_of(&mut self, ctx: &Ctx, op: OpId, iter: &[u32]) -> Vec<((OpId, Iter), Guard)> {
+    /// Structural instance resolution of an op, appended to `out`:
+    /// pass-throughs forward, selects fan out by their steering literal,
+    /// everything else is itself.
+    fn inst_of(&mut self, ctx: &Ctx, op: OpId, iter: &[u32], out: &mut Vec<((OpId, Iter), Guard)>) {
         let g = self.g;
         match g.op(op).kind() {
-            OpKind::Pass => self.inst_versions(ctx, &g.op(op).ports()[0], op, iter),
+            OpKind::Pass => self.inst_versions(ctx, &g.op(op).ports()[0], op, iter, out),
             OpKind::Select => {
                 let ports = g.op(op).ports();
-                let steer = self.inst_versions(ctx, &ports[0], op, iter);
-                let mut out = Vec::new();
-                for ((sop, siter), gs) in steer {
+                // The steering instances go to the end of `out` and are
+                // removed once both sides have been appended after them.
+                let steer_start = out.len();
+                self.inst_versions(ctx, &ports[0], op, iter, out);
+                let steer_end = out.len();
+                for si in steer_start..steer_end {
+                    let ((sop, siter), gs) = out[si];
                     match g.op(sop).kind() {
                         OpKind::Const(v) => {
                             let side = if v != 0 { &ports[1] } else { &ports[2] };
-                            for (i, gi) in self.inst_versions(ctx, side, op, iter) {
-                                let g = self.mgr.and(gs, gi);
-                                if !g.is_false() {
-                                    out.push((i, g));
-                                }
-                            }
+                            let from = out.len();
+                            self.inst_versions(ctx, side, op, iter, out);
+                            self.and_from(out, from, gs);
                         }
                         _ => {
                             for (side, pol) in [(&ports[1], true), (&ports[2], false)] {
@@ -540,19 +573,16 @@ impl Res<'_> {
                                 if gsl.is_false() {
                                     continue;
                                 }
-                                for (i, gi) in self.inst_versions(ctx, side, op, iter) {
-                                    let g = self.mgr.and(gsl, gi);
-                                    if !g.is_false() {
-                                        out.push((i, g));
-                                    }
-                                }
+                                let from = out.len();
+                                self.inst_versions(ctx, side, op, iter, out);
+                                self.and_from(out, from, gsl);
                             }
                         }
                     }
                 }
-                out
+                out.drain(steer_start..steer_end);
             }
-            _ => vec![((op, Iter::from_slice(iter)), Guard::TRUE)],
+            _ => out.push(((op, Iter::from_slice(iter)), Guard::TRUE)),
         }
     }
 
@@ -708,8 +738,10 @@ impl Res<'_> {
     /// Attempts to build candidates for instance `(op, iter)`: the
     /// cartesian product of its ports' version sets, each with the
     /// Lemma-1 conjunction guard. New candidates are deduplicated
-    /// against `ctx.seen` and appended to `ctx.cands`. Returns how many
-    /// were added.
+    /// against the instance's existing candidates and issued versions
+    /// and appended to `ctx.cands`. Returns how many were added. Works
+    /// in the engine-owned [`GenScratch`], so a generation that adds
+    /// nothing allocates nothing.
     pub fn gen_candidates(
         &mut self,
         ctx: &mut Ctx,
@@ -731,106 +763,161 @@ impl Res<'_> {
         if ctrl.is_false() {
             return 0;
         }
-        // One scan instead of per-combo scans: the candidate list can be
-        // long, but only same-instance entries matter for dedup, widen,
-        // and version counting. Indices are into `ctx.cands` (event
-        // consumers rely on that), and freshly pushed candidates join
-        // the index so later combos observe them exactly as a rescanning
-        // loop would. Built lazily, after the cheap rejections.
-        let same_inst = |ctx: &Ctx| -> Vec<usize> {
-            ctx.cands
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.inst == inst)
-                .map(|(i, _)| i)
-                .collect()
+        let mut bufs = std::mem::take(&mut self.scratch.gen);
+        let added = if kind.is_pass_through() {
+            self.gen_copies(
+                ctx,
+                op,
+                iter,
+                inst,
+                ctrl,
+                max_versions,
+                max_depth,
+                &mut bufs,
+            )
+        } else {
+            self.gen_ops(
+                ctx,
+                op,
+                iter,
+                inst,
+                ctrl,
+                max_versions,
+                max_depth,
+                &mut bufs,
+            )
         };
-        if kind.is_pass_through() {
-            // Copy candidates: one per resolvable source version. The
-            // issued copy is the fresh per-iteration name of the merged
-            // variable (a register transfer).
-            let versions = self.copy_versions(ctx, op, iter);
-            let mut mine = same_inst(ctx);
-            let avail_cnt = ctx.avail.range(Key::version_range(inst)).count();
-            let mut added = 0;
-            for (v, gv) in versions {
-                let guard = self.mgr.and(ctrl, gv);
-                if guard.is_false() || self.mgr.support_len(guard) > max_depth {
-                    continue;
-                }
-                let operands = Operands::from_slice(&[v]);
-                // Scan first: widening only writes through the context's
-                // copy-on-write candidate list when the guard changes.
-                if let Some(&i) = mine.iter().find(|&&i| ctx.cands[i].operands == operands) {
-                    let widened = self.mgr.or(ctx.cands[i].guard, guard);
-                    if widened != ctx.cands[i].guard {
-                        ctx.cands_mut()[i].guard = widened;
-                        self.events.push(CandEvent::Widened(i));
-                        added += 1;
-                    }
-                    continue;
-                }
-                let issued = ctx
-                    .avail
-                    .range(Key::version_range(inst))
-                    .any(|(_, info)| info.operands == operands);
-                if issued {
-                    continue;
-                }
-                if avail_cnt + mine.len() >= max_versions {
-                    break;
-                }
-                ctx.cands_mut().push(Candidate {
-                    inst,
-                    operands,
-                    tokens: Vec::new(),
-                    guard,
-                });
-                mine.push(ctx.cands.len() - 1);
-                self.events.push(CandEvent::Added(ctx.cands.len() - 1));
-                added += 1;
+        self.scratch.gen = bufs;
+        added
+    }
+
+    /// [`Self::gen_candidates`] for a pass-through: one copy candidate
+    /// per resolvable source version. The issued copy is the fresh
+    /// per-iteration name of the merged variable (a register transfer).
+    #[allow(clippy::too_many_arguments)]
+    fn gen_copies(
+        &mut self,
+        ctx: &mut Ctx,
+        op: OpId,
+        iter: &[u32],
+        inst: InstId,
+        ctrl: Guard,
+        max_versions: usize,
+        max_depth: usize,
+        bufs: &mut GenBufs,
+    ) -> usize {
+        let GenBufs { versions, mine, .. } = bufs;
+        versions.clear();
+        self.copy_versions(ctx, op, iter, versions);
+        same_inst(ctx, inst, mine);
+        let avail_cnt = ctx.avail.range(Key::version_range(inst)).count();
+        let mut added = 0;
+        for &(v, gv) in versions.iter() {
+            let guard = self.mgr.and(ctrl, gv);
+            if guard.is_false() || self.mgr.support_len(guard) > max_depth {
+                continue;
             }
-            return added;
+            let operands = Operands::from_slice(&[v]);
+            // Scan first: widening only writes through the context's
+            // copy-on-write candidate list when the guard changes.
+            if let Some(&i) = mine.iter().find(|&&i| ctx.cands[i].operands == operands) {
+                let widened = self.mgr.or(ctx.cands[i].guard, guard);
+                if widened != ctx.cands[i].guard {
+                    ctx.cands_mut()[i].guard = widened;
+                    self.events.push(CandEvent::Widened(i));
+                    added += 1;
+                }
+                continue;
+            }
+            let issued = ctx
+                .avail
+                .range(Key::version_range(inst))
+                .any(|(_, info)| info.operands == operands);
+            if issued {
+                continue;
+            }
+            if avail_cnt + mine.len() >= max_versions {
+                break;
+            }
+            ctx.cands_mut().push(Candidate {
+                inst,
+                operands,
+                tokens: Vec::new(),
+                guard,
+            });
+            mine.push(ctx.cands.len() - 1);
+            self.events.push(CandEvent::Added(ctx.cands.len() - 1));
+            added += 1;
         }
+        added
+    }
+
+    /// [`Self::gen_candidates`] for an operation that computes.
+    #[allow(clippy::too_many_arguments)]
+    fn gen_ops(
+        &mut self,
+        ctx: &mut Ctx,
+        op: OpId,
+        iter: &[u32],
+        inst: InstId,
+        ctrl: Guard,
+        max_versions: usize,
+        max_depth: usize,
+        bufs: &mut GenBufs,
+    ) -> usize {
+        let g = self.g;
+        let GenBufs {
+            versions,
+            combos,
+            next,
+            mine,
+            tokens,
+        } = bufs;
         // Resolve ordering tokens first; unsettled ordering defers the
         // whole instance.
-        let mut tokens = Vec::new();
+        tokens.clear();
         for p in g.op(op).order_deps() {
             match self.token(ctx, p, op, iter) {
                 Ok(t) => tokens.push(t),
                 Err(()) => return 0,
             }
         }
-        let mut combos: Vec<(Operands, Guard)> = vec![(Operands::new(), ctrl)];
+        combos.clear();
+        combos.push((Operands::new(), ctrl));
         for p in g.op(op).ports() {
-            let versions = self.port_versions(ctx, p, op, iter);
+            versions.clear();
+            self.port_versions(ctx, p, op, iter, versions);
             if versions.is_empty() {
                 return 0;
             }
-            let mut next = Vec::new();
-            for (ops_so_far, g_so_far) in &combos {
-                for (v, gv) in &versions {
-                    let g = self.mgr.and(*g_so_far, *gv);
+            next.clear();
+            for &(ops_so_far, g_so_far) in combos.iter() {
+                for &(v, gv) in versions.iter() {
+                    let g = self.mgr.and(g_so_far, gv);
                     if g.is_false() {
                         continue;
                     }
-                    let mut o = *ops_so_far;
-                    o.push(*v);
+                    let mut o = ops_so_far;
+                    o.push(v);
                     next.push((o, g));
                 }
             }
-            combos = next;
+            std::mem::swap(combos, next);
             if combos.is_empty() {
                 return 0;
             }
-            if combos.len() > 64 {
-                combos.truncate(64);
-            }
+            combos.truncate(64);
         }
-        let mut mine = same_inst(ctx);
+        // One scan instead of per-combo scans: the candidate list can be
+        // long, but only same-instance entries matter for dedup, widen,
+        // and version counting. Indices are into `ctx.cands` (event
+        // consumers rely on that), and freshly pushed candidates join
+        // the index so later combos observe them exactly as a rescanning
+        // loop would.
+        same_inst(ctx, inst, mine);
         let existing = ctx.avail.range(Key::version_range(inst)).count() + mine.len();
         let mut added = 0;
-        for (operands, guard) in combos {
+        for &(operands, guard) in combos.iter() {
             // Bounding candidate creation (not just issue) by the
             // speculation depth keeps the unrolling horizon finite:
             // deeper iterations' continuation chains exceed the depth
@@ -851,8 +938,8 @@ impl Res<'_> {
                     .iter()
                     .flatten()
                     .any(|t| !ctx.avail.contains_key(t));
-                if stale && ctx.cands[i].tokens != tokens {
-                    ctx.cands_mut()[i].tokens = tokens.clone();
+                if stale && ctx.cands[i].tokens != *tokens {
+                    ctx.cands_mut()[i].tokens.clone_from(tokens);
                     self.events.push(CandEvent::Retokened(i));
                     added += 1;
                 }
@@ -888,6 +975,18 @@ impl Res<'_> {
         }
         added
     }
+}
+
+/// The indices of `inst`'s candidates in `ctx.cands`, into `out`.
+fn same_inst(ctx: &Ctx, inst: InstId, out: &mut Vec<usize>) {
+    out.clear();
+    out.extend(
+        ctx.cands
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.inst == inst)
+            .map(|(i, _)| i),
+    );
 }
 
 /// Depth of loop `lp` within `op`'s loop path.
@@ -929,27 +1028,39 @@ fn exit_base(g: &Cdfg, cond: OpId, iter: &[u32]) -> Iter {
         .collect()
 }
 
-fn push_version(out: &mut Vec<(ValSrc, Guard)>, v: ValSrc, g: Guard) {
-    if g.is_false() {
-        return;
-    }
-    out.push((v, g));
-}
-
 impl Res<'_> {
-    /// Merges duplicate sources by OR-ing their guards (both sides of a
-    /// select fed by the same producer, or an exit view whose init equals
-    /// an early body value).
-    pub fn merged(&mut self, versions: Vec<(ValSrc, Guard)>) -> Vec<(ValSrc, Guard)> {
-        let mut out: Vec<(ValSrc, Guard)> = Vec::with_capacity(versions.len());
-        for (v, g) in versions {
-            if let Some(slot) = out.iter_mut().find(|(x, _)| *x == v) {
-                slot.1 = self.mgr.or(slot.1, g);
-            } else {
-                out.push((v, g));
+    /// Conjoins `g` into the guard of every entry of `out[from..]`,
+    /// dropping entries whose guard becomes FALSE.
+    fn and_from<T: Copy>(&mut self, out: &mut Vec<(T, Guard)>, from: usize, g: Guard) {
+        let mut w = from;
+        for r in from..out.len() {
+            let (x, gx) = out[r];
+            let ng = self.mgr.and(g, gx);
+            if !ng.is_false() {
+                out[w] = (x, ng);
+                w += 1;
             }
         }
-        out
+        out.truncate(w);
+    }
+
+    /// Merges duplicate sources of `out[from..]` into their first
+    /// occurrence by OR-ing their guards (both sides of a select fed by
+    /// the same producer, or an exit view whose init equals an early
+    /// body value).
+    fn merge_from(&mut self, out: &mut Vec<(ValSrc, Guard)>, from: usize) {
+        let mut w = from;
+        for r in from..out.len() {
+            let (v, g) = out[r];
+            match (from..w).find(|&i| out[i].0 == v) {
+                Some(i) => out[i].1 = self.mgr.or(out[i].1, g),
+                None => {
+                    out[w] = (v, g);
+                    w += 1;
+                }
+            }
+        }
+        out.truncate(w);
     }
 }
 
@@ -1014,6 +1125,7 @@ mod tests {
         let (tables, mut mgr, mut ct, mut it) = res_env(&g);
         let mut memo = GuardMemo::default();
         let mut events = Vec::new();
+        let mut scratch = GenScratch::default();
         let ctx = Ctx::default();
         let mut r = Res {
             g: &g,
@@ -1023,6 +1135,7 @@ mod tests {
             it: &mut it,
             memo: &mut memo,
             events: &mut events,
+            scratch: &mut scratch,
         };
         // The branch-gated add at iteration 2 is conditioned on
         // c_cont@0 ∧ c_cont@1 ∧ c_cont@2 ∧ c_branch@2.
@@ -1040,6 +1153,7 @@ mod tests {
         let (tables, mut mgr, mut ct, mut it) = res_env(&g);
         let mut memo = GuardMemo::default();
         let mut events = Vec::new();
+        let mut scratch = GenScratch::default();
         let mut ctx = Ctx::default();
         let lp = g.loops()[0].id();
         ctx.floor_mut().insert((lp, Iter::new()), 2); // c@0, c@1 known true
@@ -1053,6 +1167,7 @@ mod tests {
             it: &mut it,
             memo: &mut memo,
             events: &mut events,
+            scratch: &mut scratch,
         };
         let guard = r.ctrl_guard(&ctx, sum, &[2]);
         // Only the branch literal remains.
@@ -1079,6 +1194,7 @@ mod tests {
         let (tables, mut mgr, mut ct, mut it) = res_env(&g);
         let mut memo = GuardMemo::default();
         let mut events = Vec::new();
+        let mut scratch = GenScratch::default();
         let mut ctx = Ctx::default();
         // Issue only the true-side add at iteration 0 so one side of the
         // select has a value; the steering Gt is entirely unscheduled.
@@ -1100,8 +1216,10 @@ mod tests {
             it: &mut it,
             memo: &mut memo,
             events: &mut events,
+            scratch: &mut scratch,
         };
-        let versions = r.copy_versions(&ctx, sel, &[0]);
+        let mut versions = Vec::new();
+        r.copy_versions(&ctx, sel, &[0], &mut versions);
         // Two versions: the issued add under c_branch@0, and the carried
         // init (constant 0) under ¬c_branch@0.
         assert_eq!(versions.len(), 2);
@@ -1129,6 +1247,7 @@ mod tests {
         let (tables, mut mgr, mut ct, mut it) = res_env(&g);
         let mut memo = GuardMemo::default();
         let mut events = Vec::new();
+        let mut scratch = GenScratch::default();
         let mut ctx = Ctx::default();
         let lp = g.loops()[0].id();
         ctx.horizon_mut().insert((lp, Iter::new()), 1);
@@ -1140,9 +1259,11 @@ mod tests {
             it: &mut it,
             memo: &mut memo,
             events: &mut events,
+            scratch: &mut scratch,
         };
         // With nothing issued, only the exit-at-0 (init) version exists.
-        let versions = r.copy_versions(&ctx, exit_pass, &[]);
+        let mut versions = Vec::new();
+        r.copy_versions(&ctx, exit_pass, &[], &mut versions);
         assert_eq!(versions.len(), 1);
         let (v, gd) = versions[0];
         assert!(matches!(v, ValSrc::Const(0)), "init value");
@@ -1157,6 +1278,7 @@ mod tests {
         let (tables, mut mgr, mut ct, mut it) = res_env(&g);
         let mut memo = GuardMemo::default();
         let mut events = Vec::new();
+        let mut scratch = GenScratch::default();
         let mut ctx = Ctx::default();
         let mut r = Res {
             g: &g,
@@ -1166,6 +1288,7 @@ mod tests {
             it: &mut it,
             memo: &mut memo,
             events: &mut events,
+            scratch: &mut scratch,
         };
         let n1 = r.gen_candidates(&mut ctx, cont, &[0], 4, 4);
         assert_eq!(n1, 1, "the iteration-0 continue test is schedulable");
@@ -1186,6 +1309,7 @@ mod tests {
         let (tables, mut mgr, mut ct, mut it) = res_env(&g);
         let mut memo = GuardMemo::default();
         let mut events = Vec::new();
+        let mut scratch = GenScratch::default();
         let mut ctx = Ctx::default();
         let inc1 = it.id(inc, &[1]);
         let mut r = Res {
@@ -1196,6 +1320,7 @@ mod tests {
             it: &mut it,
             memo: &mut memo,
             events: &mut events,
+            scratch: &mut scratch,
         };
         // Iteration 0 increments are within any cap...
         assert_eq!(r.gen_candidates(&mut ctx, inc, &[0], 4, 1), 1);

@@ -21,12 +21,14 @@
 //! oracle: the `hashed_signature_agrees_with_string` property checks
 //! that both induce the same equality relation.
 
-use crate::ctx::{cmp_inst, loop_ancestors, CondTable, Ctx, InstId, InstTable, Iter, Key, ValSrc};
+use crate::ctx::{
+    cmp_inst, loop_ancestor, loop_shift, AvailInfo, CondTable, Ctx, InstId, InstTable, Iter, Key,
+    ValSrc, VecMap,
+};
 use cdfg::{Cdfg, LoopId};
-use guards::{BddManager, Guard};
+use guards::{BddManager, Cond, Guard};
 use hls_resources::FuClass;
-use spec_support::fxhash::{hash128_words, FxHashMap};
-use std::collections::BTreeMap;
+use spec_support::fxhash::hash128_words;
 
 /// Entry tags, one per section of the string renderer.
 const TAG_A: u64 = 0; // available value version
@@ -42,8 +44,8 @@ const TAG_W: u64 = 9; // loop work floor
 const TAG_X: u64 = 10; // discharged loop-exit order token
 const TAG_E: u64 = 11; // pending loop-exit discharge
 
-/// Reusable token buffers for [`Ctx::signature_hash`], owned by the
-/// engine so a run allocates them once.
+/// Reusable buffers for [`Ctx::signature_hash`], owned by the engine so
+/// a run allocates them once.
 #[derive(Debug, Default)]
 pub(crate) struct SigBuilder {
     /// The signature's token stream.
@@ -52,6 +54,24 @@ pub(crate) struct SigBuilder {
     cand_words: Vec<u64>,
     /// `(start, end)` of each candidate entry in `cand_words`.
     cand_spans: Vec<(usize, usize)>,
+    /// The last signed context's `avail` keys in content order.
+    keys: Vec<Key>,
+    /// Canonical version rank of each `avail` entry, by position.
+    ranks: Vec<u32>,
+    /// The per-loop shift basis of [`Ctx::loop_mins`].
+    mins: Vec<u32>,
+    /// Positions of one section's entries in content order.
+    order: Vec<usize>,
+    /// Guard-support scratch for the shift basis.
+    supp: Vec<Cond>,
+}
+
+impl SigBuilder {
+    /// [`Ctx::canonical_keys`] of the context last passed to
+    /// [`Ctx::signature_hash`]: the order fold renames zip by.
+    pub fn canonical_keys(&self) -> &[Key] {
+        &self.keys
+    }
 }
 
 /// The read-only inputs every token writer needs: the graph, the
@@ -62,13 +82,14 @@ struct Shift<'a> {
     it: &'a InstTable,
     ct: &'a CondTable,
     mgr: &'a BddManager,
-    mins: &'a BTreeMap<LoopId, u32>,
-    vrank: &'a FxHashMap<Key, u32>,
+    mins: &'a [u32],
+    avail: &'a VecMap<Key, AvailInfo>,
+    ranks: &'a [u32],
 }
 
 impl Shift<'_> {
-    fn shift_of(&self, l: &LoopId) -> i64 {
-        i64::from(self.mins.get(l).copied().unwrap_or(0))
+    fn shift_of(&self, l: LoopId) -> i64 {
+        loop_shift(self.mins, l)
     }
 
     /// Appends the shifted name of an instance: `[op, len, iter -
@@ -79,7 +100,7 @@ impl Shift<'_> {
         out.push(iter.len() as u64);
         let path = self.g.op(op).loop_path();
         for (d, &v) in iter.iter().enumerate() {
-            out.push((i64::from(v) - self.shift_of(&path[d])) as u64);
+            out.push((i64::from(v) - self.shift_of(path[d])) as u64);
         }
     }
 
@@ -88,17 +109,18 @@ impl Shift<'_> {
     fn loop_ctx(&self, out: &mut Vec<u64>, l: LoopId, pre: &Iter) {
         out.push(l.index() as u64);
         out.push(pre.len() as u64);
-        let ancestors = loop_ancestors(self.g, l);
         for (d, &v) in pre.iter().enumerate() {
-            let shift = ancestors.get(d).map(|a| self.shift_of(a)).unwrap_or(0);
+            let shift = loop_ancestor(self.g, l, d).map_or(0, |a| self.shift_of(a));
             out.push((i64::from(v) - shift) as u64);
         }
     }
 
-    /// Appends a key: the instance name, then its canonical version rank.
+    /// Appends a key: the instance name, then its canonical version rank
+    /// (its own version when it is not available).
     fn key(&self, out: &mut Vec<u64>, k: &Key) {
         self.inst(out, k.inst);
-        out.push(u64::from(self.vrank.get(k).copied().unwrap_or(k.version)));
+        let rank = self.avail.position(k).map_or(k.version, |p| self.ranks[p]);
+        out.push(u64::from(rank));
     }
 
     /// Appends an optional key: `[0]` or `[1, key…]`.
@@ -151,9 +173,19 @@ fn class_tokens(class: FuClass) -> [u64; 2] {
     }
 }
 
+/// Fills `order` with `0..n` sorted by the content of `inst(i)`. The
+/// instances of one section are distinct and content order is total on
+/// them, so the unstable sort is exact.
+fn content_order(order: &mut Vec<usize>, it: &InstTable, n: usize, inst: impl Fn(usize) -> InstId) {
+    order.clear();
+    order.extend(0..n);
+    order.sort_unstable_by(|&a, &b| cmp_inst(it, inst(a), inst(b)));
+}
+
 impl Ctx {
     /// Token-stream equivalent of `Ctx::signature`: the 128-bit hash of
-    /// the canonical token form of this context.
+    /// the canonical token form of this context. Also leaves the
+    /// context's canonical keys in `sb` ([`SigBuilder::canonical_keys`]).
     ///
     /// Section order, per-section content order, canonical version
     /// ranks, and the per-loop shift basis are identical to the string
@@ -167,36 +199,44 @@ impl Ctx {
         it: &InstTable,
         sb: &mut SigBuilder,
     ) -> u128 {
-        let mins = self.loop_mins(g, ct, mgr, it);
-        let avail_sorted = self.canonical_keys(it);
+        let SigBuilder {
+            words: out,
+            cand_words,
+            cand_spans,
+            keys,
+            ranks,
+            mins,
+            order,
+            supp,
+        } = sb;
+        self.loop_mins(g, ct, mgr, it, mins, supp);
+        self.canonical_keys(it, keys);
         // Canonical version renumbering, exactly as in the string
-        // renderer: dense per-instance ranks over the content-sorted
-        // available versions.
-        let mut vrank: FxHashMap<Key, u32> = FxHashMap::default();
-        {
-            let mut counts: FxHashMap<InstId, u32> = FxHashMap::default();
-            for k in &avail_sorted {
-                let c = counts.entry(k.inst).or_insert(0);
-                vrank.insert(*k, *c);
-                *c += 1;
-            }
+        // renderer: dense per-instance ranks in content order. `avail`
+        // groups each instance's versions in ascending order, which is
+        // their content order, so a rank is the offset in its group.
+        ranks.clear();
+        let mut prev: Option<(InstId, u32)> = None;
+        for k in self.avail.keys() {
+            let rank = match prev {
+                Some((inst, r)) if inst == k.inst => r + 1,
+                _ => 0,
+            };
+            ranks.push(rank);
+            prev = Some((k.inst, rank));
         }
         let sh = Shift {
             g,
             it,
             ct,
             mgr,
-            mins: &mins,
-            vrank: &vrank,
+            mins,
+            avail: &self.avail,
+            ranks,
         };
-        let SigBuilder {
-            words: out,
-            cand_words,
-            cand_spans,
-        } = sb;
         out.clear();
 
-        for k in &avail_sorted {
+        for k in keys.iter() {
             let info = &self.avail[k];
             out.push(TAG_A);
             sh.key(out, k);
@@ -228,10 +268,10 @@ impl Ctx {
             out.extend_from_slice(&cand_words[start..end]);
         }
 
-        let mut obls: Vec<(InstId, Guard)> =
-            self.obligations.iter().map(|(i, g)| (*i, *g)).collect();
-        obls.sort_by(|a, b| cmp_inst(it, a.0, b.0));
-        for (inst, gd) in obls {
+        let obls = self.obligations.as_slice();
+        content_order(order, it, obls.len(), |i| obls[i].0);
+        for &i in order.iter() {
+            let (inst, gd) = obls[i];
             out.push(TAG_O);
             sh.inst(out, inst);
             sh.guard(out, gd);
@@ -244,27 +284,28 @@ impl Ctx {
             out.push(u64::from(*r));
         }
 
-        let mut res: Vec<(InstId, bool)> = self.resolved.iter().map(|(i, v)| (*i, *v)).collect();
-        res.sort_by(|a, b| cmp_inst(it, a.0, b.0));
-        for (inst, v) in res {
+        let res = self.resolved.as_slice();
+        content_order(order, it, res.len(), |i| res[i].0);
+        for &i in order.iter() {
+            let (inst, v) = res[i];
             out.push(TAG_R);
             sh.inst(out, inst);
             out.push(u64::from(v));
         }
 
         for (tag, set) in [(TAG_D, &self.done), (TAG_X, &self.discharged)] {
-            let mut insts: Vec<InstId> = set.iter().copied().collect();
-            insts.sort_by(|a, b| cmp_inst(it, *a, *b));
-            for inst in insts {
+            let insts = set.as_slice();
+            content_order(order, it, insts.len(), |i| insts[i]);
+            for &i in order.iter() {
                 out.push(tag);
-                sh.inst(out, inst);
+                sh.inst(out, insts[i]);
             }
         }
 
-        let mut pend: Vec<(InstId, Option<Key>)> =
-            self.exit_pending.iter().map(|(i, k)| (*i, *k)).collect();
-        pend.sort_by(|a, b| cmp_inst(it, a.0, b.0));
-        for (inst, tok) in pend {
+        let pend = self.exit_pending.as_slice();
+        content_order(order, it, pend.len(), |i| pend[i].0);
+        for &i in order.iter() {
+            let (inst, tok) = pend[i];
             out.push(TAG_E);
             sh.inst(out, inst);
             sh.opt_key(out, tok.as_ref());
@@ -285,7 +326,7 @@ impl Ctx {
             for ((l, pre), v) in map.iter() {
                 out.push(tag);
                 sh.loop_ctx(out, *l, pre);
-                out.push((i64::from(*v) - sh.shift_of(l)) as u64);
+                out.push((i64::from(*v) - sh.shift_of(*l)) as u64);
             }
         }
 
@@ -573,10 +614,13 @@ mod tests {
         let ha = a.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
         let ha2 = a.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
         assert_eq!(ha, ha2, "hash is deterministic across calls");
-        assert_eq!(a.loop_mins(&g, &ct, &mut mgr, &it)[&lp], 3);
+        let mut mins = Vec::new();
+        a.loop_mins(&g, &ct, &mut mgr, &it, &mut mins, &mut Vec::new());
+        assert_eq!(mins[lp.index()], 3);
         let hb = b.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
         assert_eq!(ha, hb, "uniformly shifted contexts fold");
-        assert_eq!(b.loop_mins(&g, &ct, &mut mgr, &it)[&lp], 7);
+        b.loop_mins(&g, &ct, &mut mgr, &it, &mut mins, &mut Vec::new());
+        assert_eq!(mins[lp.index()], 7);
         let hc = c.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
         assert_ne!(ha, hc, "non-uniform spacing does not fold");
     }

@@ -5,7 +5,8 @@
 # if any median regresses by more than 25% (override with
 # SPEC_BENCH_CHECK_PCT), if a baseline bench disappeared from the
 # fresh run, or if any scheduler bench's work counters (states, issues,
-# folds) differ from the committed ones at all. New benches (present only in the fresh run) are ignored —
+# folds, BDD nodes, heap allocations) differ from the committed ones at
+# all. New benches (present only in the fresh run) are ignored —
 # they gain a baseline when scripts/bench.sh refreshes the committed
 # artifacts.
 #
@@ -74,11 +75,12 @@ for group in $GROUPS_CHECKED; do
     done < <(medians "$baseline")
 done
 
-# Exact work counters: states, issues and folds of a schedule are
-# deterministic, so every scheduler bench must reproduce the committed
-# counts exactly — a difference is a schedule change, not timer noise.
+# Exact work counters: the states, issues, folds, BDD nodes and heap
+# allocations of a schedule are deterministic, so every scheduler bench
+# must reproduce the committed counts exactly — a difference is a
+# schedule or hot-path change, not timer noise.
 counters() {
-    sed -n 's/.*"name": "\([^"]*\)".*"extra": {.*"states": \([0-9]*\).*"issues": \([0-9]*\).*"folds": \([0-9]*\).*/\1 \2 \3 \4/p' "$1"
+    sed -n 's/.*"name": "\([^"]*\)".*"extra": {.*"states": \([0-9]*\).*"issues": \([0-9]*\).*"folds": \([0-9]*\).*"bdd_nodes": \([0-9]*\).*"allocs": \([0-9]*\).*/\1 \2 \3 \4 \5 \6/p' "$1"
 }
 base_counters="$(counters BENCH_schedulers.json)"
 fresh_counters="$(counters "$FRESH_DIR/BENCH_schedulers.json")"
@@ -88,17 +90,18 @@ if [ -z "$base_counters" ] || [ -z "$fresh_counters" ]; then
     exit 1
 fi
 while read -r name _; do
-    base="$(awk -v n="$name" '$1 == n {print $2, $3, $4}' <<<"$base_counters")"
-    fresh="$(awk -v n="$name" '$1 == n {print $2, $3, $4}' <<<"$fresh_counters")"
+    base="$(awk -v n="$name" '$1 == n {print $2, $3, $4, $5, $6}' <<<"$base_counters")"
+    fresh="$(awk -v n="$name" '$1 == n {print $2, $3, $4, $5, $6}' <<<"$fresh_counters")"
     if [ -z "$base" ]; then
-        echo "bench_check: NOCOUNT   schedulers/$name (no states/issues/folds in the baseline)"
+        echo "bench_check: NOCOUNT   schedulers/$name" \
+            "(no states/issues/folds/bdd_nodes/allocs in the baseline)"
         fail=1
     elif [ "$fresh" != "$base" ]; then
-        echo "bench_check: COUNTERS  schedulers/$name: states issues folds" \
+        echo "bench_check: COUNTERS  schedulers/$name: states issues folds bdd_nodes allocs" \
             "$base -> ${fresh:-missing}"
         fail=1
     else
-        echo "bench_check: ok        schedulers/$name: states issues folds $base"
+        echo "bench_check: ok        schedulers/$name: states issues folds bdd_nodes allocs $base"
     fi
 done < <(medians BENCH_schedulers.json)
 
