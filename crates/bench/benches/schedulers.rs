@@ -105,8 +105,9 @@ fn bench_schedule(
 }
 
 /// Records the last run's size (states, issues, folds), its exact work
-/// counters (BDD nodes, and the `allocs` heap allocations the
-/// `schedule` call made on the bench thread), its per-phase nanosecond
+/// counters (BDD nodes, the `allocs` heap allocations the `schedule`
+/// call made on the bench thread, and the `stg_bytes` the STG holds
+/// on the heap), its per-phase nanosecond
 /// breakdown, and its containment counters (all zero on clean benches)
 /// in the bench's `extra`, so the artifact shows how much work the time
 /// bought and *where* it went.
@@ -117,6 +118,7 @@ fn annotate(h: &mut Harness, r: &ScheduleResult, allocs: u64) {
     h.annotate("folds", stats.folds as u64);
     h.annotate("bdd_nodes", stats.bdd_nodes as u64);
     h.annotate("allocs", allocs);
+    h.annotate("stg_bytes", r.stg.heap_bytes() as u64);
     let phases: &PhaseTimers = &stats.phases;
     for (key, stat) in [
         ("phase_grow_ns", phases.grow),

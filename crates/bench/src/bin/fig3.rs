@@ -47,8 +47,9 @@ fn main() {
             .ops
             .iter()
             .map(|o| {
-                let mut name = w.cdfg.op(o.inst.op).name().to_string();
-                for ix in &o.inst.iter {
+                let inst = stg.inst(o.dest);
+                let mut name = w.cdfg.op(inst.op).name().to_string();
+                for ix in &inst.iter {
                     name.push('_');
                     name.push_str(&ix.to_string());
                 }

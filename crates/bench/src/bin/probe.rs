@@ -197,6 +197,7 @@ fn report_counters(
     r: &ScheduleResult,
     degradation: Option<&Degradation>,
 ) -> io::Result<()> {
+    writeln!(out, "  stg: {} heap bytes", r.stg.heap_bytes())?;
     writeln!(out, "  bdd: {}", r.stats.bdd_cache)?;
     writeln!(out, "  phases: {}", r.stats.phases)?;
     if r.stats.faults.total() > 0 {

@@ -35,7 +35,7 @@
 //! # Inline small vectors
 //!
 //! Iteration vectors and operand lists are short and bounded — at most
-//! [`MAX_NEST`] loop levels and [`MAX_ARITY`] operands — and the
+//! [`MAX_NEST`] loop levels and [`MAX_ARGS`] operands — and the
 //! resolution walk copies them at every step. Both are
 //! [`stg::InlineVec`]s: `Copy` arrays with a length, so a prefix copy, an
 //! operand-list clone or naming an instance in the STG is a `memcpy`,
@@ -47,14 +47,11 @@ use hls_resources::FuClass;
 use spec_support::fxhash::{FxHashMap, FxHasher};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
+#[cfg(test)]
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
-use stg::InlineVec;
 pub(crate) use stg::MAX_NEST;
-
-/// Most operands any operation takes ([`cdfg::OpKind::arity`] of a
-/// select): the capacity of [`Operands`].
-pub(crate) const MAX_ARITY: usize = 3;
+use stg::{InlineVec, MAX_ARGS};
 
 /// Iteration indices aligned with an op's loop path, outermost first:
 /// the STG's own [`stg::IterVec`], so naming an instance in the STG is a
@@ -63,8 +60,9 @@ pub(crate) const MAX_ARITY: usize = 3;
 /// [`SchedError::NestTooDeep`](crate::SchedError::NestTooDeep).
 pub(crate) type Iter = stg::IterVec;
 
-/// Value operands of an instance, in port order.
-pub(crate) type Operands = InlineVec<ValSrc, MAX_ARITY>;
+/// Value operands of an instance, in port order: at most the STG's
+/// [`MAX_ARGS`], the most any operation takes (a select's).
+pub(crate) type Operands = InlineVec<ValSrc, MAX_ARGS>;
 
 /// Interned identity of one operation instance `(OpId, Iter)`.
 ///
@@ -245,6 +243,7 @@ impl Key {
     }
 
     /// Inclusive range bounds covering every version of `inst`.
+    #[cfg(test)]
     pub fn version_range(inst: InstId) -> std::ops::RangeInclusive<Key> {
         Key::new(inst, 0)..=Key::new(inst, u32::MAX)
     }
@@ -333,8 +332,8 @@ impl CondTable {
 
 /// An ordered map kept as one `Vec` of entries sorted by key.
 ///
-/// Lookups are binary searches, [`VecMap::range`] bounds are
-/// `partition_point`s, and iteration runs in ascending key order — the
+/// Lookups are binary searches, [`VecMap::versions`] is one
+/// `partition_point`, and iteration runs in ascending key order — the
 /// order a `BTreeMap` iterates in, so every walk the schedule can
 /// observe is unchanged. Context maps hold tens of entries and are
 /// cloned at every copy-on-write fork: one contiguous buffer clones as a
@@ -366,6 +365,7 @@ impl<K: Clone, V: Clone> Clone for VecMap<K, V> {
 }
 
 /// The index range of `items`, sorted by `key`, whose keys lie in `range`.
+#[cfg(test)]
 fn sorted_range<K: Ord, T>(
     items: &[T],
     key: impl Fn(&T) -> &K,
@@ -487,9 +487,21 @@ impl<K: Ord, V> VecMap<K, V> {
     }
 
     /// The entries whose keys lie in `range`, in order.
+    #[cfg(test)]
     pub fn range(&self, range: impl RangeBounds<K>) -> impl Iterator<Item = (&K, &V)> {
         let r = sorted_range(&self.entries, |(k, _)| k, range);
         self.entries[r].iter().map(|(k, v)| (k, v))
+    }
+}
+
+impl<V> VecMap<Key, V> {
+    /// Every version of `inst`, in version order: one binary search for
+    /// the instance's first entry, then a scan of its contiguous run.
+    pub fn versions(&self, inst: InstId) -> &[(Key, V)] {
+        let lo = self.entries.partition_point(|(k, _)| k.inst < inst);
+        let run = &self.entries[lo..];
+        let n = run.iter().take_while(|(k, _)| k.inst == inst).count();
+        &run[..n]
     }
 }
 
@@ -1276,8 +1288,8 @@ mod tests {
 
         /// The same for operand lists against `Vec<ValSrc>`.
         fn operands_behave_like_vec(
-            a in pl::vec_of(arb_src(), 0..MAX_ARITY + 1),
-            b in pl::vec_of(arb_src(), 0..MAX_ARITY + 1),
+            a in pl::vec_of(arb_src(), 0..MAX_ARGS + 1),
+            b in pl::vec_of(arb_src(), 0..MAX_ARGS + 1),
             pick in pl::range(0u32..3),
         ) {
             let b = partner(&a, &b, pick);
@@ -1353,6 +1365,8 @@ mod tests {
                     MapOp::Range(i) => {
                         let r = Key::version_range(i);
                         assert!(map.range(r.clone()).eq(bmap.range(r.clone())));
+                        let versions = map.versions(i).iter().map(|(k, v)| (k, v));
+                        assert!(versions.eq(bmap.range(r.clone())));
                         assert!(set.range(r.clone()).eq(bset.range(r)));
                     }
                     MapOp::Bump(k) => {

@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use stg::{OpInst, ScheduledOp, StateId, Stg, Transition, ValRef};
+use stg::{Arg, OpInst, ScheduledOp, StateId, Stg, Transition, MAX_ARGS};
 
 /// Wall-clock accounting of one engine phase: invocation count plus
 /// total nanoseconds.
@@ -305,6 +305,9 @@ struct Engine<'a> {
     /// reference its literals). Drives cofactor-time dirty marking.
     cond_readers: Vec<Vec<OpId>>,
     stg: Stg,
+    /// The STG slot of every key it names: each key is interned here
+    /// once, when first emitted, so the STG never hashes an instance.
+    slots: FxHashMap<Key, u32>,
     /// Fold index keyed by the 128-bit content hash of the canonical
     /// signature token stream (see [`SigBuilder`]).
     sigs: FxHashMap<u128, (StateId, Vec<Key>)>,
@@ -333,10 +336,11 @@ struct Engine<'a> {
     /// loop context (the lookahead cap's `oldest` contribution). A pure
     /// function of the hash-consed guard, so valid for the whole run.
     cap_contrib: FxHashMap<Guard, CapContrib>,
-    /// Rendered sum-of-products string per guard. Pure function of the
-    /// hash-consed guard, so valid for the whole run; issue rates are
-    /// high and steady-state guards repeat.
-    sop_memo: FxHashMap<Guard, String>,
+    /// The STG guard-table index of each guard's rendered
+    /// sum-of-products string. A pure function of the hash-consed
+    /// guard, so valid for the whole run; issue rates are high and
+    /// steady-state guards repeat.
+    sop_memo: FxHashMap<Guard, u32>,
     /// Reusable support-set buffer for guard walks on hot paths.
     supp_scratch: Vec<Cond>,
     /// Reusable buffers of the sweep and gc passes: the iteration
@@ -359,6 +363,9 @@ struct Engine<'a> {
     gc_loops: Vec<bool>,
     /// Reusable list of the candidate indices one issue removes.
     removed_buf: Vec<usize>,
+    /// The ops of the state being grown, moved into the STG in one
+    /// exactly sized buffer when the state is complete.
+    ops_buf: Vec<ScheduledOp>,
     /// Construction time, for the run's wall-clock accounting.
     started: Instant,
     /// Wall-clock point at which the run aborts with
@@ -407,6 +414,7 @@ impl<'a> Engine<'a> {
             loop_readers,
             cond_readers,
             stg: Stg::new(g.name()),
+            slots: FxHashMap::default(),
             sigs: FxHashMap::default(),
             sig: SigBuilder::default(),
             memo: crate::resolve::GuardMemo::default(),
@@ -427,6 +435,7 @@ impl<'a> Engine<'a> {
             gc_ops: Vec::new(),
             gc_loops: Vec::new(),
             removed_buf: Vec::new(),
+            ops_buf: Vec::new(),
             started,
             deadline: cfg
                 .budget
@@ -469,6 +478,11 @@ impl<'a> Engine<'a> {
             }
         }
         Ok(())
+    }
+
+    /// The STG slot of `k` (see [`slot_of`]).
+    fn slot(&mut self, k: Key) -> u32 {
+        slot_of(&mut self.slots, &mut self.stg, &self.it, k)
     }
 
     fn res(&mut self) -> Res<'_> {
@@ -632,16 +646,16 @@ impl<'a> Engine<'a> {
             let t1 = Instant::now();
             let branches = self.partition(ctx);
             self.stats.phases.partition.add(t1.elapsed());
-            let resolves: Vec<OpInst> = {
-                let mut set = BTreeSet::new();
-                for (when, _) in &branches {
-                    for (k, _) in when {
-                        set.insert(key_to_inst(&self.it, k));
-                    }
-                }
-                set.into_iter().collect()
-            };
-            self.stg.state_mut(sid).resolves = resolves;
+            let mut resolves: Vec<u32> = branches
+                .iter()
+                .flat_map(|(when, _)| when)
+                .map(|&(k, _)| slot_of(&mut self.slots, &mut self.stg, &self.it, k))
+                .collect();
+            resolves.sort_unstable_by(|&a, &b| self.stg.inst(a).cmp(self.stg.inst(b)));
+            resolves.dedup();
+            let st = self.stg.state_mut(sid);
+            st.resolves = resolves;
+            st.transitions.reserve_exact(branches.len());
             for (when, mut bctx) in branches {
                 let tb = Instant::now();
                 // Cofactoring changed `resolved` (and possibly floors):
@@ -656,10 +670,7 @@ impl<'a> Engine<'a> {
                 self.gc_storm_check(&mut bctx)?;
                 self.stats.phases.gc.add(tg.elapsed());
                 self.stats.peak_ctx = self.stats.peak_ctx.max(bctx.avail.len());
-                let when: Vec<(OpInst, bool)> = when
-                    .iter()
-                    .map(|(k, v)| (key_to_inst(&self.it, k), *v))
-                    .collect();
+                let when: Vec<(u32, bool)> = when.iter().map(|&(k, v)| (self.slot(k), v)).collect();
                 if bctx.obligations.is_empty() {
                     self.stg.state_mut(sid).transitions.push(Transition {
                         when,
@@ -671,7 +682,13 @@ impl<'a> Engine<'a> {
                 let sig = self.hashed_signature(&bctx);
                 let t_fold = Instant::now();
                 if let Some((tid, old_keys)) = self.sigs.get(&sig) {
-                    let renames = fold_renames(self.sig.canonical_keys(), old_keys, &self.it);
+                    let renames = fold_renames(
+                        self.sig.canonical_keys(),
+                        old_keys,
+                        &mut self.slots,
+                        &mut self.stg,
+                        &self.it,
+                    );
                     let tid = *tid;
                     self.stats.phases.fold.add(t_fold.elapsed());
                     if tid == sid && when.is_empty() && self.stg.state(sid).ops.is_empty() {
@@ -795,7 +812,7 @@ impl<'a> Engine<'a> {
             } else {
                 removed.push(idx);
             }
-            self.issue(sid, ctx, idx, start, &mut issued, &mut class_use);
+            self.issue(ctx, idx, start, &mut issued, &mut class_use);
             ready.retain_mut(|e| {
                 if removed.binary_search(&e.idx).is_ok() {
                     return false;
@@ -835,7 +852,7 @@ impl<'a> Engine<'a> {
         }
         // Stall / deadlock detection: an empty state must be waiting on
         // something that advances with time.
-        if self.stg.state(sid).ops.is_empty() {
+        if self.ops_buf.is_empty() {
             let waiting = ctx.avail.values().any(|i| i.ready_in > 0)
                 || !ctx.pending_conds.is_empty()
                 || ctx.fu_busy.values().any(|v| !v.is_empty());
@@ -843,6 +860,9 @@ impl<'a> Engine<'a> {
                 return Err(SchedError::Stuck(self.stuck_report(ctx)));
             }
         }
+        // The STG outlives the run: store the ops without growth slack.
+        self.stg.state_mut(sid).ops = self.ops_buf.as_slice().to_vec();
+        self.ops_buf.clear();
         Ok(())
     }
 
@@ -1187,7 +1207,6 @@ impl<'a> Engine<'a> {
 
     fn issue(
         &mut self,
-        sid: StateId,
         ctx: &mut Ctx,
         idx: usize,
         start: f64,
@@ -1207,7 +1226,8 @@ impl<'a> Engine<'a> {
         // overwrite cannot be observed.
         let version = ctx
             .avail
-            .range(Key::version_range(cand.inst))
+            .versions(cand.inst)
+            .iter()
             .map(|(k, _)| k.version + 1)
             .max()
             .unwrap_or(0);
@@ -1244,25 +1264,28 @@ impl<'a> Engine<'a> {
         }
         // The rendered SOP is a pure function of the (hash-consed)
         // guard, and steady-state schedules issue under the same few
-        // guards over and over — cache the string per run.
-        let guard_str = match self.sop_memo.get(&cand.guard) {
-            Some(s) => s.clone(),
+        // guards over and over — render and intern each guard once.
+        let guard = match self.sop_memo.get(&cand.guard) {
+            Some(&i) => i,
             None => {
                 let s = self.guard_sop(cand.guard);
-                self.sop_memo.insert(cand.guard, s.clone());
-                s
+                let i = self.stg.intern_guard(&s);
+                self.sop_memo.insert(cand.guard, i);
+                i
             }
         };
-        self.stg.state_mut(sid).ops.push(ScheduledOp {
-            inst: key_to_inst(&self.it, &key),
-            operands: cand
-                .operands
-                .iter()
-                .map(|v| valsrc_to_ref(&self.it, v))
-                .collect(),
-            latency,
-            guard_str,
-        });
+        let mut args = [Arg::Const(0); MAX_ARGS];
+        for (a, v) in args.iter_mut().zip(&cand.operands) {
+            *a = match *v {
+                ValSrc::Const(c) => Arg::Const(c),
+                ValSrc::Input(i) => Arg::Input(i),
+                ValSrc::Key(k) => Arg::Slot(self.slot(k)),
+            };
+        }
+        let dest = self.slot(key);
+        let sop = ScheduledOp::new(dest, &args[..cand.operands.len()], latency, guard)
+            .expect("operand lists hold at most MAX_ARGS sources");
+        self.ops_buf.push(sop);
         self.stats.issues += 1;
         self.mark_op_changed(ctx, op);
     }
@@ -2321,12 +2344,12 @@ fn key_to_inst(it: &InstTable, k: &Key) -> OpInst {
     }
 }
 
-fn valsrc_to_ref(it: &InstTable, v: &ValSrc) -> ValRef {
-    match v {
-        ValSrc::Const(c) => ValRef::Const(*c),
-        ValSrc::Input(i) => ValRef::Input(*i),
-        ValSrc::Key(k) => ValRef::Inst(key_to_inst(it, k)),
-    }
+/// The STG slot of `k`, appending its instance to the STG's table the
+/// first time `k` is emitted.
+fn slot_of(slots: &mut FxHashMap<Key, u32>, stg: &mut Stg, it: &InstTable, k: Key) -> u32 {
+    *slots
+        .entry(k)
+        .or_insert_with(|| stg.push_inst(key_to_inst(it, &k)))
 }
 
 /// Enumerates the live iteration vectors for `op` given the per-loop
@@ -2401,14 +2424,26 @@ fn mark_live(avail: &VecMap<Key, AvailInfo>, marks: &mut [bool], unmarked: &mut 
 /// `avail` content-sorted), so the rename map simply pairs the folding
 /// context's canonical keys with the fold target's — realizing the
 /// variable relabelings of Example 10 without re-deriving shifts.
-fn fold_renames(new_keys: &[Key], old_keys: &[Key], it: &InstTable) -> Vec<(OpInst, OpInst)> {
+fn fold_renames(
+    new_keys: &[Key],
+    old_keys: &[Key],
+    slots: &mut FxHashMap<Key, u32>,
+    stg: &mut Stg,
+    it: &InstTable,
+) -> Vec<(u32, u32)> {
     debug_assert_eq!(new_keys.len(), old_keys.len(), "signature collision");
-    new_keys
-        .iter()
-        .zip(old_keys)
-        .filter(|(new, old)| new != old)
-        .map(|(new, old)| (key_to_inst(it, new), key_to_inst(it, old)))
-        .collect()
+    let moved = || {
+        new_keys
+            .iter()
+            .zip(old_keys)
+            .filter(|(new, old)| new != old)
+    };
+    // Sized exactly: fold edges hold most of a large STG.
+    let mut renames = Vec::with_capacity(moved().count());
+    renames.extend(
+        moved().map(|(&new, &old)| (slot_of(slots, stg, it, new), slot_of(slots, stg, it, old))),
+    );
+    renames
 }
 
 #[cfg(test)]
@@ -2637,7 +2672,10 @@ mod tests {
                 .state(sid)
                 .ops
                 .iter()
-                .filter(|o| matches!(g.op(o.inst.op).kind(), cdfg::OpKind::MemRead(_)))
+                .filter(|o| {
+                    let op = r.stg.inst(o.dest).op;
+                    matches!(g.op(op).kind(), cdfg::OpKind::MemRead(_))
+                })
                 .count();
             assert!(reads <= 1, "state {sid} issues {reads} reads on one port");
         }

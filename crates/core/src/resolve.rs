@@ -319,7 +319,7 @@ impl Res<'_> {
                 let Some(inst) = self.it.get(op, iter) else {
                     return;
                 };
-                for (k, info) in ctx.avail.range(Key::version_range(inst)) {
+                for (k, info) in ctx.avail.versions(inst) {
                     if !info.guard.is_false() {
                         out.push((ValSrc::Key(*k), info.guard));
                     }
@@ -681,7 +681,7 @@ impl Res<'_> {
         }
         // Executed?
         if let Some(inst) = self.it.get(op, iter) {
-            if let Some((k, _)) = ctx.avail.range(Key::version_range(inst)).next() {
+            if let Some((k, _)) = ctx.avail.versions(inst).first() {
                 return Ok(Some(*k));
             }
         }
@@ -810,7 +810,7 @@ impl Res<'_> {
         versions.clear();
         self.copy_versions(ctx, op, iter, versions);
         same_inst(ctx, inst, mine);
-        let avail_cnt = ctx.avail.range(Key::version_range(inst)).count();
+        let avail_cnt = ctx.avail.versions(inst).len();
         let mut added = 0;
         for &(v, gv) in versions.iter() {
             let guard = self.mgr.and(ctrl, gv);
@@ -831,7 +831,8 @@ impl Res<'_> {
             }
             let issued = ctx
                 .avail
-                .range(Key::version_range(inst))
+                .versions(inst)
+                .iter()
                 .any(|(_, info)| info.operands == operands);
             if issued {
                 continue;
@@ -915,7 +916,7 @@ impl Res<'_> {
         // the index so later combos observe them exactly as a rescanning
         // loop would.
         same_inst(ctx, inst, mine);
-        let existing = ctx.avail.range(Key::version_range(inst)).count() + mine.len();
+        let existing = ctx.avail.versions(inst).len() + mine.len();
         let mut added = 0;
         for &(operands, guard) in combos.iter() {
             // Bounding candidate creation (not just issue) by the
@@ -955,7 +956,8 @@ impl Res<'_> {
             // re-execute.
             let issued = ctx
                 .avail
-                .range(Key::version_range(inst))
+                .versions(inst)
+                .iter()
                 .any(|(_, info)| info.operands == operands);
             if issued {
                 continue;

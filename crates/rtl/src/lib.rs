@@ -34,7 +34,7 @@
 use cdfg::Cdfg;
 use hls_resources::{classify, FuClass, Library};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use stg::{Arg, SlotPlan, SlotSet, StateId, Stg};
+use stg::{Arg, SlotSet, StateId, Stg};
 
 /// A bound datapath + controller, with its area breakdown inputs.
 #[derive(Debug, Clone)]
@@ -87,7 +87,6 @@ const TRANSFER_AREA: f64 = 4.0;
 
 /// Binds a scheduled STG to a structural datapath and controller.
 pub fn synthesize(g: &Cdfg, stg: &Stg) -> RtlDesign {
-    let plan = SlotPlan::new(stg);
     let reachable = stg.reachable();
     // --- FU instantiation: peak per-state class usage; within a state
     // the i-th op of a class binds to unit i.
@@ -96,8 +95,8 @@ pub fn synthesize(g: &Cdfg, stg: &Stg) -> RtlDesign {
     let mut port_sources: HashMap<(FuClass, u32, usize), HashSet<Arg>> = HashMap::new();
     for &sid in &reachable {
         let mut used: HashMap<FuClass, u32> = HashMap::new();
-        for op in &plan.state(sid).ops {
-            let kind = g.op(op.op).kind();
+        for op in &stg.state(sid).ops {
+            let kind = g.op(stg.inst(op.dest).op).kind();
             let class = classify(kind);
             // Pass-throughs are register transfers, not units.
             if class == FuClass::Free || kind.is_pass_through() {
@@ -126,13 +125,13 @@ pub fn synthesize(g: &Cdfg, stg: &Stg) -> RtlDesign {
     let local: Vec<(StateId, SlotSet, SlotSet)> = reachable
         .iter()
         .map(|&sid| {
-            let ops = &plan.state(sid).ops;
+            let ops = &stg.state(sid).ops;
             let first_def = |s: u32| ops.iter().position(|o| o.dest == s);
-            let mut defs = SlotSet::new(plan.slot_count());
+            let mut defs = SlotSet::new(stg.slot_count());
             for op in ops {
                 defs.insert(op.dest);
             }
-            let mut reads = SlotSet::new(plan.slot_count());
+            let mut reads = SlotSet::new(stg.slot_count());
             for op in ops {
                 for &a in op.args() {
                     if let Arg::Slot(s) = a {
@@ -146,15 +145,15 @@ pub fn synthesize(g: &Cdfg, stg: &Stg) -> RtlDesign {
             (sid, defs, reads)
         })
         .collect();
-    let mut live_in = vec![SlotSet::new(plan.slot_count()); stg.states().len()];
-    let mut succ = SlotSet::new(plan.slot_count());
-    let mut inn = SlotSet::new(plan.slot_count());
+    let mut live_in = vec![SlotSet::new(stg.slot_count()); stg.states().len()];
+    let mut succ = SlotSet::new(stg.slot_count());
+    let mut inn = SlotSet::new(stg.slot_count());
     let mut changed = true;
     while changed {
         changed = false;
         for (sid, defs, reads) in local.iter().rev() {
             inn.clear();
-            for t in &plan.state(*sid).transitions {
+            for t in &stg.state(*sid).transitions {
                 succ.clone_from(&live_in[t.target.index()]);
                 for &(c, _) in &t.when {
                     succ.insert(c);
@@ -304,7 +303,7 @@ mod tests {
     #[test]
     fn chained_rename_fold_edge_pins_sequential_undo() {
         use cdfg::{CdfgBuilder, OpKind, Src};
-        use stg::{OpInst, ScheduledOp, Transition, ValRef};
+        use stg::{OpInst, ScheduledOp, Transition};
 
         let mut b = CdfgBuilder::new("chain");
         let (a, bb) = (b.input("a"), b.input("b"));
@@ -315,41 +314,30 @@ mod tests {
         b.output("o", Src::Op(y));
         let g = b.finish().unwrap();
 
-        let inputs = || {
-            vec![
-                ValRef::Input(cdfg::InputId::new(0)),
-                ValRef::Input(cdfg::InputId::new(1)),
-            ]
-        };
-        let op = |inst: OpInst, operands| ScheduledOp {
-            inst,
-            operands,
-            latency: 1,
-            guard_str: "1".into(),
-        };
-        let vi = |i: u32| OpInst::new(v, vec![i]);
         // start computes v@[2], v@[3] and z; S1 reads z, then folds with
         // the chained renames v@[2]→v@[1], v@[3]→v@[2]; S2 reads v@[1]
         // and v@[2].
         let mut stg = Stg::new("chain");
         let (start, s1, s2, stop) = (stg.start(), stg.add_state(), stg.add_state(), stg.stop());
-        stg.state_mut(start).ops = vec![
-            op(vi(2), inputs()),
-            op(vi(3), inputs()),
-            op(OpInst::root(z), inputs()),
+        let mut vi = |i: u32| stg.intern(&OpInst::new(v, vec![i]));
+        let (v1, v2, v3) = (vi(1), vi(2), vi(3));
+        let [z, w, y] = [z, w, y].map(|op| stg.intern(&OpInst::root(op)));
+        let one = stg.intern_guard("1");
+        let op = |dest, args: &[Arg]| ScheduledOp::new(dest, args, 1, one).unwrap();
+        let inputs = [
+            Arg::Input(cdfg::InputId::new(0)),
+            Arg::Input(cdfg::InputId::new(1)),
         ];
-        stg.state_mut(s1).ops = vec![op(OpInst::root(w), vec![ValRef::Inst(OpInst::root(z))])];
-        stg.state_mut(s2).ops = vec![op(
-            OpInst::root(y),
-            vec![ValRef::Inst(vi(1)), ValRef::Inst(vi(2))],
-        )];
+        stg.state_mut(start).ops = vec![op(v2, &inputs), op(v3, &inputs), op(z, &inputs)];
+        stg.state_mut(s1).ops = vec![op(w, &[Arg::Slot(z)])];
+        stg.state_mut(s2).ops = vec![op(y, &[Arg::Slot(v1), Arg::Slot(v2)])];
         let edge = |target, renames| Transition {
             when: vec![],
             target,
             renames,
         };
         stg.state_mut(start).transitions = vec![edge(s1, vec![])];
-        stg.state_mut(s1).transitions = vec![edge(s2, vec![(vi(2), vi(1)), (vi(3), vi(2))])];
+        stg.state_mut(s1).transitions = vec![edge(s2, vec![(v2, v1), (v3, v2)])];
         stg.state_mut(s2).transitions = vec![edge(stop, vec![])];
 
         // S1 really holds v@[2], v@[3] and z: 3 registers. The sequential

@@ -65,9 +65,9 @@ fn system(stg: &Stg, probs: &BranchProbs) -> (Vec<Row>, Vec<f64>) {
             b[i] = 1.0;
             for t in transitions {
                 let mut p = 1.0;
-                for (inst, v) in &t.when {
-                    let pt = probs.get(inst.op);
-                    p *= if *v { pt } else { 1.0 - pt };
+                for &(slot, v) in &t.when {
+                    let pt = probs.get(stg.inst(slot).op);
+                    p *= if v { pt } else { 1.0 - pt };
                 }
                 let j = row[t.target.index()];
                 let k = match r.iter().position(|e| e.0 == j) {
@@ -193,9 +193,9 @@ mod dense {
             b[i] = 1.0;
             for t in &stg.state(sid).transitions {
                 let mut p = 1.0;
-                for (inst, v) in &t.when {
-                    let pt = probs.get(inst.op);
-                    p *= if *v { pt } else { 1.0 - pt };
+                for &(slot, v) in &t.when {
+                    let pt = probs.get(stg.inst(slot).op);
+                    p *= if v { pt } else { 1.0 - pt };
                 }
                 let j = index_of(t.target)?;
                 a[i][j] -= p;
@@ -284,9 +284,9 @@ mod tests {
         let mut g = Stg::new("t");
         let stop = g.stop();
         let start = g.start();
-        let c = OpInst::new(OpId::new(0), vec![0]);
+        let c = g.intern(&OpInst::new(OpId::new(0), vec![0]));
         g.state_mut(start).transitions.push(Transition {
-            when: vec![(c.clone(), true)],
+            when: vec![(c, true)],
             target: start,
             renames: vec![],
         });
@@ -316,9 +316,9 @@ mod tests {
         let a = g.add_state();
         let stop = g.stop();
         let start = g.start();
-        let c = OpInst::root(OpId::new(0));
+        let c = g.intern(&OpInst::root(OpId::new(0)));
         g.state_mut(start).transitions.push(Transition {
-            when: vec![(c.clone(), true)],
+            when: vec![(c, true)],
             target: a,
             renames: vec![],
         });
@@ -352,12 +352,12 @@ mod tests {
         for (k, p) in P.iter().enumerate() {
             probs.set(OpId::new(k as u32), *p);
         }
-        let d = OpInst::root(OpId::new(P.len() as u32));
-        probs.set(d.op, 0.5);
+        let d = g.intern(&OpInst::root(OpId::new(P.len() as u32)));
+        probs.set(g.inst(d).op, 0.5);
         for (k, &s) in ring.iter().enumerate() {
-            let c = OpInst::root(OpId::new((k % P.len()) as u32));
+            let c = g.intern(&OpInst::root(OpId::new((k % P.len()) as u32)));
             let stay = Transition {
-                when: vec![(c.clone(), true)],
+                when: vec![(c, true)],
                 target: s,
                 renames: vec![],
             };
@@ -371,7 +371,7 @@ mod tests {
                 [(true, ring[0]), (false, stop)]
                     .into_iter()
                     .map(|(dv, target)| Transition {
-                        when: vec![(c.clone(), false), (d.clone(), dv)],
+                        when: vec![(c, false), (d, dv)],
                         target,
                         renames: vec![],
                     })
@@ -425,7 +425,7 @@ mod tests {
         assert_eq!((g.start(), g.stop()), (StateId(0), StateId(1)));
         for &(from, to, cond) in edges {
             let when = match cond {
-                0..=5 => vec![(OpInst::root(OpId::new(cond % 3)), cond < 3)],
+                0..=5 => vec![(g.intern(&OpInst::root(OpId::new(cond % 3))), cond < 3)],
                 _ => vec![],
             };
             g.state_mut(StateId(from as u32))

@@ -4,7 +4,7 @@ use crate::exec::{bind_inputs, initial_mems};
 use cdfg::{Cdfg, OpKind, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use stg::{Arg, SlotPlan, StateId, Stg, MAX_ARGS};
+use stg::{Arg, StateId, Stg, MAX_ARGS};
 
 /// Errors raised by STG simulation. Any of these indicates a scheduler
 /// bug (the STG is self-contained by construction) or a runaway design.
@@ -46,13 +46,11 @@ pub struct SimOutcome {
 
 /// Cycle-accurate simulator for a scheduled STG.
 ///
-/// [`StgSimulator::new`] compiles the STG once into a [`SlotPlan`]:
-/// every operation instance it mentions names a dense register slot,
-/// and each state is lowered to slot-named ops and transitions.
-/// [`StgSimulator::run`] then executes on a flat register file with a
-/// live bit per slot, so it is allocation-light per cycle: a cycle never
-/// hashes, and only a run's first renaming edge grows a buffer. Build one
-/// simulator per STG and reuse it across input vectors.
+/// The STG names every value by a dense slot of its instance table, so
+/// [`StgSimulator::run`] executes it directly on a flat register file
+/// with a live bit per slot. It is allocation-light per cycle: a cycle
+/// never hashes, and only a run's first renaming edge grows a buffer.
+/// Build one simulator per STG and reuse it across input vectors.
 ///
 /// # Example
 ///
@@ -79,26 +77,20 @@ pub struct SimOutcome {
 #[derive(Debug)]
 pub struct StgSimulator<'a> {
     g: &'a Cdfg,
-    start: StateId,
-    stop: StateId,
-    plan: SlotPlan,
+    stg: &'a Stg,
+    /// The operation kind of each slot's instance, so a cycle reads it
+    /// with one index instead of two.
+    kinds: Vec<OpKind>,
 }
 
 impl<'a> StgSimulator<'a> {
     /// Creates a simulator for `stg`, which must have been scheduled from
-    /// `g`, compiling it into register slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a scheduled operation carries more operands than any
-    /// operation kind takes.
+    /// `g`.
     pub fn new(g: &'a Cdfg, stg: &'a Stg) -> Self {
-        StgSimulator {
-            g,
-            start: stg.start(),
-            stop: stg.stop(),
-            plan: SlotPlan::new(stg),
-        }
+        let kinds = (0..stg.slot_count() as u32)
+            .map(|s| g.op(stg.inst(s).op).kind())
+            .collect();
+        StgSimulator { g, stg, kinds }
     }
 
     /// Runs one input vector to STOP.
@@ -126,21 +118,22 @@ impl<'a> StgSimulator<'a> {
         let mut outputs: Vec<Value> = vec![0; self.g.outputs().len()];
         // The register file: a value and a live bit per slot. A slot is
         // live once written and dead again after it is renamed away.
-        let mut vals: Vec<Value> = vec![0; self.plan.slot_count()];
-        let mut live: Vec<bool> = vec![false; self.plan.slot_count()];
+        let mut vals: Vec<Value> = vec![0; self.stg.slot_count()];
+        let mut live: Vec<bool> = vec![false; self.stg.slot_count()];
         let mut moved: Vec<(u32, Option<Value>)> = Vec::new();
         let missing = |what: &str, slot: u32, state: StateId| {
-            SimError::MissingValue(format!("{what}{} in {state}", self.plan.inst(slot)))
+            SimError::MissingValue(format!("{what}{} in {state}", self.stg.inst(slot)))
         };
 
-        let mut state = self.start;
+        let mut state = self.stg.start();
+        let stop = self.stg.stop();
         let mut cycles: u64 = 0;
-        while state != self.stop {
+        while state != stop {
             if cycles >= cycle_limit {
                 return Err(SimError::CycleLimit(cycle_limit));
             }
             cycles += 1;
-            let st = self.plan.state(state);
+            let st = self.stg.state(state);
             for op in &st.ops {
                 let mut buf = [0 as Value; MAX_ARGS];
                 for (b, a) in buf.iter_mut().zip(op.args()) {
@@ -152,7 +145,7 @@ impl<'a> StgSimulator<'a> {
                     };
                 }
                 let args = &buf[..op.args().len()];
-                let result = match self.g.op(op.op).kind() {
+                let result = match self.kinds[op.dest as usize] {
                     // Scheduled pass-throughs are register transfers of
                     // their single resolved source.
                     OpKind::Pass | OpKind::Select => args[0],
@@ -238,7 +231,7 @@ mod tests {
     use cdfg::{CdfgBuilder, OpId, Src};
     use hls_lang::Program;
     use hls_resources::{Allocation, FuClass, Library};
-    use stg::{OpInst, ScheduledOp, Transition, ValRef};
+    use stg::{OpInst, ScheduledOp, Transition};
     use wavesched::{schedule, Mode, SchedConfig};
 
     fn run_design(src: &str, mode: Mode, alloc: Allocation, inputs: &[(&str, i64)]) -> SimOutcome {
@@ -421,30 +414,32 @@ mod tests {
 
         /// Issues `inst` in `state`, reading the two primary inputs.
         fn issue(&mut self, state: StateId, inst: &OpInst) {
-            let operands = vec![
-                ValRef::Input(cdfg::InputId::new(0)),
-                ValRef::Input(cdfg::InputId::new(1)),
+            let inputs = [
+                Arg::Input(cdfg::InputId::new(0)),
+                Arg::Input(cdfg::InputId::new(1)),
             ];
-            self.push(state, inst.clone(), operands);
+            self.push(state, inst, &inputs);
         }
 
         /// Writes outputs `x` and `y` from `x_src` and `y_src` in `state`.
         fn emit(&mut self, state: StateId, x_src: &OpInst, y_src: &OpInst) {
             let (ox, oy) = (OpInst::root(self.out_x), OpInst::root(self.out_y));
-            self.push(state, ox, vec![ValRef::Inst(x_src.clone())]);
-            self.push(state, oy, vec![ValRef::Inst(y_src.clone())]);
+            let (x, y) = (self.stg.intern(x_src), self.stg.intern(y_src));
+            self.push(state, &ox, &[Arg::Slot(x)]);
+            self.push(state, &oy, &[Arg::Slot(y)]);
         }
 
-        fn push(&mut self, state: StateId, inst: OpInst, operands: Vec<ValRef>) {
-            self.stg.state_mut(state).ops.push(ScheduledOp {
-                inst,
-                operands,
-                latency: 1,
-                guard_str: "1".into(),
-            });
+        fn push(&mut self, state: StateId, inst: &OpInst, args: &[Arg]) {
+            let (dest, guard) = (self.stg.intern(inst), self.stg.intern_guard("1"));
+            let op = ScheduledOp::new(dest, args, 1, guard).unwrap();
+            self.stg.state_mut(state).ops.push(op);
         }
 
         fn edge(&mut self, from: StateId, to: StateId, renames: Vec<(OpInst, OpInst)>) {
+            let renames = renames
+                .iter()
+                .map(|(f, t)| (self.stg.intern(f), self.stg.intern(t)))
+                .collect();
             self.stg.state_mut(from).transitions.push(Transition {
                 when: vec![],
                 target: to,
@@ -453,8 +448,9 @@ mod tests {
         }
 
         fn when(&mut self, from: StateId, to: StateId, cond: &OpInst, want: bool) {
+            let cond = self.stg.intern(cond);
             self.stg.state_mut(from).transitions.push(Transition {
-                when: vec![(cond.clone(), want)],
+                when: vec![(cond, want)],
                 target: to,
                 renames: vec![],
             });

@@ -17,23 +17,23 @@ fn op_label(g: &Cdfg, inst: &crate::OpInst) -> String {
 
 /// A state's `op_iter/guard` labels (just `op_iter` when unguarded),
 /// joined by `sep`.
-fn ops_label(g: &Cdfg, st: &State, sep: &str) -> String {
-    let label = |o: &ScheduledOp| match o.guard_str.as_str() {
-        "1" => op_label(g, &o.inst),
-        guard => format!("{}/{guard}", op_label(g, &o.inst)),
+fn ops_label(g: &Cdfg, stg: &Stg, st: &State, sep: &str) -> String {
+    let label = |o: &ScheduledOp| match stg.guard(o.guard) {
+        "1" => op_label(g, stg.inst(o.dest)),
+        guard => format!("{}/{guard}", op_label(g, stg.inst(o.dest))),
     };
     st.ops.iter().map(label).collect::<Vec<_>>().join(sep)
 }
 
-fn edge_label(g: &Cdfg, t: &Transition) -> String {
+fn edge_label(g: &Cdfg, stg: &Stg, t: &Transition) -> String {
     if t.when.is_empty() {
         return String::new();
     }
     t.when
         .iter()
-        .map(|(inst, v)| {
-            let l = op_label(g, inst);
-            if *v {
+        .map(|&(slot, v)| {
+            let l = op_label(g, stg.inst(slot));
+            if v {
                 l
             } else {
                 format!("!{l}")
@@ -54,10 +54,10 @@ pub fn render_text(stg: &Stg, g: &Cdfg) -> String {
             let _ = writeln!(out, "  {sid}: STOP");
             continue;
         }
-        let ops = ops_label(g, st, ", ");
+        let ops = ops_label(g, stg, st, ", ");
         let _ = writeln!(out, "  {sid}: {{{ops}}}");
         for t in &st.transitions {
-            let lbl = edge_label(g, t);
+            let lbl = edge_label(g, stg, t);
             let renames = if t.renames.is_empty() {
                 String::new()
             } else {
@@ -65,7 +65,10 @@ pub fn render_text(stg: &Stg, g: &Cdfg) -> String {
                     "  [{}]",
                     t.renames
                         .iter()
-                        .map(|(a, b)| format!("{} := {}", op_label(g, b), op_label(g, a)))
+                        .map(|&(a, b)| {
+                            let (a, b) = (stg.inst(a), stg.inst(b));
+                            format!("{} := {}", op_label(g, b), op_label(g, a))
+                        })
                         .collect::<Vec<_>>()
                         .join(", ")
                 )
@@ -96,12 +99,12 @@ impl Stg {
                 );
                 continue;
             }
-            let ops = ops_label(g, st, "\\n");
+            let ops = ops_label(g, self, st, "\\n");
             let _ = writeln!(s, "  n{} [label=\"{}\\n{}\"];", sid.index(), sid, ops);
         }
         for sid in self.reachable() {
             for t in &self.state(sid.to_owned()).transitions {
-                let lbl = edge_label(g, t);
+                let lbl = edge_label(g, self, t);
                 let _ = writeln!(
                     s,
                     "  n{} -> n{} [label=\"{}\"];",
@@ -119,7 +122,7 @@ impl Stg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OpInst, ScheduledOp, StateId};
+    use crate::{Arg, OpInst, ScheduledOp, StateId};
     use cdfg::{CdfgBuilder, OpKind, Src};
 
     fn tiny() -> (Stg, Cdfg) {
@@ -132,12 +135,12 @@ mod tests {
         let mut stg = Stg::new("t");
         let stop = stg.stop();
         let start = stg.start();
-        stg.state_mut(start).ops.push(ScheduledOp {
-            inst: OpInst::root(x),
-            operands: vec![crate::ValRef::Input(cdfg::InputId::new(0))],
-            latency: 1,
-            guard_str: "1".into(),
-        });
+        let dest = stg.intern(&OpInst::root(x));
+        let guard = stg.intern_guard("1");
+        let arg = Arg::Input(cdfg::InputId::new(0));
+        stg.state_mut(start)
+            .ops
+            .push(ScheduledOp::new(dest, &[arg], 1, guard).unwrap());
         stg.state_mut(start).transitions.push(Transition {
             when: vec![],
             target: stop,
@@ -168,7 +171,7 @@ mod tests {
     fn guarded_op_shows_guard() {
         let (mut stg, g) = tiny();
         let s = StateId(0);
-        stg.state_mut(s).ops[0].guard_str = "c1_0".into();
+        stg.state_mut(s).ops[0].guard = stg.intern_guard("c1_0");
         let txt = render_text(&stg, &g);
         assert!(txt.contains("++1/c1_0"));
     }

@@ -1,6 +1,6 @@
 //! The STG graph structure.
 
-use crate::{OpInst, ValRef};
+use crate::{Arg, OpInst, MAX_ARGS};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -21,38 +21,89 @@ impl fmt::Display for StateId {
     }
 }
 
-/// One operation issued in a state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One operation issued in a state, with its result and operands named
+/// by slots of the STG's instance table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduledOp {
-    /// The operation instance (`++1_2` in paper notation).
-    pub inst: OpInst,
-    /// Concrete operand sources, in port order. Memory writes have
-    /// `[addr, data]`; memory reads `[addr]`.
-    pub operands: Vec<ValRef>,
+    /// The slot the result is written to; [`Stg::inst`] names the
+    /// operation instance (`++1_2` in paper notation).
+    pub dest: u32,
     /// Latency in cycles (1 for single-cycle units; 2 for the pipelined
     /// multiplier). The result is architecturally available `latency`
     /// states later; the simulator may commit it at issue because
     /// consumers are scheduled no earlier than that.
     pub latency: u32,
-    /// Human-readable speculation condition (`c1_0.!c2_0`), or `"1"` when
-    /// the operation is non-speculative in this state. Purely for
-    /// display; the execution semantics do not depend on it.
-    pub guard_str: String,
+    /// Index of the human-readable speculation condition (`c1_0.!c2_0`,
+    /// or `"1"` when the operation is non-speculative in this state) in
+    /// the STG's guard table; see [`Stg::guard`]. Purely for display;
+    /// the execution semantics do not depend on it.
+    pub guard: u32,
+    args: [Arg; MAX_ARGS],
+    arity: u8,
 }
+
+impl ScheduledOp {
+    /// An operation writing slot `dest` from `args`, in port order.
+    /// Memory writes have `[addr, data]`; memory reads `[addr]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArityError`] if `args` holds more than [`MAX_ARGS`]
+    /// operands, more than any operation kind takes.
+    pub fn new(dest: u32, args: &[Arg], latency: u32, guard: u32) -> Result<Self, ArityError> {
+        let mut inline = [Arg::Const(0); MAX_ARGS];
+        inline
+            .get_mut(..args.len())
+            .ok_or(ArityError { arity: args.len() })?
+            .copy_from_slice(args);
+        Ok(ScheduledOp {
+            dest,
+            latency,
+            guard,
+            args: inline,
+            arity: args.len() as u8,
+        })
+    }
+
+    /// The operands, in port order.
+    #[inline]
+    pub fn args(&self) -> &[Arg] {
+        &self.args[..usize::from(self.arity)]
+    }
+}
+
+/// An operation was given more than [`MAX_ARGS`] operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArityError {
+    /// The number of operands given.
+    pub arity: usize,
+}
+
+impl fmt::Display for ArityError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} operands, but no operation takes more than {MAX_ARGS}",
+            self.arity
+        )
+    }
+}
+
+impl std::error::Error for ArityError {}
 
 /// A controller transition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transition {
     /// The combination of just-resolved condition-instance outcomes that
-    /// activates this transition, in instance order. Empty for an
-    /// unconditional transition.
-    pub when: Vec<(OpInst, bool)>,
+    /// activates this transition: each condition's slot and the outcome
+    /// it must have. Empty for an unconditional transition.
+    pub when: Vec<(u32, bool)>,
     /// Destination state.
     pub target: StateId,
     /// Register relabelings applied on this edge (the variable
-    /// relabelings of Example 10): the value registered under the first
-    /// instance becomes readable under the second, atomically.
-    pub renames: Vec<(OpInst, OpInst)>,
+    /// relabelings of Example 10), as `(from, to)` slot pairs: the value
+    /// registered under `from` becomes readable under `to`, atomically.
+    pub renames: Vec<(u32, u32)>,
 }
 
 /// A controller state: the operations it issues and its outgoing
@@ -62,9 +113,9 @@ pub struct State {
     /// Operations issued this cycle, in intra-state dependency order
     /// (chained consumers follow their producers).
     pub ops: Vec<ScheduledOp>,
-    /// Condition instances computed in this state whose outcomes select
-    /// the outgoing transition.
-    pub resolves: Vec<OpInst>,
+    /// Slots of the condition instances computed in this state whose
+    /// outcomes select the outgoing transition, in instance order.
+    pub resolves: Vec<u32>,
     /// Outgoing transitions, one per satisfiable outcome combination of
     /// `resolves` (a single unconditional transition when `resolves` is
     /// empty).
@@ -73,14 +124,25 @@ pub struct State {
 
 /// A scheduled state transition graph.
 ///
-/// Construct with [`Stg::new`] and the `add_*` methods (the schedulers do
-/// this); inspect with the accessors.
+/// Every value the STG names is a *slot*: a dense `u32` index into its
+/// instance table, which holds one [`OpInst`] per distinct instance.
+/// Ops, operands, transition conditions, renames and `resolves` all
+/// refer to slots, so a consumer indexes arrays by them instead of
+/// hashing instances. Guard strings are likewise stored once each and
+/// referenced by index.
+///
+/// Construct with [`Stg::new`], the `add_*` methods and the slot
+/// interners (the schedulers do this); inspect with the accessors.
 #[derive(Debug, Clone)]
 pub struct Stg {
     name: String,
     states: Vec<State>,
     start: StateId,
     stop: StateId,
+    /// Slot → instance, one entry per distinct instance.
+    insts: Vec<OpInst>,
+    /// Guard index → rendered guard, one entry per distinct string.
+    guards: Vec<String>,
 }
 
 impl Stg {
@@ -91,6 +153,8 @@ impl Stg {
             states: vec![State::default(), State::default()],
             start: StateId(0),
             stop: StateId(1),
+            insts: Vec::new(),
+            guards: Vec::new(),
         }
     }
 
@@ -107,6 +171,90 @@ impl Stg {
     /// The terminal STOP state (no operations, no transitions).
     pub fn stop(&self) -> StateId {
         self.stop
+    }
+
+    /// The slot of `inst`, adding it to the instance table if it has
+    /// none yet. Scans the table, so it suits hand-built STGs; a
+    /// scheduler that indexes its own instances appends with
+    /// [`Stg::push_inst`].
+    pub fn intern(&mut self, inst: &OpInst) -> u32 {
+        match self.insts.iter().position(|i| i == inst) {
+            Some(slot) => slot as u32,
+            None => self.push_inst(inst.clone()),
+        }
+    }
+
+    /// Appends `inst` to the instance table and returns its slot. The
+    /// caller guarantees `inst` has no slot yet; [`Stg::check`] rejects a
+    /// table naming an instance twice.
+    pub fn push_inst(&mut self, inst: OpInst) -> u32 {
+        let slot = u32::try_from(self.insts.len()).expect("too many slots");
+        self.insts.push(inst);
+        slot
+    }
+
+    /// The instance behind a slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    #[inline]
+    pub fn inst(&self, slot: u32) -> &OpInst {
+        &self.insts[slot as usize]
+    }
+
+    /// Number of slots: the distinct instances the STG names.
+    pub fn slot_count(&self) -> usize {
+        self.insts.len()
+    }
+
+    /// The index of guard string `guard`, adding it to the guard table
+    /// if it is not there yet.
+    pub fn intern_guard(&mut self, guard: &str) -> u32 {
+        let index = match self.guards.iter().position(|g| g == guard) {
+            Some(i) => i,
+            None => {
+                self.guards.push(guard.to_string());
+                self.guards.len() - 1
+            }
+        };
+        u32::try_from(index).expect("too many guards")
+    }
+
+    /// The guard string behind an index (see [`ScheduledOp::guard`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn guard(&self, index: u32) -> &str {
+        &self.guards[index as usize]
+    }
+
+    /// Heap bytes the STG holds, counted from capacities, so the figure
+    /// is deterministic for a given construction sequence.
+    pub fn heap_bytes(&self) -> usize {
+        fn buf<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let states: usize = self
+            .states
+            .iter()
+            .map(|st| {
+                let edges: usize = st
+                    .transitions
+                    .iter()
+                    .map(|t| buf(&t.when) + buf(&t.renames))
+                    .sum();
+                buf(&st.ops) + buf(&st.resolves) + buf(&st.transitions) + edges
+            })
+            .sum();
+        let guards: usize = self.guards.iter().map(String::capacity).sum();
+        self.name.capacity()
+            + buf(&self.states)
+            + states
+            + buf(&self.insts)
+            + buf(&self.guards)
+            + guards
     }
 
     /// Adds a fresh empty state and returns its id.
@@ -188,20 +336,55 @@ impl Stg {
         None
     }
 
-    /// Basic structural sanity: transition targets exist, and every
-    /// non-STOP reachable state has at least one transition (schedules
-    /// must terminate into STOP, not dead-end).
+    /// Basic structural sanity: transition targets exist, every slot
+    /// and guard index is in range, the instance table names each
+    /// instance once, and every non-STOP reachable state has at least
+    /// one transition (schedules must terminate into STOP, not
+    /// dead-end).
     ///
     /// # Errors
     ///
     /// Returns a description of the first violation.
     pub fn check(&self) -> Result<(), String> {
+        let slots = self.insts.len();
         for (i, st) in self.states.iter().enumerate() {
+            let reads = st
+                .ops
+                .iter()
+                .flat_map(|op| op.args())
+                .filter_map(|a| match *a {
+                    Arg::Slot(s) => Some(s),
+                    _ => None,
+                });
+            let edges = st.transitions.iter().flat_map(|t| {
+                let when = t.when.iter().map(|w| w.0);
+                when.chain(t.renames.iter().flat_map(|&(from, to)| [from, to]))
+            });
+            let dests = st.ops.iter().map(|op| op.dest);
+            let mut named = dests
+                .chain(reads)
+                .chain(st.resolves.iter().copied())
+                .chain(edges);
+            if let Some(s) = named.find(|&s| s as usize >= slots) {
+                return Err(format!("S{i} names missing slot {s}"));
+            }
+            if let Some(op) = st
+                .ops
+                .iter()
+                .find(|op| op.guard as usize >= self.guards.len())
+            {
+                return Err(format!("S{i} names missing guard {}", op.guard));
+            }
             for t in &st.transitions {
                 if t.target.index() >= self.states.len() {
                     return Err(format!("S{i} transitions to missing {}", t.target));
                 }
             }
+        }
+        let mut sorted: Vec<&OpInst> = self.insts.iter().collect();
+        sorted.sort_unstable();
+        if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+            return Err(format!("instance {} has two slots", w[0]));
         }
         for s in self.reachable() {
             if s != self.stop && self.states[s.index()].transitions.is_empty() {
@@ -289,5 +472,104 @@ mod tests {
         let mut g = linear_stg();
         let _orphan = g.add_state();
         assert_eq!(g.reachable().len(), 3, "start, s1, stop");
+    }
+
+    fn inst(op: u32, iter: Vec<u32>) -> OpInst {
+        OpInst::new(cdfg::OpId::new(op), iter)
+    }
+
+    #[test]
+    fn interning_names_each_instance_once_in_dense_slots() {
+        let mut g = Stg::new("t");
+        let insts = [
+            inst(1, vec![1]),
+            inst(1, vec![0]),
+            inst(2, vec![]),
+            inst(3, vec![]),
+        ];
+        for (s, i) in insts.iter().enumerate() {
+            assert_eq!(g.intern(i), s as u32, "fresh instances take the next slot");
+        }
+        for (s, i) in insts.iter().enumerate().rev() {
+            assert_eq!(g.intern(i), s as u32, "a second intern reuses the slot");
+        }
+        assert_eq!(g.slot_count(), insts.len());
+        for (s, i) in insts.iter().enumerate() {
+            assert_eq!(g.inst(s as u32), i);
+        }
+        let v1 = OpInst {
+            version: 1,
+            ..inst(1, vec![1])
+        };
+        assert_eq!(g.intern(&v1), 4, "versions are distinct instances");
+
+        assert_eq!(g.intern_guard("1"), 0);
+        assert_eq!(g.intern_guard("c1_0"), 1);
+        assert_eq!(g.intern_guard("1"), 0);
+        assert_eq!((g.guard(0), g.guard(1)), ("1", "c1_0"));
+    }
+
+    #[test]
+    fn ops_take_at_most_max_args_operands() {
+        let args = [
+            Arg::Slot(0),
+            Arg::Const(-7),
+            Arg::Input(cdfg::InputId::new(2)),
+        ];
+        let op = ScheduledOp::new(5, &args, 2, 1).unwrap();
+        assert_eq!((op.dest, op.latency, op.guard), (5, 2, 1));
+        assert_eq!(op.args(), &args);
+        assert_eq!(ScheduledOp::new(5, &[], 1, 0).unwrap().args(), &[]);
+        let err = ScheduledOp::new(5, &[Arg::Const(0); MAX_ARGS + 1], 1, 0).unwrap_err();
+        assert_eq!(
+            err,
+            ArityError {
+                arity: MAX_ARGS + 1
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "4 operands, but no operation takes more than 3"
+        );
+    }
+
+    #[test]
+    fn check_catches_dangling_and_duplicate_slots() {
+        let mut g = linear_stg();
+        let s1 = StateId(2);
+        let x = g.intern(&inst(1, vec![]));
+        let one = g.intern_guard("1");
+        g.state_mut(s1)
+            .ops
+            .push(ScheduledOp::new(x, &[Arg::Slot(x)], 1, one).unwrap());
+        assert_eq!(g.check(), Ok(()));
+        g.state_mut(s1).transitions[0].renames.push((x, 7));
+        assert_eq!(g.check(), Err("S2 names missing slot 7".into()));
+        g.state_mut(s1).transitions[0].renames.clear();
+        g.push_inst(inst(1, vec![]));
+        assert_eq!(g.check(), Err("instance op1 has two slots".into()));
+    }
+
+    #[test]
+    fn heap_bytes_counts_every_buffer() {
+        let mut g = linear_stg();
+        let before = g.heap_bytes();
+        let x = g.intern(&inst(1, vec![]));
+        let one = g.intern_guard("1");
+        assert_eq!(
+            g.heap_bytes(),
+            before
+                + g.insts.capacity() * std::mem::size_of::<OpInst>()
+                + g.guards.capacity() * std::mem::size_of::<String>()
+                + 1
+        );
+        let before = g.heap_bytes();
+        let s1 = StateId(2);
+        g.state_mut(s1).transitions[0].renames = vec![(x, x); 3];
+        assert_eq!(g.heap_bytes(), before + 3 * 8);
+        g.state_mut(s1)
+            .ops
+            .push(ScheduledOp::new(x, &[], 1, one).unwrap());
+        assert!(g.heap_bytes() >= before + 3 * 8 + std::mem::size_of::<ScheduledOp>());
     }
 }

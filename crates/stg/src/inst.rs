@@ -77,27 +77,20 @@ impl fmt::Display for OpInst {
     }
 }
 
+/// The widest operand list of any operation kind (`Select`).
+pub const MAX_ARGS: usize = 3;
+
 /// Where a scheduled operation's operand value comes from at run time.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum ValRef {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Arg {
     /// A compile-time constant.
     Const(Value),
     /// A primary input (stable for the whole execution).
     Input(InputId),
-    /// The result of an operation instance, read from the value registry
-    /// (written either in an earlier state or earlier in the same state
-    /// when chained).
-    Inst(OpInst),
-}
-
-impl fmt::Display for ValRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ValRef::Const(v) => write!(f, "#{v}"),
-            ValRef::Input(i) => write!(f, "{i}"),
-            ValRef::Inst(inst) => write!(f, "{inst}"),
-        }
-    }
+    /// The value held in a slot of the STG's instance table: the result
+    /// of that instance, written in an earlier state or earlier in the
+    /// same state when chained.
+    Slot(u32),
 }
 
 #[cfg(test)]
@@ -114,15 +107,5 @@ mod tests {
             ..OpInst::new(OpId::new(3), vec![2])
         };
         assert_eq!(v2.to_string(), "op3_2'v2");
-    }
-
-    #[test]
-    fn valref_display() {
-        assert_eq!(ValRef::Const(-2).to_string(), "#-2");
-        assert_eq!(ValRef::Input(InputId::new(1)).to_string(), "in1");
-        assert_eq!(
-            ValRef::Inst(OpInst::new(OpId::new(2), vec![1])).to_string(),
-            "op2_1"
-        );
     }
 }

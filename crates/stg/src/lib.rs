@@ -10,15 +10,16 @@
 //! versions, exactly like the variable relabelings of Example 10.
 //!
 //! The STG is deliberately self-contained for execution: every scheduled
-//! operation carries concrete operand references ([`ValRef`]), so a
+//! operation carries concrete operand references ([`Arg`]), so a
 //! cycle-accurate simulator (in `hls-sim`) can execute the schedule
-//! without consulting the scheduler again. Its consumers — the
-//! simulator, RTL binding and [`validate_dataflow`] — read it through one
-//! [`SlotPlan`], which names every instance by a dense slot.
+//! without consulting the scheduler again. Every value is named by a
+//! dense *slot* of the STG's instance table, so its consumers — the
+//! simulator, RTL binding and [`validate_dataflow`] — index arrays and
+//! [`SlotSet`]s by slot and never hash an instance.
 //!
 //! Key types: [`Stg`], [`State`], [`ScheduledOp`], [`Transition`],
 //! [`OpInst`] (an operation instance `op_iter` in the paper's notation),
-//! and [`ValRef`].
+//! and [`Arg`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,8 +32,8 @@ mod slots;
 mod validate;
 
 pub use dump::render_text;
-pub use graph::{ScheduledOp, State, StateId, Stg, Transition};
+pub use graph::{ArityError, ScheduledOp, State, StateId, Stg, Transition};
 pub use inline::{InlineVec, MAX_NEST};
-pub use inst::{IterVec, OpInst, ValRef};
-pub use slots::{Arg, SlotOp, SlotPlan, SlotSet, SlotState, SlotTransition, MAX_ARGS};
+pub use inst::{Arg, IterVec, OpInst, MAX_ARGS};
+pub use slots::SlotSet;
 pub use validate::{validate_dataflow, DataflowError};

@@ -10,7 +10,7 @@
 //! catches scheduler rename/fold bugs on paths no test trace happens to
 //! exercise.
 
-use crate::{Arg, OpInst, SlotPlan, SlotSet, Stg};
+use crate::{Arg, OpInst, SlotSet, Stg};
 
 /// A static dataflow violation: on some path into `state`, operation
 /// `reader` may read `missing` before any producer wrote it.
@@ -50,20 +50,19 @@ impl std::fmt::Display for DataflowError {
 ///
 /// Returns every violation found (empty ⇔ the STG is dataflow-sound).
 pub fn validate_dataflow(stg: &Stg) -> Result<(), Vec<DataflowError>> {
-    let plan = SlotPlan::new(stg);
     // must_in[s]: slots guaranteed defined on entry to s. `None` marks
     // "not yet computed" (top), so the first visit initializes.
     let mut must_in: Vec<Option<SlotSet>> = vec![None; stg.states().len()];
-    must_in[stg.start().index()] = Some(SlotSet::new(plan.slot_count()));
-    let mut defined = SlotSet::new(plan.slot_count());
-    let mut out = SlotSet::new(plan.slot_count());
+    must_in[stg.start().index()] = Some(SlotSet::new(stg.slot_count()));
+    let mut defined = SlotSet::new(stg.slot_count());
+    let mut out = SlotSet::new(stg.slot_count());
     let mut work = vec![stg.start()];
     while let Some(sid) = work.pop() {
         let Some(inn) = &must_in[sid.index()] else {
             continue;
         };
         defined.clone_from(inn);
-        let st = plan.state(sid);
+        let st = stg.state(sid);
         for op in &st.ops {
             defined.insert(op.dest);
         }
@@ -95,11 +94,11 @@ pub fn validate_dataflow(stg: &Stg) -> Result<(), Vec<DataflowError>> {
     let mut errors = Vec::new();
     let error = |state, reader: Option<u32>, missing| DataflowError {
         state,
-        reader: reader.map(|r| plan.inst(r).clone()),
-        missing: plan.inst(missing).clone(),
+        reader: reader.map(|r| stg.inst(r).clone()),
+        missing: stg.inst(missing).clone(),
     };
     for sid in stg.reachable() {
-        let st = plan.state(sid);
+        let st = stg.state(sid);
         match &must_in[sid.index()] {
             Some(inn) => defined.clone_from(inn),
             None => defined.clear(),
@@ -132,19 +131,22 @@ pub fn validate_dataflow(stg: &Stg) -> Result<(), Vec<DataflowError>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ScheduledOp, Transition, ValRef};
+    use crate::{ScheduledOp, StateId, Transition};
     use cdfg::OpId;
 
-    fn sop(op: u32, iter: Vec<u32>, operands: Vec<ValRef>) -> ScheduledOp {
-        ScheduledOp {
-            inst: OpInst::new(OpId::new(op), iter),
-            operands,
-            latency: 1,
-            guard_str: "1".into(),
-        }
+    /// Issues `inst` in `sid`, reading `reads`.
+    fn issue(g: &mut Stg, sid: StateId, inst: OpInst, reads: &[&OpInst]) {
+        let args: Vec<Arg> = reads.iter().map(|r| Arg::Slot(g.intern(r))).collect();
+        let (dest, guard) = (g.intern(&inst), g.intern_guard("1"));
+        let op = ScheduledOp::new(dest, &args, 1, guard).unwrap();
+        g.state_mut(sid).ops.push(op);
     }
 
-    fn edge(target: crate::StateId) -> Transition {
+    fn root(op: u32) -> OpInst {
+        OpInst::root(OpId::new(op))
+    }
+
+    fn edge(target: StateId) -> Transition {
         Transition {
             when: vec![],
             target,
@@ -157,12 +159,8 @@ mod tests {
         let mut g = Stg::new("t");
         let start = g.start();
         let stop = g.stop();
-        g.state_mut(start).ops.push(sop(0, vec![], vec![]));
-        g.state_mut(start).ops.push(sop(
-            1,
-            vec![],
-            vec![ValRef::Inst(OpInst::root(OpId::new(0)))],
-        ));
+        issue(&mut g, start, root(0), &[]);
+        issue(&mut g, start, root(1), &[&root(0)]);
         g.state_mut(start).transitions.push(edge(stop));
         assert_eq!(validate_dataflow(&g), Ok(()));
     }
@@ -172,15 +170,12 @@ mod tests {
         let mut g = Stg::new("t");
         let start = g.start();
         let stop = g.stop();
-        g.state_mut(start).ops.push(sop(
-            1,
-            vec![],
-            vec![ValRef::Inst(OpInst::root(OpId::new(0)))],
-        ));
+        issue(&mut g, start, root(1), &[&root(0)]);
         g.state_mut(start).transitions.push(edge(stop));
         let errs = validate_dataflow(&g).unwrap_err();
         assert_eq!(errs.len(), 1);
-        assert_eq!(errs[0].missing, OpInst::root(OpId::new(0)));
+        assert_eq!(errs[0].missing, root(0));
+        assert_eq!(errs[0].reader, Some(root(1)));
     }
 
     #[test]
@@ -191,20 +186,18 @@ mod tests {
         let start = g.start();
         let s1 = g.add_state();
         let stop = g.stop();
-        g.state_mut(start).ops.push(sop(0, vec![1], vec![]));
+        let (x1, x0) = (
+            OpInst::new(OpId::new(0), vec![1]),
+            OpInst::new(OpId::new(0), vec![0]),
+        );
+        issue(&mut g, start, x1.clone(), &[]);
+        let rename = (g.intern(&x1), g.intern(&x0));
         g.state_mut(start).transitions.push(Transition {
             when: vec![],
             target: s1,
-            renames: vec![(
-                OpInst::new(OpId::new(0), vec![1]),
-                OpInst::new(OpId::new(0), vec![0]),
-            )],
+            renames: vec![rename],
         });
-        g.state_mut(s1).ops.push(sop(
-            2,
-            vec![],
-            vec![ValRef::Inst(OpInst::new(OpId::new(0), vec![0]))],
-        ));
+        issue(&mut g, s1, root(2), &[&x0]);
         g.state_mut(s1).transitions.push(edge(stop));
         assert_eq!(validate_dataflow(&g), Ok(()));
         // Without the rename the read is a violation.
@@ -219,17 +212,16 @@ mod tests {
         // would lose one of them.
         let mut g = Stg::new("t");
         let (start, s1, stop) = (g.start(), g.add_state(), g.stop());
-        let (a, b) = (OpInst::root(OpId::new(0)), OpInst::root(OpId::new(1)));
-        g.state_mut(start).ops.push(sop(0, vec![], vec![]));
-        g.state_mut(start).ops.push(sop(1, vec![], vec![]));
+        let (a, b) = (root(0), root(1));
+        issue(&mut g, start, a.clone(), &[]);
+        issue(&mut g, start, b.clone(), &[]);
+        let (sa, sb) = (g.intern(&a), g.intern(&b));
         g.state_mut(start).transitions.push(Transition {
             when: vec![],
             target: s1,
-            renames: vec![(a.clone(), b.clone()), (b.clone(), a.clone())],
+            renames: vec![(sa, sb), (sb, sa)],
         });
-        g.state_mut(s1)
-            .ops
-            .push(sop(2, vec![], vec![ValRef::Inst(a), ValRef::Inst(b)]));
+        issue(&mut g, s1, root(2), &[&a, &b]);
         g.state_mut(s1).transitions.push(edge(stop));
         assert_eq!(validate_dataflow(&g), Ok(()));
     }
@@ -244,10 +236,10 @@ mod tests {
         let b = g.add_state();
         let s2 = g.add_state();
         let stop = g.stop();
-        let c = OpInst::root(OpId::new(9));
-        g.state_mut(start).ops.push(sop(9, vec![], vec![]));
+        issue(&mut g, start, root(9), &[]);
+        let c = g.intern(&root(9));
         g.state_mut(start).transitions.push(Transition {
-            when: vec![(c.clone(), true)],
+            when: vec![(c, true)],
             target: a,
             renames: vec![],
         });
@@ -256,14 +248,10 @@ mod tests {
             target: b,
             renames: vec![],
         });
-        g.state_mut(a).ops.push(sop(0, vec![], vec![]));
+        issue(&mut g, a, root(0), &[]);
         g.state_mut(a).transitions.push(edge(s2));
         g.state_mut(b).transitions.push(edge(s2));
-        g.state_mut(s2).ops.push(sop(
-            1,
-            vec![],
-            vec![ValRef::Inst(OpInst::root(OpId::new(0)))],
-        ));
+        issue(&mut g, s2, root(1), &[&root(0)]);
         g.state_mut(s2).transitions.push(edge(stop));
         let errs = validate_dataflow(&g).unwrap_err();
         assert_eq!(errs.len(), 1, "{errs:?}");

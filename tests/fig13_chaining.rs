@@ -56,9 +56,10 @@ fn fig13_condition_chain_shares_a_state() {
         let mut eq_iters = Vec::new();
         let mut not_iters = Vec::new();
         for op in &st.ops {
-            match g.op(op.inst.op).kind() {
-                cdfg::OpKind::Eq => eq_iters.push(op.inst.iter),
-                cdfg::OpKind::Not => not_iters.push(op.inst.iter),
+            let inst = r.stg.inst(op.dest);
+            match g.op(inst.op).kind() {
+                cdfg::OpKind::Eq => eq_iters.push(inst.iter),
+                cdfg::OpKind::Not => not_iters.push(inst.iter),
                 _ => {}
             }
         }

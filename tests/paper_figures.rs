@@ -123,7 +123,7 @@ fn fig5_schedules_respect_allocations() {
             .ops
             .iter()
             .filter(|o| {
-                hls_resources::classify(w.cdfg.op(o.inst.op).kind())
+                hls_resources::classify(w.cdfg.op(r.stg.inst(o.dest).op).kind())
                     == hls_resources::FuClass::Adder
             })
             .count();

@@ -85,7 +85,7 @@ fn shared_memory_serializes_port_access() {
             .iter()
             .filter(|o| {
                 matches!(
-                    w.cdfg.op(o.inst.op).kind(),
+                    w.cdfg.op(r.stg.inst(o.dest).op).kind(),
                     cdfg::OpKind::MemRead(_) | cdfg::OpKind::MemWrite(_)
                 )
             })
