@@ -198,6 +198,11 @@ fn report_counters(
     degradation: Option<&Degradation>,
 ) -> io::Result<()> {
     writeln!(out, "  stg: {} heap bytes", r.stg.heap_bytes())?;
+    writeln!(
+        out,
+        "  work: gen_calls={} gc_visits={} bdd_nodes={}",
+        r.stats.gen_calls, r.stats.gc_visits, r.stats.bdd_nodes
+    )?;
     writeln!(out, "  bdd: {}", r.stats.bdd_cache)?;
     writeln!(out, "  phases: {}", r.stats.phases)?;
     if r.stats.faults.total() > 0 {

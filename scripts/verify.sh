@@ -53,6 +53,13 @@ echo "== fault-injection smoke (SPEC_FAULT_CASES=24)"
 # skips the property is caught here, not silently.
 SPEC_FAULT_CASES=24 cargo test -q --offline -p integration --test fault_injection
 
+echo "== incremental-sweep differential (SPEC_PROPTEST_CASES=256, release)"
+# The pair-granular sweep events must stay a superset of what each
+# event can change: four times the default case count, against the
+# regenerate-everything reference and its every-fixpoint audit.
+SPEC_PROPTEST_CASES=256 cargo test -q --release --offline -p wavesched --lib \
+    incremental_sweep_matches_reference
+
 echo "== benchmark package tests"
 # `benchmark/` is its own cargo package (path deps on `crates/*`), so the
 # workspace test run above never compiles it.
