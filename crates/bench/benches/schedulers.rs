@@ -107,7 +107,8 @@ fn bench_schedule(
 /// Records the last run's size (states, issues, folds), its exact work
 /// counters (BDD nodes, the `allocs` heap allocations the `schedule`
 /// call made on the bench thread, the `stg_bytes` the STG holds on the
-/// heap, and the sweeps' `gen_calls` and the gc walk's `gc_visits`),
+/// heap, the sweeps' `gen_calls` and `window_builds`, and the gc walk's
+/// `gc_visits`),
 /// its per-phase nanosecond
 /// breakdown, and its containment counters (all zero on clean benches)
 /// in the bench's `extra`, so the artifact shows how much work the time
@@ -122,6 +123,7 @@ fn annotate(h: &mut Harness, r: &ScheduleResult, allocs: u64) {
     h.annotate("stg_bytes", r.stg.heap_bytes() as u64);
     h.annotate("gen_calls", stats.gen_calls);
     h.annotate("gc_visits", stats.gc_visits);
+    h.annotate("window_builds", stats.window_builds);
     let phases: &PhaseTimers = &stats.phases;
     for (key, stat) in [
         ("phase_grow_ns", phases.grow),

@@ -200,8 +200,8 @@ fn report_counters(
     writeln!(out, "  stg: {} heap bytes", r.stg.heap_bytes())?;
     writeln!(
         out,
-        "  work: gen_calls={} gc_visits={} bdd_nodes={}",
-        r.stats.gen_calls, r.stats.gc_visits, r.stats.bdd_nodes
+        "  work: gen_calls={} gc_visits={} window_builds={} bdd_nodes={}",
+        r.stats.gen_calls, r.stats.gc_visits, r.stats.window_builds, r.stats.bdd_nodes
     )?;
     writeln!(out, "  bdd: {}", r.stats.bdd_cache)?;
     writeln!(out, "  phases: {}", r.stats.phases)?;

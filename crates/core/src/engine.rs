@@ -11,7 +11,7 @@ use crate::ctx::{
     InstTable, Iter, Key, PairMark, ValSrc, VecMap, MAX_NEST,
 };
 use crate::fault::{FaultState, FaultStats, Probe};
-use crate::resolve::{GenScratch, Res, Tables};
+use crate::resolve::{CandEvent, GenScratch, Res, Tables};
 use crate::sig::SigBuilder;
 use crate::{BlockedInst, Mode, SchedConfig, SchedError, StuckReport};
 use cdfg::analysis::{self, BranchProbs};
@@ -128,6 +128,10 @@ pub struct SchedStats {
     /// `(op, iteration)` pairs whose control guard the gc liveness walk
     /// resolved, over the run.
     pub gc_visits: u64,
+    /// From-scratch builds of the swept window: one per context entering
+    /// a sweep (the cold start, each state entry and each branch); the
+    /// sweeps in between update the carried window from their events.
+    pub window_builds: u64,
     /// BDD nodes allocated over the run.
     pub bdd_nodes: usize,
     /// BDD operation-cache behavior over the run (hit rates, evictions).
@@ -265,6 +269,46 @@ type CapContrib = Vec<(LoopCtx, u32)>;
 /// The candidate iteration window `(lo, hi)` per loop context.
 type Domain = VecMap<LoopCtx, (u32, u32)>;
 
+/// Per loop context: the lowest and highest iteration noted, in a
+/// small vector with linear lookup (see [`ctx_entry`]).
+type Spans = Vec<(LoopCtx, (u32, u32))>;
+
+/// The swept window of the context being swept, carried across the
+/// events of its sweeps instead of rebuilt at every sweep.
+///
+/// A sweep enumerates a pure function of the context: the span of its
+/// live instance iterations (`avail` keys, candidates, obligations)
+/// per loop context, widened by the horizons, lowered to the work
+/// floors and capped by the lookahead, whose input is the oldest
+/// condition iteration the `avail` and candidate guards mention. The
+/// horizons and work floors are small maps, read afresh at each use;
+/// the two scans over every entry of the context are what this carries:
+/// - an issue turns a candidate into an `avail` key of the same
+///   instance and moves its guard along, so it changes neither table,
+///   unless a TRUE-guard issue drops other candidates of the instance:
+///   their guards leave the context, so `oldest` is rebuilt;
+/// - a productive generation widens both tables from its `Added`
+///   candidates and the obligations `note_iteration` opens (the
+///   horizons it bumps are read afresh anyway); a `Widened` guard can
+///   lose support, so `oldest` is rebuilt;
+/// - anything else that changes the context (a new context at state
+///   entry, a branch's cofactors, gc) invalidates both.
+///
+/// In debug builds every use asserts the carried window equals a
+/// from-scratch build.
+#[derive(Debug, Default)]
+struct Window {
+    /// Whether `spans` describes the context being swept.
+    valid: bool,
+    /// The live instance iterations per loop context.
+    spans: Spans,
+    /// Whether `oldest` describes the context being swept.
+    oldest_valid: bool,
+    /// The oldest condition iteration per loop context that an `avail`
+    /// or candidate guard mentions.
+    oldest: CapContrib,
+}
+
 /// The value of `key` in a per-loop-context accumulator, inserted as
 /// `init` when absent. Few loop contexts are live at once, so these
 /// accumulators are small vectors with linear lookup.
@@ -332,7 +376,7 @@ struct Engine<'a> {
     /// Candidate mutation events emitted by [`Res::gen_candidates`]
     /// since the last drain; the grow loop applies them to its
     /// criticality-ordered ready list instead of re-sorting.
-    events: Vec<crate::resolve::CandEvent>,
+    events: Vec<CandEvent>,
     /// Fold-probe signature trail, in probe order, for differential
     /// testing of the incremental sweep against the reference re-sort.
     sig_trail: Vec<u128>,
@@ -368,13 +412,12 @@ struct Engine<'a> {
     pair_marks: Vec<(OpId, PairMark)>,
     /// Reusable list of the spans a window growth opened.
     span_buf: Vec<(LoopId, PairMark)>,
-    /// Reusable accumulator of [`Self::cap_lookahead`]: the oldest
-    /// unresolved condition iteration per loop context.
-    oldest_buf: CapContrib,
+    /// The swept window of the context being swept.
+    window: Window,
     /// Reusable buffers of the resolution walk ([`Res::scratch`]).
     gen: GenScratch,
-    /// Spare entry buffers for [`Self::iter_domain`] results.
-    domain_bufs: Vec<Vec<(LoopCtx, (u32, u32))>>,
+    /// Spare entry buffers for domains and spans.
+    domain_bufs: Vec<Spans>,
     /// Reusable buffers of [`Self::gc`]: the live mark of each `avail`
     /// entry by position, the version lists of the consumer walk, the
     /// ops of dropped versions, and the live loops by index.
@@ -472,7 +515,7 @@ impl<'a> Engine<'a> {
             iter_buf: Vec::new(),
             pair_marks: Vec::new(),
             span_buf: Vec::new(),
-            oldest_buf: Vec::new(),
+            window: Window::default(),
             gen: GenScratch::default(),
             domain_bufs: Vec::new(),
             gc_marks: Vec::new(),
@@ -571,16 +614,19 @@ impl<'a> Engine<'a> {
         mark_whole(&mut self.faults, ctx, &self.cond_readers[cond.index()]);
     }
 
-    /// Records candidates added for an instance of `op`. A generation
-    /// writes the candidate list, interned ids and BDD variables (which
-    /// change no content), and `exit_pending` (which no generator
-    /// reads); window growth and horizon bumps it causes are events of
-    /// their own. A generator reads only its own instance's candidates,
-    /// so no other op can observe the change. The instance itself can:
-    /// `gen_ops` counts a call's widenings and re-tokenings against
-    /// `max_versions`, so a call that added can stop at the cap short of
-    /// a candidate the next call adds. Hence `(op, iter)`, and only that
-    /// pair, is marked, for the next pass.
+    /// Records a productive generation of `(op, iter)` that stopped at
+    /// the `max_versions` cap. A generation writes the candidate list,
+    /// interned ids and BDD variables (which change no content), and
+    /// `exit_pending` (which no generator reads); window growth and
+    /// horizon bumps it causes are events of their own. A generator
+    /// reads only its own instance's candidates, so no other op can
+    /// observe the change. The instance itself can: the generators count
+    /// a call's widenings and re-tokenings against `max_versions`, so a
+    /// call that added can stop at the cap short of a candidate the next
+    /// call adds. A call the cap did not stop already added, widened or
+    /// skipped every operand combination, so repeating it adds nothing.
+    /// Hence `(op, iter)`, and only that pair, is marked, for the next
+    /// pass, and only after a capped call.
     fn mark_generated(&mut self, ctx: &Ctx, op: OpId, iter: &[u32]) {
         if !drop_sweep_event(&mut self.faults, 1) {
             let m = PairMark::At(Iter::from_slice(iter));
@@ -666,27 +712,7 @@ impl<'a> Engine<'a> {
     /// Runs the schedule and also returns the fold-probe signature
     /// trail, for differential tests comparing sweep implementations.
     fn run_with_trail(mut self) -> Result<(ScheduleResult, Vec<u128>), SchedError> {
-        let mut ctx0 = Ctx::default();
-        // Initial obligations: every side-effect operation at the
-        // all-zero iteration of its loop nest.
-        let mut r = self.res();
-        let tables = r.tables;
-        for &e in &tables.effects {
-            let iter: Iter = std::iter::repeat_n(0, r.g.op(e).loop_path().len()).collect();
-            let guard = r.ctrl_guard(&ctx0, e, &iter);
-            if !guard.is_false() {
-                let inst = r.it.id(e, &iter);
-                ctx0.obligations_mut().insert(inst, guard);
-            }
-        }
-        // Cold start: everything is potentially generatable in a fresh
-        // context; later sweeps run off the per-context dirty feed.
-        let t_sw0 = Instant::now();
-        self.mark_all(&mut ctx0);
-        self.sweep(&mut ctx0)?;
-        self.events.clear();
-        self.stats.phases.sweep.add(t_sw0.elapsed());
-
+        let ctx0 = self.root_context()?;
         let start = self.stg.start();
         let stop = self.stg.stop();
         if ctx0.obligations.is_empty() {
@@ -753,8 +779,10 @@ impl<'a> Engine<'a> {
                 // condition's reader cone, from the resolved iteration
                 // on — rather than re-sweeping every op on the branch.
                 // (Marked here rather than per cofactor, so the
-                // partition's context copies carry no marks.)
+                // partition's context copies carry no marks.) The
+                // cofactors also end the carried window's validity.
                 self.memo.clear();
+                self.window.valid = false;
                 for &(k, _) in &when {
                     let (cop, ci) = self.it.pair(k.inst);
                     let ci = *ci;
@@ -822,6 +850,30 @@ impl<'a> Engine<'a> {
         self.finish()
     }
 
+    /// The root context: every side-effect operation's obligation at
+    /// the all-zero iteration of its loop nest, swept from a cold start.
+    fn root_context(&mut self) -> Result<Ctx, SchedError> {
+        let mut ctx0 = Ctx::default();
+        let mut r = self.res();
+        let tables = r.tables;
+        for &e in &tables.effects {
+            let iter: Iter = std::iter::repeat_n(0, r.g.op(e).loop_path().len()).collect();
+            let guard = r.ctrl_guard(&ctx0, e, &iter);
+            if !guard.is_false() {
+                let inst = r.it.id(e, &iter);
+                ctx0.obligations_mut().insert(inst, guard);
+            }
+        }
+        // Cold start: everything is potentially generatable in a fresh
+        // context; later sweeps run off the per-context dirty feed.
+        let t_sw0 = Instant::now();
+        self.mark_all(&mut ctx0);
+        self.sweep(&mut ctx0)?;
+        self.events.clear();
+        self.stats.phases.sweep.add(t_sw0.elapsed());
+        Ok(ctx0)
+    }
+
     fn finish(mut self) -> Result<(ScheduleResult, Vec<u128>), SchedError> {
         // Wall clock first: the debug-only validation below is not part
         // of the run the phase timers account for.
@@ -864,8 +916,10 @@ impl<'a> Engine<'a> {
         let mut issued: FxHashSet<Key> = FxHashSet::default();
         let mut class_use: FxHashMap<FuClass, u32> = FxHashMap::default();
         // `resolved` and the floors are frozen while a state grows:
-        // this opens a fresh guard-memo validity window.
+        // this opens a fresh guard-memo validity window. The context is
+        // new to the engine, so its swept window is built afresh.
         self.memo.clear();
+        self.window.valid = false;
         self.sweep(ctx)?;
         self.events.clear();
         let mut ready = self.build_ready(ctx);
@@ -928,10 +982,8 @@ impl<'a> Engine<'a> {
                 let mut events = std::mem::take(&mut self.events);
                 for ev in events.drain(..) {
                     match ev {
-                        crate::resolve::CandEvent::Added(i) => {
-                            self.ready_insert(&mut ready, ctx, i)
-                        }
-                        crate::resolve::CandEvent::Widened(i) => {
+                        CandEvent::Added(i) => self.ready_insert(&mut ready, ctx, i),
+                        CandEvent::Widened(i) => {
                             // Guard widened: criticality changed, so
                             // remove the stale entry and re-insert at
                             // its new rank (with a fresh skip flag — a
@@ -943,7 +995,7 @@ impl<'a> Engine<'a> {
                         }
                         // A token refresh changes neither the guard nor
                         // the instance: rank is unchanged.
-                        crate::resolve::CandEvent::Retokened(_) => {}
+                        CandEvent::Retokened(_) => {}
                     }
                 }
                 self.events = events;
@@ -1355,7 +1407,12 @@ impl<'a> Engine<'a> {
         }
         if cand.guard.is_true() {
             ctx.done_mut().insert(cand.inst);
+            let before = ctx.cands.len();
             ctx.cands_mut().retain(|c| c.inst != cand.inst);
+            // The dropped candidates' guards leave the context.
+            if ctx.cands.len() < before {
+                self.window.oldest_valid = false;
+            }
         }
         if self.g.op(op).is_conditional() {
             ctx.pending_conds_mut()
@@ -1391,10 +1448,12 @@ impl<'a> Engine<'a> {
     }
 
     /// One sweep pass: drains the context's whole-op marks and the
-    /// engine's narrowed marks, then re-generates, in op order, every pair of each marked op's
-    /// window in `domain` that a mark covers (`iters` is scratch). Each
-    /// generation that adds candidates records the event and notes its
-    /// iteration. Returns the number of candidates added.
+    /// engine's narrowed marks, then re-generates, in op order, every
+    /// pair of each marked op's window in `domain` that a mark covers
+    /// (`iters` is scratch). Each generation that adds candidates widens
+    /// the carried window, records the event if the version cap stopped
+    /// it, and notes its iteration. Returns the number of candidates
+    /// added.
     fn sweep_pass(&mut self, ctx: &mut Ctx, domain: &Domain, iters: &mut Vec<Iter>) -> usize {
         let cfg = self.cfg;
         let mut marks = std::mem::take(&mut self.pair_marks);
@@ -1416,16 +1475,20 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 self.stats.gen_calls += 1;
-                let n = self.res().gen_candidates(
+                let ev0 = self.events.len();
+                let gen = self.res().gen_candidates(
                     ctx,
                     opid,
                     iter,
                     cfg.max_versions,
                     cfg.max_spec_depth,
                 );
-                if n > 0 {
-                    added += n;
-                    self.mark_generated(ctx, opid, iter);
+                if gen.added > 0 {
+                    added += gen.added;
+                    self.widen_window(ctx, opid, iter, ev0);
+                    if gen.capped {
+                        self.mark_generated(ctx, opid, iter);
+                    }
                     self.note_iteration(ctx, opid, iter);
                 }
             }
@@ -1507,13 +1570,74 @@ impl<'a> Engine<'a> {
     }
 
     /// The candidate window a sweep pass enumerates: the live domain
-    /// under the lookahead cap. Marks the readers of every loop whose
-    /// window grew.
+    /// under the lookahead cap, from the carried [`Window`]. Marks the
+    /// readers of every loop whose window grew.
     fn swept_domain(&mut self, ctx: &mut Ctx) -> Domain {
-        let mut domain = self.iter_domain(ctx);
+        let mut domain = self.window_domain(ctx);
+        if !self.window.oldest_valid {
+            let mut oldest = std::mem::take(&mut self.window.oldest);
+            self.oldest_into(ctx, &mut oldest);
+            self.window.oldest = oldest;
+            self.window.oldest_valid = true;
+        }
+        #[cfg(debug_assertions)]
+        {
+            let mut fresh = Vec::new();
+            self.oldest_into(ctx, &mut fresh);
+            let mut carried = self.window.oldest.clone();
+            fresh.sort_unstable();
+            carried.sort_unstable();
+            assert_eq!(carried, fresh, "the carried lookahead table diverged");
+        }
         self.cap_lookahead(ctx, &mut domain);
         self.mark_domain_growth(ctx, &domain);
         domain
+    }
+
+    /// The live iteration window of `ctx` from the carried spans, which
+    /// are built first (and counted) if they do not describe `ctx`.
+    fn window_domain(&mut self, ctx: &Ctx) -> Domain {
+        if !self.window.valid {
+            let mut spans = std::mem::take(&mut self.window.spans);
+            self.instance_spans(ctx, &mut spans);
+            self.window.spans = spans;
+            self.window.valid = true;
+            self.window.oldest_valid = false;
+            self.stats.window_builds += 1;
+        }
+        let buf = self.domain_bufs.pop().unwrap_or_default();
+        let domain = finish_domain(ctx, &self.window.spans, buf);
+        #[cfg(debug_assertions)]
+        {
+            let fresh = self.iter_domain(ctx);
+            assert_eq!(
+                domain.as_slice(),
+                fresh.as_slice(),
+                "the carried window diverged from a rebuild"
+            );
+            self.recycle_domain(fresh);
+        }
+        domain
+    }
+
+    /// Widens the carried window by a productive generation of
+    /// `(op, iter)` whose events start at `self.events[ev0]` (see
+    /// [`Window`]).
+    fn widen_window(&mut self, ctx: &Ctx, op: OpId, iter: &[u32], ev0: usize) {
+        for i in ev0..self.events.len() {
+            match self.events[i] {
+                CandEvent::Added(c) => {
+                    note_span(&mut self.window.spans, self.g, op, iter);
+                    if self.window.oldest_valid {
+                        let gd = ctx.cands[c].guard;
+                        self.note_cap_contrib(gd);
+                        fold_oldest(&mut self.window.oldest, &self.cap_contrib[&gd]);
+                    }
+                }
+                CandEvent::Widened(_) => self.window.oldest_valid = false,
+                CandEvent::Retokened(_) => {}
+            }
+        }
     }
 
     /// Containment audit for the gc-storm fault: re-runs the
@@ -1579,15 +1703,10 @@ impl<'a> Engine<'a> {
         self.span_buf = spans;
     }
 
-    /// Caps each loop context's candidate window at `max_spec_depth`
-    /// iterations beyond its oldest *unresolved* condition instance.
-    /// Without this, an independent counter chain (whose conditions keep
-    /// resolving) races arbitrarily far ahead of depth-starved
-    /// speculation at older iterations, stretching the live window so no
-    /// two contexts ever fold.
-    fn cap_lookahead(&mut self, ctx: &Ctx, domain: &mut Domain) {
-        // The per-context minimum, accumulated in a reused vector.
-        let mut oldest = std::mem::take(&mut self.oldest_buf);
+    /// The oldest condition iteration per loop context that an `avail`
+    /// or candidate guard of `ctx` mentions, into `oldest` (cleared
+    /// first): the input of [`Self::cap_lookahead`].
+    fn oldest_into(&mut self, ctx: &Ctx, oldest: &mut CapContrib) {
         oldest.clear();
         for gd in ctx
             .avail
@@ -1595,33 +1714,46 @@ impl<'a> Engine<'a> {
             .map(|i| i.guard)
             .chain(ctx.cands.iter().map(|c| c.guard))
         {
-            // A guard's per-loop-context oldest condition iteration is
-            // a pure function of the (hash-consed) guard: cache it for
-            // the run instead of re-walking supports every pass.
-            if !self.cap_contrib.contains_key(&gd) {
-                let mut scratch = std::mem::take(&mut self.supp_scratch);
-                self.mgr.support_into(gd, &mut scratch);
-                let mut contrib: BTreeMap<LoopCtx, u32> = BTreeMap::new();
-                for &c in &scratch {
-                    let (op, iter) = self.it.pair(self.ct.inst_of(c));
-                    let path = self.g.op(op).loop_path();
-                    for (d, &l) in path.iter().enumerate() {
-                        if d < iter.len() {
-                            let e = contrib
-                                .entry((l, Iter::from_slice(&iter[..d])))
-                                .or_insert(u32::MAX);
-                            *e = (*e).min(iter[d]);
-                        }
-                    }
+            self.note_cap_contrib(gd);
+            fold_oldest(oldest, &self.cap_contrib[&gd]);
+        }
+    }
+
+    /// Caches guard `gd`'s per-loop-context oldest condition iteration
+    /// in [`Self::cap_contrib`]: a pure function of the (hash-consed)
+    /// guard, so it is walked once per run instead of once per sweep.
+    fn note_cap_contrib(&mut self, gd: Guard) {
+        if self.cap_contrib.contains_key(&gd) {
+            return;
+        }
+        let mut scratch = std::mem::take(&mut self.supp_scratch);
+        self.mgr.support_into(gd, &mut scratch);
+        let mut contrib: BTreeMap<LoopCtx, u32> = BTreeMap::new();
+        for &c in &scratch {
+            let (op, iter) = self.it.pair(self.ct.inst_of(c));
+            let path = self.g.op(op).loop_path();
+            for (d, &l) in path.iter().enumerate() {
+                if d < iter.len() {
+                    let e = contrib
+                        .entry((l, Iter::from_slice(&iter[..d])))
+                        .or_insert(u32::MAX);
+                    *e = (*e).min(iter[d]);
                 }
-                self.supp_scratch = scratch;
-                self.cap_contrib.insert(gd, contrib.into_iter().collect());
-            }
-            for &(key, m) in &self.cap_contrib[&gd] {
-                let e = ctx_entry(&mut oldest, key, u32::MAX);
-                *e = (*e).min(m);
             }
         }
+        self.supp_scratch = scratch;
+        self.cap_contrib.insert(gd, contrib.into_iter().collect());
+    }
+
+    /// Caps each loop context's candidate window at `max_spec_depth`
+    /// iterations beyond its oldest *unresolved* condition instance (the
+    /// carried window's lookahead table).
+    /// Without this, an independent counter chain (whose conditions keep
+    /// resolving) races arbitrarily far ahead of depth-starved
+    /// speculation at older iterations, stretching the live window so no
+    /// two contexts ever fold.
+    fn cap_lookahead(&self, ctx: &Ctx, domain: &mut Domain) {
+        let oldest = &self.window.oldest;
         let depth = self.cfg.max_spec_depth as u32;
         for (key, (lo, hi)) in domain.iter_mut() {
             if let Some(&(_, old)) = oldest.iter().find(|(k, _)| k == key) {
@@ -1645,7 +1777,6 @@ impl<'a> Engine<'a> {
             *hi = (*hi).min(wf.saturating_add(window));
             *lo = (*lo).min(*hi);
         }
-        self.oldest_buf = oldest;
     }
 
     /// Records that iteration `iter` of `op`'s loop nest is
@@ -1676,9 +1807,8 @@ impl<'a> Engine<'a> {
             // Newly opened iteration: instantiate the obligations of
             // every effectful op directly inside this loop level (deeper
             // levels open through their own horizon bumps at index 0).
-            let mut r = self.res();
-            let tables = r.tables;
-            for &e in &tables.effects {
+            for ei in 0..self.tables.effects.len() {
+                let e = self.tables.effects[ei];
                 let epath = g.op(e).loop_path();
                 if epath.len() <= d || epath[d] != l || epath[..d] != path[..d] {
                     continue;
@@ -1686,6 +1816,7 @@ impl<'a> Engine<'a> {
                 let mut eiter = prefix;
                 eiter.push(k);
                 eiter.extend(std::iter::repeat_n(0, epath.len() - d - 1));
+                let mut r = self.res();
                 if r.it.get(e, &eiter).is_some_and(|i| ctx.done.contains(&i)) {
                     continue;
                 }
@@ -1694,59 +1825,39 @@ impl<'a> Engine<'a> {
                     let einst = r.it.id(e, &eiter);
                     if !ctx.obligations.contains_key(&einst) {
                         ctx.obligations_mut().insert(einst, guard);
+                        note_span(&mut self.window.spans, g, e, &eiter);
                     }
                 }
             }
         }
     }
 
-    /// The live iteration window per loop context, derived from the keys
-    /// present in the context (plus one beyond each horizon so loops can
-    /// keep unrolling).
+    /// The per-loop-context spans of the live instances of `ctx` (its
+    /// `avail` keys, candidates and obligations), into `spans` (cleared
+    /// first).
+    fn instance_spans(&self, ctx: &Ctx, spans: &mut Spans) {
+        spans.clear();
+        let insts = ctx
+            .avail
+            .keys()
+            .map(|k| k.inst)
+            .chain(ctx.cands.iter().map(|c| c.inst))
+            .chain(ctx.obligations.keys().copied());
+        for inst in insts {
+            let (op, iter) = self.it.pair(inst);
+            note_span(spans, self.g, op, iter);
+        }
+    }
+
+    /// The live iteration window per loop context, built from scratch
+    /// (see [`finish_domain`]).
     fn iter_domain(&mut self, ctx: &Ctx) -> Domain {
-        // Accumulate the windows with linear lookup in a spare buffer,
-        // then sort it once.
-        let mut dom = self.domain_bufs.pop().unwrap_or_default();
-        dom.clear();
-        fn note(dom: &mut Vec<(LoopCtx, (u32, u32))>, g: &Cdfg, op: OpId, iter: &[u32]) {
-            let path = g.op(op).loop_path();
-            for (d, &l) in path.iter().enumerate() {
-                if d >= iter.len() {
-                    break;
-                }
-                let e = ctx_entry(dom, (l, Iter::from_slice(&iter[..d])), (u32::MAX, 0));
-                e.0 = e.0.min(iter[d]);
-                e.1 = e.1.max(iter[d]);
-            }
-        }
-        for k in ctx.avail.keys() {
-            let (op, iter) = self.it.pair(k.inst);
-            note(&mut dom, self.g, op, iter);
-        }
-        for c in ctx.cands.iter() {
-            let (op, iter) = self.it.pair(c.inst);
-            note(&mut dom, self.g, op, iter);
-        }
-        for inst in ctx.obligations.keys() {
-            let (op, iter) = self.it.pair(*inst);
-            note(&mut dom, self.g, op, iter);
-        }
-        for (key, h) in ctx.horizon.iter() {
-            let e = ctx_entry(&mut dom, *key, (u32::MAX, 0));
-            e.0 = e.0.min(*h);
-            e.1 = e.1.max(h + 1);
-        }
-        for (key, e) in dom.iter_mut() {
-            if e.0 == u32::MAX {
-                e.0 = 0;
-            }
-            // Lagging (not-yet-done) iterations stay enumerable even
-            // when every live value has moved past them.
-            let wf = ctx.work_floor.get(key).copied().unwrap_or(0);
-            e.0 = e.0.min(wf);
-            e.1 = e.1.max(e.0 + 1);
-        }
-        VecMap::from_unsorted(dom)
+        let mut spans = self.domain_bufs.pop().unwrap_or_default();
+        self.instance_spans(ctx, &mut spans);
+        let buf = self.domain_bufs.pop().unwrap_or_default();
+        let domain = finish_domain(ctx, &spans, buf);
+        self.domain_bufs.push(spans);
+        domain
     }
 
     /// Returns a domain's buffer to the pool [`Self::iter_domain`] draws
@@ -1813,8 +1924,11 @@ impl<'a> Engine<'a> {
         // variable. Any further narrowing of the walk therefore moves
         // variable order: visiting only the direct consumers of the
         // still-unmarked keys' ops changed a guard's rendering on a
-        // random program of the sweep differential.
-        let domain = self.iter_domain(ctx);
+        // random program of the sweep differential. The branch sweep
+        // that precedes gc leaves the context's window carried; gc's
+        // own writes end its validity.
+        let domain = self.window_domain(ctx);
+        self.window.valid = false;
         let g = self.g;
         let mut iters = std::mem::take(&mut self.iter_buf);
         let mut versions = std::mem::take(&mut self.gc_versions);
@@ -2504,6 +2618,48 @@ fn slot_of(slots: &mut FxHashMap<Key, u32>, stg: &mut Stg, it: &InstTable, k: Ke
         .or_insert_with(|| stg.push_inst(key_to_inst(it, &k)))
 }
 
+/// Notes instance `(op, iter)` in per-loop-context `spans`.
+fn note_span(spans: &mut Spans, g: &Cdfg, op: OpId, iter: &[u32]) {
+    for (d, &l) in g.op(op).loop_path().iter().enumerate().take(iter.len()) {
+        let e = ctx_entry(spans, (l, Iter::from_slice(&iter[..d])), (u32::MAX, 0));
+        e.0 = e.0.min(iter[d]);
+        e.1 = e.1.max(iter[d]);
+    }
+}
+
+/// The live iteration window per loop context: the instance `spans`
+/// widened by each horizon (plus one beyond it, so loops can keep
+/// unrolling) and lowered to the work floors, built in `buf` and sorted
+/// once.
+fn finish_domain(ctx: &Ctx, spans: &Spans, mut buf: Spans) -> Domain {
+    buf.clone_from(spans);
+    for (key, h) in ctx.horizon.iter() {
+        let e = ctx_entry(&mut buf, *key, (u32::MAX, 0));
+        e.0 = e.0.min(*h);
+        e.1 = e.1.max(h + 1);
+    }
+    for (key, e) in buf.iter_mut() {
+        if e.0 == u32::MAX {
+            e.0 = 0;
+        }
+        // Lagging (not-yet-done) iterations stay enumerable even when
+        // every live value has moved past them.
+        let wf = ctx.work_floor.get(key).copied().unwrap_or(0);
+        e.0 = e.0.min(wf);
+        e.1 = e.1.max(e.0 + 1);
+    }
+    VecMap::from_unsorted(buf)
+}
+
+/// Folds one guard's per-loop-context oldest condition iterations into
+/// the running minimum `oldest`.
+fn fold_oldest(oldest: &mut CapContrib, contrib: &CapContrib) {
+    for &(key, m) in contrib {
+        let e = ctx_entry(oldest, key, u32::MAX);
+        *e = (*e).min(m);
+    }
+}
+
 /// Enumerates the live iteration vectors for `op` given the per-loop
 /// windows into `out` (cleared first), outermost index slowest. Each
 /// nest level expands the previous level's prefixes in place and then
@@ -2929,6 +3085,99 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The carried window's three update rules on a counting loop: an
+    /// issue leaves it equal, a generation at a new iteration widens it
+    /// without a rebuild, and a widened guard rebuilds only the
+    /// lookahead table. (Every use also checks it against a rebuild in
+    /// debug builds.)
+    #[test]
+    fn carried_window_follows_issue_and_generation_events() {
+        let g = compile(
+            "design d { input n; output o; var i = 0;
+             while (i < n) { i = i + 1; } o = i; }",
+        );
+        let (lib, probs) = (Library::dac98(), BranchProbs::new());
+        let alloc = Allocation::new()
+            .with(FuClass::Incrementer, 1)
+            .with(FuClass::Comparator, 1);
+        let cfg = SchedConfig::new(Mode::Speculative);
+        let mut e = Engine::new(&g, &lib, &alloc, &probs, &cfg);
+        let mut ctx = e.root_context().unwrap();
+        e.window.valid = false;
+        e.sweep(&mut ctx).unwrap();
+        assert_eq!(e.stats.window_builds, 2, "cold start and state entry");
+        let sorted = |s: &Spans| {
+            let mut s = s.clone();
+            s.sort_unstable();
+            s
+        };
+        let rebuilt = |e: &Engine, ctx: &Ctx| {
+            let mut s = Vec::new();
+            e.instance_spans(ctx, &mut s);
+            sorted(&s)
+        };
+        let inc = g
+            .ops()
+            .iter()
+            .find(|o| o.kind() == cdfg::OpKind::Inc)
+            .unwrap()
+            .id();
+        let at = |e: &Engine, ctx: &Ctx, k: u32| {
+            ctx.cands
+                .iter()
+                .position(|c| e.it.pair(c.inst) == (inc, &Iter::from_slice(&[k])))
+        };
+        assert_eq!(at(&e, &ctx, 1), None, "iteration 1 waits for i@0");
+        let before = sorted(&e.window.spans);
+
+        let idx = at(&e, &ctx, 0).expect("i@0 is a candidate");
+        let (mut issued, mut class_use) = (FxHashSet::default(), FxHashMap::default());
+        e.issue(&mut ctx, idx, 0.0, &mut issued, &mut class_use);
+        assert_eq!(sorted(&e.window.spans), before, "an issue leaves it equal");
+        assert_eq!(before, rebuilt(&e, &ctx));
+
+        e.sweep(&mut ctx).unwrap();
+        assert!(at(&e, &ctx, 1).is_some(), "the issue enabled i@1");
+        let after = sorted(&e.window.spans);
+        assert_ne!(after, before, "the new iteration widened it");
+        assert_eq!(after, rebuilt(&e, &ctx));
+        assert_eq!(e.stats.window_builds, 2, "without a rebuild");
+        assert!(e.window.oldest_valid);
+
+        let c = at(&e, &ctx, 1).unwrap();
+        assert!(!ctx.cands[c].guard.is_true());
+        ctx.cands_mut()[c].guard = Guard::TRUE;
+        let ev0 = e.events.len();
+        e.events.push(CandEvent::Widened(c));
+        e.widen_window(&ctx, inc, &[1], ev0);
+        assert!(!e.window.oldest_valid, "a widened guard can lose support");
+        let domain = e.swept_domain(&mut ctx);
+        e.recycle_domain(domain);
+        assert!(e.window.oldest_valid);
+        assert_eq!(e.stats.window_builds, 2, "only the lookahead is rebuilt");
+    }
+
+    /// The swept window is built from scratch only for a context new to
+    /// the sweep (the cold start, a state entry, a branch): never at the
+    /// post-issue sweeps in between.
+    #[test]
+    fn window_is_built_once_per_swept_context() {
+        let w = workloads::findmin_two_pass().expect("bundled workload builds");
+        let probs = hls_sim::profile(&w.cdfg, &w.vectors(20), &w.mem_init);
+        let mut cfg = SchedConfig::new(Mode::Speculative);
+        cfg.max_spec_depth = w.spec_depth;
+        let r = schedule(&w.cdfg, &w.library, &w.allocation, &probs, &cfg).unwrap();
+        let p = r.stats.phases;
+        // `grow` runs once per state entry; `sweep` once at the cold
+        // start and once per branch.
+        let contexts = p.grow.calls + p.sweep.calls;
+        assert!(
+            r.stats.window_builds <= contexts,
+            "{} window builds for {contexts} swept contexts",
+            r.stats.window_builds
+        );
     }
 
     /// Differential oracle for the incremental sweep (see

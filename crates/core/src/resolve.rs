@@ -103,6 +103,16 @@ pub(crate) enum CandEvent {
     Retokened(usize),
 }
 
+/// What one [`Res::gen_candidates`] call did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Generated {
+    /// Candidates added, widened or re-tokened.
+    pub added: usize,
+    /// Whether the call stopped at the `max_versions` cap before it
+    /// had looked at every operand combination.
+    pub capped: bool,
+}
+
 /// Reusable buffers of the resolution walk, owned by the engine so the
 /// per-call version lists and candidate products are allocated once per
 /// run rather than once per call.
@@ -739,9 +749,10 @@ impl Res<'_> {
     /// cartesian product of its ports' version sets, each with the
     /// Lemma-1 conjunction guard. New candidates are deduplicated
     /// against the instance's existing candidates and issued versions
-    /// and appended to `ctx.cands`. Returns how many were added. Works
-    /// in the engine-owned [`GenScratch`], so a generation that adds
-    /// nothing allocates nothing.
+    /// and appended to `ctx.cands`. Returns how many were added, widened
+    /// or re-tokened, and whether the `max_versions` cap stopped the
+    /// call. Works in the engine-owned [`GenScratch`], so a generation
+    /// that adds nothing allocates nothing.
     pub fn gen_candidates(
         &mut self,
         ctx: &mut Ctx,
@@ -749,19 +760,19 @@ impl Res<'_> {
         iter: &[u32],
         max_versions: usize,
         max_depth: usize,
-    ) -> usize {
+    ) -> Generated {
         let g = self.g;
         let kind = g.op(op).kind();
         if kind.is_source() {
-            return 0;
+            return Generated::default();
         }
         let inst = self.it.id(op, iter);
         if ctx.done.contains(&inst) {
-            return 0;
+            return Generated::default();
         }
         let ctrl = self.ctrl_guard(ctx, op, iter);
         if ctrl.is_false() {
-            return 0;
+            return Generated::default();
         }
         let mut bufs = std::mem::take(&mut self.scratch.gen);
         let added = if kind.is_pass_through() {
@@ -805,13 +816,13 @@ impl Res<'_> {
         max_versions: usize,
         max_depth: usize,
         bufs: &mut GenBufs,
-    ) -> usize {
+    ) -> Generated {
         let GenBufs { versions, mine, .. } = bufs;
         versions.clear();
         self.copy_versions(ctx, op, iter, versions);
         same_inst(ctx, inst, mine);
         let avail_cnt = ctx.avail.versions(inst).len();
-        let mut added = 0;
+        let mut out = Generated::default();
         for &(v, gv) in versions.iter() {
             let guard = self.mgr.and(ctrl, gv);
             if guard.is_false() || self.mgr.support_len(guard) > max_depth {
@@ -825,7 +836,7 @@ impl Res<'_> {
                 if widened != ctx.cands[i].guard {
                     ctx.cands_mut()[i].guard = widened;
                     self.events.push(CandEvent::Widened(i));
-                    added += 1;
+                    out.added += 1;
                 }
                 continue;
             }
@@ -838,6 +849,7 @@ impl Res<'_> {
                 continue;
             }
             if avail_cnt + mine.len() >= max_versions {
+                out.capped = true;
                 break;
             }
             ctx.cands_mut().push(Candidate {
@@ -848,9 +860,9 @@ impl Res<'_> {
             });
             mine.push(ctx.cands.len() - 1);
             self.events.push(CandEvent::Added(ctx.cands.len() - 1));
-            added += 1;
+            out.added += 1;
         }
-        added
+        out
     }
 
     /// [`Self::gen_candidates`] for an operation that computes.
@@ -865,7 +877,7 @@ impl Res<'_> {
         max_versions: usize,
         max_depth: usize,
         bufs: &mut GenBufs,
-    ) -> usize {
+    ) -> Generated {
         let g = self.g;
         let GenBufs {
             versions,
@@ -880,7 +892,7 @@ impl Res<'_> {
         for p in g.op(op).order_deps() {
             match self.token(ctx, p, op, iter) {
                 Ok(t) => tokens.push(t),
-                Err(()) => return 0,
+                Err(()) => return Generated::default(),
             }
         }
         combos.clear();
@@ -889,7 +901,7 @@ impl Res<'_> {
             versions.clear();
             self.port_versions(ctx, p, op, iter, versions);
             if versions.is_empty() {
-                return 0;
+                return Generated::default();
             }
             next.clear();
             for &(ops_so_far, g_so_far) in combos.iter() {
@@ -905,7 +917,7 @@ impl Res<'_> {
             }
             std::mem::swap(combos, next);
             if combos.is_empty() {
-                return 0;
+                return Generated::default();
             }
             combos.truncate(64);
         }
@@ -917,7 +929,7 @@ impl Res<'_> {
         // loop would.
         same_inst(ctx, inst, mine);
         let existing = ctx.avail.versions(inst).len() + mine.len();
-        let mut added = 0;
+        let mut out = Generated::default();
         for &(operands, guard) in combos.iter() {
             // Bounding candidate creation (not just issue) by the
             // speculation depth keeps the unrolling horizon finite:
@@ -942,13 +954,13 @@ impl Res<'_> {
                 if stale && ctx.cands[i].tokens != *tokens {
                     ctx.cands_mut()[i].tokens.clone_from(tokens);
                     self.events.push(CandEvent::Retokened(i));
-                    added += 1;
+                    out.added += 1;
                 }
                 let widened = self.mgr.or(ctx.cands[i].guard, guard);
                 if widened != ctx.cands[i].guard {
                     ctx.cands_mut()[i].guard = widened;
                     self.events.push(CandEvent::Widened(i));
-                    added += 1;
+                    out.added += 1;
                 }
                 continue;
             }
@@ -962,7 +974,8 @@ impl Res<'_> {
             if issued {
                 continue;
             }
-            if existing + added >= max_versions {
+            if existing + out.added >= max_versions {
+                out.capped = true;
                 break;
             }
             ctx.cands_mut().push(Candidate {
@@ -973,9 +986,9 @@ impl Res<'_> {
             });
             mine.push(ctx.cands.len() - 1);
             self.events.push(CandEvent::Added(ctx.cands.len() - 1));
-            added += 1;
+            out.added += 1;
         }
-        added
+        out
     }
 }
 
@@ -1293,10 +1306,21 @@ mod tests {
             scratch: &mut scratch,
         };
         let n1 = r.gen_candidates(&mut ctx, cont, &[0], 4, 4);
-        assert_eq!(n1, 1, "the iteration-0 continue test is schedulable");
+        assert_eq!(
+            n1,
+            Generated {
+                added: 1,
+                capped: false
+            },
+            "the iteration-0 continue test is schedulable"
+        );
         let n2 = r.gen_candidates(&mut ctx, cont, &[0], 4, 4);
-        assert_eq!(n2, 0, "regeneration with identical operands dedups");
+        assert_eq!(n2.added, 0, "regeneration with identical operands dedups");
         assert_eq!(ctx.cands.len(), 1);
+        // A call the version cap stops says so.
+        let mut fresh = Ctx::default();
+        let n3 = r.gen_candidates(&mut fresh, cont, &[0], 0, 4);
+        assert!(n3.capped && n3.added == 0, "{n3:?}");
     }
 
     #[test]
@@ -1325,7 +1349,7 @@ mod tests {
             scratch: &mut scratch,
         };
         // Iteration 0 increments are within any cap...
-        assert_eq!(r.gen_candidates(&mut ctx, inc, &[0], 4, 1), 1);
+        assert_eq!(r.gen_candidates(&mut ctx, inc, &[0], 4, 1).added, 1);
         // ...but iteration 2 needs a 3-condition chain plus operand
         // availability; even with values present, a cap of 1 blocks it.
         ctx.avail_mut().insert(
@@ -1338,7 +1362,7 @@ mod tests {
             },
         );
         assert_eq!(
-            r.gen_candidates(&mut ctx, inc, &[2], 4, 1),
+            r.gen_candidates(&mut ctx, inc, &[2], 4, 1).added,
             0,
             "chain support exceeds the speculation depth"
         );

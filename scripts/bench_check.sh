@@ -6,7 +6,8 @@
 # SPEC_BENCH_CHECK_PCT), if a baseline bench disappeared from the
 # fresh run, or if any scheduler bench's work counters (states, issues,
 # folds, BDD nodes, heap allocations, STG heap bytes, generator calls,
-# gc pair visits) differ from the committed ones at all. New benches (present only in the fresh run)
+# gc pair visits, swept-window builds) differ from the committed ones at
+# all. New benches (present only in the fresh run)
 # are ignored — they gain a baseline when scripts/bench.sh refreshes
 # the committed artifacts.
 #
@@ -76,12 +77,25 @@ for group in $GROUPS_CHECKED; do
 done
 
 # Exact work counters: the states, issues, folds, BDD nodes, heap
-# allocations, STG heap bytes, generator calls and gc pair visits of a
-# schedule are deterministic, so
-# every scheduler bench must reproduce the committed counts exactly — a
-# difference is a schedule or hot-path change, not timer noise.
+# allocations, STG heap bytes, generator calls, gc pair visits and
+# swept-window builds of a schedule are deterministic, so every
+# scheduler bench must reproduce the committed counts exactly — a
+# difference is a schedule or hot-path change, not timer noise. Prints
+# "name count…" in COUNTER_KEYS order for each bench whose `extra` has
+# every key.
+COUNTER_KEYS="states issues folds bdd_nodes allocs stg_bytes gen_calls gc_visits window_builds"
 counters() {
-    sed -n 's/.*"name": "\([^"]*\)".*"extra": {.*"states": \([0-9]*\).*"issues": \([0-9]*\).*"folds": \([0-9]*\).*"bdd_nodes": \([0-9]*\).*"allocs": \([0-9]*\).*"stg_bytes": \([0-9]*\).*"gen_calls": \([0-9]*\).*"gc_visits": \([0-9]*\).*/\1 \2 \3 \4 \5 \6 \7 \8 \9/p' "$1"
+    awk -v keys="$COUNTER_KEYS" '
+        match($0, /"name": "[^"]*"/) && index($0, "\"extra\": {") {
+            out = substr($0, RSTART + 9, RLENGTH - 10)
+            extra = substr($0, index($0, "\"extra\": {"))
+            n = split(keys, k, " ")
+            for (i = 1; i <= n; i++) {
+                if (!match(extra, "\"" k[i] "\": [0-9]+")) next
+                out = out " " substr(extra, RSTART + length(k[i]) + 4, RLENGTH - length(k[i]) - 4)
+            }
+            print out
+        }' "$1"
 }
 base_counters="$(counters BENCH_schedulers.json)"
 fresh_counters="$(counters "$FRESH_DIR/BENCH_schedulers.json")"
@@ -91,18 +105,17 @@ if [ -z "$base_counters" ] || [ -z "$fresh_counters" ]; then
     exit 1
 fi
 while read -r name _; do
-    base="$(awk -v n="$name" '$1 == n {print $2, $3, $4, $5, $6, $7, $8, $9}' <<<"$base_counters")"
-    fresh="$(awk -v n="$name" '$1 == n {print $2, $3, $4, $5, $6, $7, $8, $9}' <<<"$fresh_counters")"
+    base="$(awk -v n="$name" '$1 == n {$1 = ""; print substr($0, 2)}' <<<"$base_counters")"
+    fresh="$(awk -v n="$name" '$1 == n {$1 = ""; print substr($0, 2)}' <<<"$fresh_counters")"
     if [ -z "$base" ]; then
-        echo "bench_check: NOCOUNT   schedulers/$name" \
-            "(no states/issues/folds/bdd_nodes/allocs/stg_bytes/gen_calls/gc_visits in the baseline)"
+        echo "bench_check: NOCOUNT   schedulers/$name (not every one of $COUNTER_KEYS in the baseline)"
         fail=1
     elif [ "$fresh" != "$base" ]; then
-        echo "bench_check: COUNTERS  schedulers/$name: states issues folds bdd_nodes allocs stg_bytes gen_calls gc_visits" \
+        echo "bench_check: COUNTERS  schedulers/$name: $COUNTER_KEYS" \
             "$base -> ${fresh:-missing}"
         fail=1
     else
-        echo "bench_check: ok        schedulers/$name: states issues folds bdd_nodes allocs stg_bytes gen_calls gc_visits $base"
+        echo "bench_check: ok        schedulers/$name: $COUNTER_KEYS $base"
     fi
 done < <(medians BENCH_schedulers.json)
 

@@ -53,11 +53,15 @@ echo "== fault-injection smoke (SPEC_FAULT_CASES=24)"
 # skips the property is caught here, not silently.
 SPEC_FAULT_CASES=24 cargo test -q --offline -p integration --test fault_injection
 
-echo "== incremental-sweep differential (SPEC_PROPTEST_CASES=256, release)"
+echo "== incremental-sweep differential (SPEC_PROPTEST_CASES=256, release, debug assertions)"
 # The pair-granular sweep events must stay a superset of what each
 # event can change: four times the default case count, against the
-# regenerate-everything reference and its every-fixpoint audit.
-SPEC_PROPTEST_CASES=256 cargo test -q --release --offline -p wavesched --lib \
+# regenerate-everything reference and its every-fixpoint audit. Debug
+# assertions stay on so the carried sweep window is checked against a
+# rebuild at every use over the large case set too; the build gets its
+# own target directory so it does not replace the release build above.
+CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true CARGO_TARGET_DIR=target/checked \
+    SPEC_PROPTEST_CASES=256 cargo test -q --release --offline -p wavesched --lib \
     incremental_sweep_matches_reference
 
 echo "== benchmark package tests"
