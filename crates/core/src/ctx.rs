@@ -49,7 +49,6 @@ use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 #[cfg(test)]
 use std::ops::{Bound, RangeBounds};
-use std::sync::Arc;
 pub(crate) use stg::MAX_NEST;
 use stg::{InlineVec, MAX_ARGS};
 
@@ -386,9 +385,9 @@ impl CondTable {
 /// `partition_point`, and iteration runs in ascending key order — the
 /// order a `BTreeMap` iterates in, so every walk the schedule can
 /// observe is unchanged. Context maps hold tens of entries and are
-/// cloned at every copy-on-write fork: one contiguous buffer clones as a
-/// single allocation and a few `memcpy`s, where a tree re-allocates node
-/// by node.
+/// cloned at every branch of a condition split: one contiguous buffer
+/// clones as a single allocation and a `memcpy`, where a tree
+/// re-allocates node by node.
 #[derive(Debug, PartialEq, Hash)]
 pub(crate) struct VecMap<K, V> {
     entries: Vec<(K, V)>,
@@ -478,10 +477,6 @@ impl<K: Ord, V> VecMap<K, V> {
 
     pub fn get(&self, k: &K) -> Option<&V> {
         self.find(k).ok().map(|i| &self.entries[i].1)
-    }
-
-    pub fn get_mut(&mut self, k: &K) -> Option<&mut V> {
-        self.find(k).ok().map(|i| &mut self.entries[i].1)
     }
 
     /// Inserts or overwrites `k`, returning the previous value.
@@ -601,18 +596,6 @@ impl<K: Ord> VecSet<K> {
         }
     }
 
-    /// Removes `k`; `false` if it was absent.
-    pub fn remove(&mut self, k: &K) -> bool {
-        match self.items.binary_search(k) {
-            Ok(i) => {
-                self.items.remove(i);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    #[cfg(test)]
     /// Keeps the elements `keep` accepts, visiting them in order.
     pub fn retain(&mut self, keep: impl FnMut(&K) -> bool) {
         self.items.retain(keep);
@@ -683,62 +666,51 @@ impl PairMark {
 
 /// The scheduler's knowledge at a state boundary.
 ///
-/// # Copy-on-write layout
-///
-/// Every collection field sits behind an [`Arc`]: `Ctx::clone` — the
-/// per-branch copy `partition` makes for each of the 2^k outcomes of a
-/// condition split — is 14 reference-count bumps, not a deep copy.
-/// Reads go through `Deref` transparently; writers must go through the
-/// `*_mut` accessors ([`Arc::make_mut`]), which clone a field's
-/// collection only at first mutation while shared. The engine's
-/// mutation passes are written scan-before-mutate: they compute the
-/// delta read-only and touch the accessor only when the delta is
-/// non-empty, so a branch pays O(changed entries), not O(|Ctx|).
-///
-/// The keyed collections are flat: a [`VecMap`] or [`VecSet`] is one
-/// buffer sorted by key, so the clone a first write makes is a single
-/// allocation, and iteration runs in the ascending key order every
+/// Every collection is an owned, flat field: a [`VecMap`] or [`VecSet`]
+/// is one buffer sorted by key, so the copy `partition` makes for a
+/// branch of a condition split is one allocation and a `memcpy` per
+/// collection, and iteration runs in the ascending key order every
 /// section of the signature and every sweep drain relies on.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Ctx {
     /// Issued value versions and their validity guards.
-    pub avail: Arc<VecMap<Key, AvailInfo>>,
+    pub avail: VecMap<Key, AvailInfo>,
     /// Schedulable conditioned instances.
-    pub cands: Arc<Vec<Candidate>>,
+    pub cands: Vec<Candidate>,
     /// Instances whose consumption is decided: a version with a
     /// constant-true guard was issued, so no further version can be
     /// valid on this path.
-    pub done: Arc<VecSet<InstId>>,
+    pub done: VecSet<InstId>,
     /// Outstanding side-effect obligations: instantiated effectful
     /// instances (memory writes, outputs) not yet validly executed.
-    pub obligations: Arc<VecMap<InstId, Guard>>,
+    pub obligations: VecMap<InstId, Guard>,
     /// Computed-but-unresolved condition versions: key, validity guard,
     /// states until the result is ready.
-    pub pending_conds: Arc<Vec<(Key, Guard, u32)>>,
+    pub pending_conds: Vec<(Key, Guard, u32)>,
     /// Resolution history on this path (pruned to the live window).
-    pub resolved: Arc<VecMap<CondInst, bool>>,
+    pub resolved: VecMap<CondInst, bool>,
     /// Busy non-pipelined units: class → remaining-state counts.
-    pub fu_busy: Arc<VecMap<FuClass, Vec<u32>>>,
+    pub fu_busy: VecMap<FuClass, Vec<u32>>,
     /// Per loop context (loop, outer iteration prefix): highest iteration
     /// index instantiated so far.
-    pub horizon: Arc<VecMap<(LoopId, Iter), u32>>,
+    pub horizon: VecMap<(LoopId, Iter), u32>,
     /// Per loop context: all continue-condition instances below this
     /// index are known true on this path. Lets resolution history below
     /// the live window be pruned (else steady states would never fold).
-    pub floor: Arc<VecMap<(LoopId, Iter), u32>>,
+    pub floor: VecMap<(LoopId, Iter), u32>,
     /// Per loop context: every direct-member instance below this index is
     /// already executed or control-dead. The candidate window never goes
     /// below it, and `done` entries under it can be pruned — the pair of
     /// facts that keeps lagging work schedulable without unbounded
     /// bookkeeping.
-    pub work_floor: Arc<VecMap<(LoopId, Iter), u32>>,
+    pub work_floor: VecMap<(LoopId, Iter), u32>,
     /// Loop-exit order tokens whose serialization chain settled during
     /// the current state *and* whose producing loop is proven exited on
     /// this path, awaiting promotion to [`Ctx::discharged`] at the next
     /// state boundary. The recorded key (if any) is the predecessor
     /// token that settled the chain, kept so same-state port exclusivity
     /// still applies until the boundary.
-    pub exit_pending: Arc<VecMap<InstId, Option<Key>>>,
+    pub exit_pending: VecMap<InstId, Option<Key>>,
     /// Exit-pass instances whose order token is permanently discharged
     /// on this path: the producing loop exited and its serialization
     /// chain settled in an earlier state, so consumers no longer carry a
@@ -746,7 +718,7 @@ pub(crate) struct Ctx {
     /// producing loop's resolution history and floors are pruned —
     /// without it, re-deriving the exit token from pruned history
     /// deadlocks every post-loop access.
-    pub discharged: Arc<VecSet<InstId>>,
+    pub discharged: VecSet<InstId>,
     /// Sweep event feed: operations whose candidate-generation inputs
     /// changed on this path since the last sweep drained them. The
     /// incremental Fig.-12 sweep regenerates candidates only for these
@@ -756,7 +728,7 @@ pub(crate) struct Ctx {
     /// signature: two contexts with equal schedules but different dirty
     /// sets still fold — a folded context's dirty set is discarded, and
     /// quiescence at state boundaries makes that sound.
-    pub sweep_dirty: Arc<VecSet<OpId>>,
+    pub sweep_dirty: VecSet<OpId>,
     /// Sweep-domain baseline: the `(lo, hi)` candidate iteration window
     /// per loop context the last sweep ran against. Window growth
     /// (horizon/lookahead raised `hi`, floor retreat lowered `lo`, or a
@@ -764,80 +736,10 @@ pub(crate) struct Ctx {
     /// member ops must regenerate even though none of their operands
     /// changed. Not part of the canonical signature (it is derivable
     /// bookkeeping, like `sweep_dirty`).
-    pub sweep_domain: Arc<VecMap<(LoopId, Iter), (u32, u32)>>,
+    pub sweep_domain: VecMap<(LoopId, Iter), (u32, u32)>,
 }
 
 impl Ctx {
-    /// Mutable access to `avail` (clones the map if shared).
-    pub fn avail_mut(&mut self) -> &mut VecMap<Key, AvailInfo> {
-        Arc::make_mut(&mut self.avail)
-    }
-
-    /// Mutable access to `cands` (clones the vec if shared).
-    pub fn cands_mut(&mut self) -> &mut Vec<Candidate> {
-        Arc::make_mut(&mut self.cands)
-    }
-
-    /// Mutable access to `done` (clones the set if shared).
-    pub fn done_mut(&mut self) -> &mut VecSet<InstId> {
-        Arc::make_mut(&mut self.done)
-    }
-
-    /// Mutable access to `obligations` (clones the map if shared).
-    pub fn obligations_mut(&mut self) -> &mut VecMap<InstId, Guard> {
-        Arc::make_mut(&mut self.obligations)
-    }
-
-    /// Mutable access to `pending_conds` (clones the vec if shared).
-    pub fn pending_conds_mut(&mut self) -> &mut Vec<(Key, Guard, u32)> {
-        Arc::make_mut(&mut self.pending_conds)
-    }
-
-    /// Mutable access to `resolved` (clones the map if shared).
-    pub fn resolved_mut(&mut self) -> &mut VecMap<CondInst, bool> {
-        Arc::make_mut(&mut self.resolved)
-    }
-
-    /// Mutable access to `fu_busy` (clones the map if shared).
-    pub fn fu_busy_mut(&mut self) -> &mut VecMap<FuClass, Vec<u32>> {
-        Arc::make_mut(&mut self.fu_busy)
-    }
-
-    /// Mutable access to `horizon` (clones the map if shared).
-    pub fn horizon_mut(&mut self) -> &mut VecMap<(LoopId, Iter), u32> {
-        Arc::make_mut(&mut self.horizon)
-    }
-
-    /// Mutable access to `floor` (clones the map if shared).
-    pub fn floor_mut(&mut self) -> &mut VecMap<(LoopId, Iter), u32> {
-        Arc::make_mut(&mut self.floor)
-    }
-
-    /// Mutable access to `work_floor` (clones the map if shared).
-    pub fn work_floor_mut(&mut self) -> &mut VecMap<(LoopId, Iter), u32> {
-        Arc::make_mut(&mut self.work_floor)
-    }
-
-    /// Mutable access to `exit_pending` (clones the map if shared).
-    pub fn exit_pending_mut(&mut self) -> &mut VecMap<InstId, Option<Key>> {
-        Arc::make_mut(&mut self.exit_pending)
-    }
-
-    /// Mutable access to `discharged` (clones the set if shared).
-    pub fn discharged_mut(&mut self) -> &mut VecSet<InstId> {
-        Arc::make_mut(&mut self.discharged)
-    }
-
-    /// Mutable access to `sweep_dirty` (clones the set if shared).
-    pub fn sweep_dirty_mut(&mut self) -> &mut VecSet<OpId> {
-        Arc::make_mut(&mut self.sweep_dirty)
-    }
-
-    /// Mutable access to `sweep_domain` (clones the map if shared).
-    pub fn sweep_domain_mut(&mut self) -> &mut VecMap<(LoopId, Iter), (u32, u32)> {
-        Arc::make_mut(&mut self.sweep_domain)
-    }
-
     /// Cheap structural fingerprint over every collection: sizes, key
     /// sets, and the scalar bookkeeping values. Used by the
     /// fault-injection gc-storm audit to assert that a redundant prune
@@ -889,121 +791,38 @@ impl Ctx {
     /// discharge can only issue in a *later* state than the predecessor
     /// access it was ordered after).
     pub fn tick(&mut self) {
-        if !self.exit_pending.is_empty() {
-            let pend = std::mem::take(Arc::make_mut(&mut self.exit_pending));
-            let discharged = self.discharged_mut();
-            for inst in pend.keys() {
-                discharged.insert(*inst);
-            }
+        for inst in std::mem::take(&mut self.exit_pending).keys() {
+            self.discharged.insert(*inst);
         }
-        if self
-            .avail
-            .values()
-            .any(|i| i.depth != 0.0 || i.ready_in > 0)
-        {
-            for info in self.avail_mut().values_mut() {
-                info.depth = 0.0;
-                if info.ready_in > 0 {
-                    info.ready_in -= 1;
-                }
-            }
+        for info in self.avail.values_mut() {
+            info.depth = 0.0;
+            info.ready_in = info.ready_in.saturating_sub(1);
         }
-        if self.pending_conds.iter().any(|(_, _, r)| *r > 0) {
-            for (_, _, r) in self.pending_conds_mut() {
-                if *r > 0 {
-                    *r -= 1;
-                }
-            }
+        for (_, _, r) in &mut self.pending_conds {
+            *r = r.saturating_sub(1);
         }
-        if self.fu_busy.values().any(|v| !v.is_empty()) {
-            for v in self.fu_busy_mut().values_mut() {
-                for r in v.iter_mut() {
-                    *r -= 1;
-                }
-                v.retain(|&r| r > 0);
+        for v in self.fu_busy.values_mut() {
+            for r in v.iter_mut() {
+                *r -= 1;
             }
+            v.retain(|&r| r > 0);
         }
     }
 
-    /// Cofactors every guard in the context by `cond = value`, dropping
-    /// entries whose guard collapses to false (Step 2 of Sec. 4.3:
-    /// invalidated speculations are removed so they stop sourcing
-    /// successors).
-    ///
-    /// Scan-before-mutate: each collection is first walked read-only to
-    /// find the guards the cofactor actually changes; collections with
-    /// no affected guard are never written, so their copy-on-write
-    /// storage stays shared with the sibling branch.
+    /// Cofactors every guard in the context by `cond = value`, in place,
+    /// dropping entries whose guard collapses to false (Step 2 of Sec.
+    /// 4.3: invalidated speculations are removed so they stop sourcing
+    /// successors). Survivors keep their order.
     pub fn cofactor(&mut self, mgr: &mut BddManager, var: Cond, value: bool, inst: CondInst) {
-        self.resolved_mut().insert(inst, value);
-        let changed: Vec<(Key, Guard)> = self
-            .avail
-            .iter()
-            .filter_map(|(k, info)| {
-                let ng = mgr.cofactor(info.guard, var, value);
-                (ng != info.guard).then_some((*k, ng))
-            })
-            .collect();
-        if !changed.is_empty() {
-            let avail = self.avail_mut();
-            for (k, ng) in changed {
-                if ng.is_false() {
-                    avail.remove(&k);
-                } else {
-                    avail.get_mut(&k).expect("scanned key").guard = ng;
-                }
-            }
-        }
-        let changed: Vec<(usize, Guard)> = self
-            .cands
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                let ng = mgr.cofactor(c.guard, var, value);
-                (ng != c.guard).then_some((i, ng))
-            })
-            .collect();
-        if !changed.is_empty() {
-            let cands = self.cands_mut();
-            for &(i, ng) in &changed {
-                cands[i].guard = ng;
-            }
-            cands.retain(|c| !c.guard.is_false());
-        }
-        let changed: Vec<(InstId, Guard)> = self
-            .obligations
-            .iter()
-            .filter_map(|(i, g)| {
-                let ng = mgr.cofactor(*g, var, value);
-                (ng != *g).then_some((*i, ng))
-            })
-            .collect();
-        if !changed.is_empty() {
-            let obls = self.obligations_mut();
-            for (i, ng) in changed {
-                if ng.is_false() {
-                    obls.remove(&i);
-                } else {
-                    *obls.get_mut(&i).expect("scanned key") = ng;
-                }
-            }
-        }
-        let changed: Vec<(usize, Guard)> = self
-            .pending_conds
-            .iter()
-            .enumerate()
-            .filter_map(|(i, (_, g, _))| {
-                let ng = mgr.cofactor(*g, var, value);
-                (ng != *g).then_some((i, ng))
-            })
-            .collect();
-        if !changed.is_empty() {
-            let pend = self.pending_conds_mut();
-            for &(i, ng) in &changed {
-                pend[i].1 = ng;
-            }
-            pend.retain(|(_, g, _)| !g.is_false());
-        }
+        self.resolved.insert(inst, value);
+        let mut keep = |g: &mut Guard| {
+            *g = mgr.cofactor(*g, var, value);
+            !g.is_false()
+        };
+        self.avail.retain(|_, info| keep(&mut info.guard));
+        self.cands.retain_mut(|c| keep(&mut c.guard));
+        self.obligations.retain(|_, g| keep(g));
+        self.pending_conds.retain_mut(|(_, g, _)| keep(g));
     }
 
     /// The minimum iteration index in use per loop, across the whole
@@ -1519,7 +1338,6 @@ mod tests {
                     }
                     MapOp::Remove(k) => {
                         assert_eq!(map.remove(&k), bmap.remove(&k));
-                        assert_eq!(set.remove(&k), bset.remove(&k));
                     }
                     MapOp::Get(k) => {
                         assert_eq!(map.get(&k), bmap.get(&k));
@@ -1598,7 +1416,7 @@ mod tests {
     fn tick_advances_timing() {
         let mut it = InstTable::default();
         let mut ctx = Ctx::default();
-        ctx.avail_mut().insert(
+        ctx.avail.insert(
             Key::new(it.id(OpId::new(0), &[]), 0),
             AvailInfo {
                 guard: Guard::TRUE,
@@ -1607,9 +1425,9 @@ mod tests {
                 operands: Operands::new(),
             },
         );
-        ctx.fu_busy_mut().insert(FuClass::Multiplier, vec![2, 1]);
+        ctx.fu_busy.insert(FuClass::Multiplier, vec![2, 1]);
         let pass = it.id(OpId::new(7), &[]);
-        ctx.exit_pending_mut().insert(pass, None);
+        ctx.exit_pending.insert(pass, None);
         ctx.tick();
         let info = ctx.avail.values().next().unwrap();
         assert_eq!(info.ready_in, 1);
@@ -1628,24 +1446,69 @@ mod tests {
         let mut ct = CondTable::default();
         let inst = it.id(OpId::new(5), &[0]);
         let var = ct.var(inst);
-        let lit = mgr.literal(var, true);
+        let other = ct.var(it.id(OpId::new(5), &[1]));
+        let (t, f) = (mgr.literal(var, true), mgr.literal(var, false));
+        let o = mgr.literal(other, true);
+        let t_and_o = mgr.and(t, o);
+        // Each guard and what cofactoring by `var = true` leaves of it:
+        // validated, invalidated (dropped), narrowed, untouched.
+        let cases = [
+            (t, Some(Guard::TRUE)),
+            (f, None),
+            (t_and_o, Some(o)),
+            (o, Some(o)),
+        ];
         let mut ctx = Ctx::default();
-        ctx.avail_mut().insert(
-            Key::new(it.id(OpId::new(1), &[0]), 0),
-            AvailInfo {
-                guard: lit,
+        for (n, &(gd, _)) in cases.iter().enumerate() {
+            let n = n as u32;
+            let key = Key::new(it.id(OpId::new(1), &[n]), 0);
+            let info = AvailInfo {
+                guard: gd,
                 ready_in: 0,
                 depth: 0.0,
                 operands: Operands::new(),
-            },
-        );
-        let false_guard = mgr.literal(var, false);
-        ctx.obligations_mut()
-            .insert(it.id(OpId::new(2), &[0]), false_guard);
+            };
+            ctx.avail.insert(key, info);
+            ctx.obligations.insert(it.id(OpId::new(2), &[n]), gd);
+        }
+        // The vectors are filled in reverse, against the maps' key
+        // order, so a survivor that moved would show.
+        for (n, &(gd, _)) in cases.iter().enumerate().rev() {
+            let n = n as u32;
+            ctx.cands.push(Candidate {
+                inst: it.id(OpId::new(1), &[n]),
+                operands: Operands::new(),
+                tokens: Vec::new(),
+                guard: gd,
+            });
+            ctx.pending_conds
+                .push((Key::new(it.id(OpId::new(3), &[n]), 0), gd, n));
+        }
         ctx.cofactor(&mut mgr, var, true, inst);
-        assert_eq!(ctx.avail.len(), 1, "validated value survives");
-        assert!(ctx.avail.values().next().unwrap().guard.is_true());
-        assert!(ctx.obligations.is_empty(), "false-guard obligation dropped");
+
+        let want: Vec<(u32, Guard)> = (0u32..)
+            .zip(cases)
+            .filter_map(|(n, (_, after))| Some((n, after?)))
+            .collect();
+        let want_rev: Vec<(u32, Guard)> = want.iter().rev().copied().collect();
+        let at = |i: InstId| it.iter_of(i)[0];
+        let avail: Vec<_> = ctx
+            .avail
+            .iter()
+            .map(|(k, i)| (at(k.inst), i.guard))
+            .collect();
+        assert_eq!(avail, want, "avail");
+        let obls: Vec<_> = ctx.obligations.iter().map(|(i, g)| (at(*i), *g)).collect();
+        assert_eq!(obls, want, "obligations");
+        let cands: Vec<_> = ctx.cands.iter().map(|c| (at(c.inst), c.guard)).collect();
+        assert_eq!(cands, want_rev, "cands");
+        let pend: Vec<_> = ctx
+            .pending_conds
+            .iter()
+            .map(|(k, g, _)| (at(k.inst), *g))
+            .collect();
+        assert_eq!(pend, want_rev, "pending_conds");
+        assert!(ctx.pending_conds.iter().all(|(k, _, r)| at(k.inst) == *r));
         assert_eq!(ctx.resolved.get(&inst), Some(&true));
     }
 
@@ -1659,7 +1522,7 @@ mod tests {
         let mk = |iters: &[u32], it: &mut InstTable| -> Ctx {
             let mut ctx = Ctx::default();
             for &i in iters {
-                ctx.avail_mut().insert(
+                ctx.avail.insert(
                     Key::new(it.id(op, &[i]), 0),
                     AvailInfo {
                         guard: Guard::TRUE,
@@ -1697,7 +1560,7 @@ mod tests {
         // inserts in reverse — plus fresh instances interned later with
         // *smaller* content indices than existing ones.
         let add = |ctx: &mut Ctx, id: InstId| {
-            ctx.avail_mut().insert(
+            ctx.avail.insert(
                 Key::new(id, 0),
                 AvailInfo {
                     guard: Guard::TRUE,
@@ -1740,7 +1603,7 @@ mod tests {
         let key = Key::new(it.id(op, &[0]), 0);
         let mk = |gd: Guard| -> Ctx {
             let mut ctx = Ctx::default();
-            ctx.avail_mut().insert(
+            ctx.avail.insert(
                 key,
                 AvailInfo {
                     guard: gd,

@@ -22,7 +22,6 @@ use spec_support::fxhash::{FxHashMap, FxHashSet};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stg::{Arg, OpInst, ScheduledOp, StateId, Stg, Transition, MAX_ARGS};
 
@@ -651,7 +650,7 @@ impl<'a> Engine<'a> {
             let cop = g.op(c);
             let k = shared_loops(path, cop.loop_path());
             if k == 0 || !cop.order_deps().is_empty() {
-                ctx.sweep_dirty_mut().insert(c);
+                ctx.sweep_dirty.insert(c);
             } else {
                 let m = PairMark::Near(Iter::from_slice(&iter[..k]));
                 push_pair(ctx, &mut self.pair_marks, c, m);
@@ -674,7 +673,7 @@ impl<'a> Engine<'a> {
         for &r in &self.cond_readers[cond.index()] {
             let k = shared_loops(path, g.op(r).loop_path());
             if k == 0 {
-                ctx.sweep_dirty_mut().insert(r);
+                ctx.sweep_dirty.insert(r);
             } else {
                 let m = PairMark::From(Iter::from_slice(&ci[..k]));
                 push_pair(ctx, &mut self.pair_marks, r, m);
@@ -685,10 +684,9 @@ impl<'a> Engine<'a> {
     /// Marks every schedulable op dirty — the cold-start event for a
     /// fresh root context (and the reference mode's per-pass reset).
     fn mark_all(&self, ctx: &mut Ctx) {
-        let dirty = ctx.sweep_dirty_mut();
         for op in self.g.ops() {
             if self.useful[op.id().index()] && !op.kind().is_source() {
-                dirty.insert(op.id());
+                ctx.sweep_dirty.insert(op.id());
             }
         }
     }
@@ -861,7 +859,7 @@ impl<'a> Engine<'a> {
             let guard = r.ctrl_guard(&ctx0, e, &iter);
             if !guard.is_false() {
                 let inst = r.it.id(e, &iter);
-                ctx0.obligations_mut().insert(inst, guard);
+                ctx0.obligations.insert(inst, guard);
             }
         }
         // Cold start: everything is potentially generatable in a fresh
@@ -1162,7 +1160,7 @@ impl<'a> Engine<'a> {
     fn stuck_report(&mut self, ctx: &mut Ctx) -> StuckReport {
         let mut starved: BTreeSet<String> = BTreeSet::new();
         let mut blocked: Vec<BlockedInst> = Vec::new();
-        let cands: Vec<Candidate> = ctx.cands.iter().cloned().collect();
+        let cands = ctx.cands.clone();
         for cand in &cands {
             let (op, iter) = {
                 let (o, i) = self.it.pair(cand.inst);
@@ -1364,7 +1362,7 @@ impl<'a> Engine<'a> {
         issued: &mut FxHashSet<Key>,
         class_use: &mut FxHashMap<FuClass, u32>,
     ) {
-        let cand = ctx.cands_mut().remove(idx);
+        let cand = ctx.cands.remove(idx);
         let op = self.it.op(cand.inst);
         let kind = self.g.op(op).kind();
         let spec = self.lib.spec_for(kind);
@@ -1383,7 +1381,7 @@ impl<'a> Engine<'a> {
             .max()
             .unwrap_or(0);
         let key = Key::new(cand.inst, version);
-        ctx.avail_mut().insert(
+        ctx.avail.insert(
             key,
             AvailInfo {
                 guard: cand.guard,
@@ -1397,26 +1395,25 @@ impl<'a> Engine<'a> {
             let class = classify(kind);
             *class_use.entry(class).or_insert(0) += 1;
             if !s.pipelined && s.latency > 1 {
-                ctx.fu_busy_mut()
+                ctx.fu_busy
                     .get_or_insert_with(class, Vec::new)
                     .push(s.latency);
             }
         }
         if kind.has_side_effect() {
-            ctx.obligations_mut().remove(&cand.inst);
+            ctx.obligations.remove(&cand.inst);
         }
         if cand.guard.is_true() {
-            ctx.done_mut().insert(cand.inst);
+            ctx.done.insert(cand.inst);
             let before = ctx.cands.len();
-            ctx.cands_mut().retain(|c| c.inst != cand.inst);
+            ctx.cands.retain(|c| c.inst != cand.inst);
             // The dropped candidates' guards leave the context.
             if ctx.cands.len() < before {
                 self.window.oldest_valid = false;
             }
         }
         if self.g.op(op).is_conditional() {
-            ctx.pending_conds_mut()
-                .push((key, cand.guard, latency.max(1)));
+            ctx.pending_conds.push((key, cand.guard, latency.max(1)));
         }
         // The rendered SOP is a pure function of the (hash-consed)
         // guard, and steady-state schedules issue under the same few
@@ -1459,7 +1456,7 @@ impl<'a> Engine<'a> {
         let mut marks = std::mem::take(&mut self.pair_marks);
         if !ctx.sweep_dirty.is_empty() {
             marks.extend(ctx.sweep_dirty.iter().map(|&op| (op, PairMark::All)));
-            ctx.sweep_dirty_mut().clear();
+            ctx.sweep_dirty.clear();
         }
         marks.sort_unstable_by_key(|&(op, _)| op);
         let mut added = 0usize;
@@ -1671,7 +1668,7 @@ impl<'a> Engine<'a> {
     /// were enumerable before need no mark, and shrinks need none
     /// either — generating over a subset is a no-op.
     fn mark_domain_growth(&mut self, ctx: &mut Ctx, domain: &Domain) {
-        if *ctx.sweep_domain == *domain {
+        if ctx.sweep_domain == *domain {
             return;
         }
         let mut spans = std::mem::take(&mut self.span_buf);
@@ -1690,7 +1687,7 @@ impl<'a> Engine<'a> {
                 None => spans.push(span(lo, hi)),
             }
         }
-        ctx.sweep_domain_mut().clone_from(domain);
+        ctx.sweep_domain.clone_from(domain);
         for &(l, m) in &spans {
             let members = &self.loop_members[l.index()];
             if members.is_empty() || drop_sweep_event(&mut self.faults, members.len()) {
@@ -1788,21 +1785,17 @@ impl<'a> Engine<'a> {
         for (d, &l) in path.iter().enumerate() {
             let prefix = Iter::from_slice(&iter[..d]);
             let k = iter[d];
-            // Scan first: the common case re-visits an already-open
-            // iteration and must not touch the copy-on-write map. A
-            // missing entry is materialized even when `k` is 0 — the
-            // horizon map's key set is signature-visible.
-            match ctx.horizon.get(&(l, prefix)).copied() {
-                Some(h) if k <= h => continue,
-                None if k == 0 => {
-                    ctx.horizon_mut().insert((l, prefix), 0);
-                    self.mark_horizon(ctx, l);
-                    continue;
-                }
-                _ => {
-                    ctx.horizon_mut().insert((l, prefix), k);
-                    self.mark_horizon(ctx, l);
-                }
+            if ctx.horizon.get(&(l, prefix)).is_some_and(|&h| k <= h) {
+                continue;
+            }
+            // A missing entry is materialized even at index 0 (the
+            // horizon map's key set is signature-visible), but index 0's
+            // obligations come from the enclosing level's opening (or
+            // the root context).
+            ctx.horizon.insert((l, prefix), k);
+            self.mark_horizon(ctx, l);
+            if k == 0 {
+                continue;
             }
             // Newly opened iteration: instantiate the obligations of
             // every effectful op directly inside this loop level (deeper
@@ -1824,7 +1817,7 @@ impl<'a> Engine<'a> {
                 if !guard.is_false() {
                     let einst = r.it.id(e, &eiter);
                     if !ctx.obligations.contains_key(&einst) {
-                        ctx.obligations_mut().insert(einst, guard);
+                        ctx.obligations.insert(einst, guard);
                         note_span(&mut self.window.spans, g, e, &eiter);
                     }
                 }
@@ -1869,18 +1862,9 @@ impl<'a> Engine<'a> {
     /// Promotes versions whose guard resolved to constant true:
     /// consumption of their instance is decided.
     fn promote_done(&mut self, ctx: &mut Ctx) {
-        // Scan first: only instances not already decided trigger a write
-        // to the copy-on-write collections.
-        let winners: Vec<InstId> = ctx
-            .avail
-            .iter()
-            .filter(|(_, info)| info.guard.is_true())
-            .map(|(k, _)| k.inst)
-            .filter(|w| !ctx.done.contains(w))
-            .collect();
-        for w in winners {
-            if ctx.done_mut().insert(w) {
-                ctx.cands_mut().retain(|c| c.inst != w);
+        for (k, info) in ctx.avail.iter() {
+            if info.guard.is_true() && ctx.done.insert(k.inst) {
+                ctx.cands.retain(|c| c.inst != k.inst);
             }
         }
     }
@@ -2013,7 +1997,7 @@ impl<'a> Engine<'a> {
             dropped.sort_unstable();
             dropped.dedup();
             let mut pos = 0;
-            ctx.avail_mut().retain(|_, _| {
+            ctx.avail.retain(|_, _| {
                 pos += 1;
                 marks[pos - 1]
             });
@@ -2034,11 +2018,9 @@ impl<'a> Engine<'a> {
                 .iter()
                 .any(|o| matches!(o, ValSrc::Key(k) if !avail.contains_key(k)))
         }));
-        if marks.contains(&true) {
-            for (info, &dead) in ctx.avail_mut().values_mut().zip(&marks) {
-                if dead {
-                    info.operands.clear();
-                }
+        for (info, &dead) in ctx.avail.values_mut().zip(&marks) {
+            if dead {
+                info.operands.clear();
             }
         }
         self.gc_marks = marks;
@@ -2047,10 +2029,10 @@ impl<'a> Engine<'a> {
         // when every direct member's instance at w is executed or
         // control-dead (nested loops are covered by their materialized
         // exit passes, themselves direct members).
-        // (A second handle on the horizon map, so it can be walked while
-        // the work floors are written: a reference-count bump, no copy.)
-        let horizons = Arc::clone(&ctx.horizon);
-        for (&(l, prefix), &horizon) in horizons.iter() {
+        // An index walk: the loop body reads the context through
+        // `ctrl_guard` and writes only work floors, never `horizon`.
+        for hi in 0..ctx.horizon.len() {
+            let ((l, prefix), horizon) = ctx.horizon.as_slice()[hi];
             let d = prefix.len();
             let mut wf = ctx.work_floor.get(&(l, prefix)).copied().unwrap_or(0);
             'advance: while wf <= horizon {
@@ -2074,10 +2056,8 @@ impl<'a> Engine<'a> {
                 wf += 1;
             }
             // The entry itself is signature-visible, so a missing entry
-            // is written even at value 0; an unchanged one is not.
-            if ctx.work_floor.get(&(l, prefix)) != Some(&wf) {
-                ctx.work_floor_mut().insert((l, prefix), wf);
-            }
+            // is written even at value 0.
+            ctx.work_floor.insert((l, prefix), wf);
         }
 
         // Prune bookkeeping strictly below the enumeration domain: an
@@ -2100,47 +2080,34 @@ impl<'a> Engine<'a> {
                         .is_some_and(|(lo, _)| iter[d] < *lo)
             })
         };
-        let dead_resolved: Vec<CondInst> =
-            ctx.resolved.keys().filter(|i| below(i)).copied().collect();
-        let dead_done: Vec<InstId> = ctx.done.iter().filter(|i| below(i)).copied().collect();
-        let dead_discharged: Vec<InstId> = ctx
-            .discharged
-            .iter()
-            .filter(|i| below(i))
-            .copied()
-            .collect();
+        // Each pruned entry's op is collected for its sweep mark.
+        let prune = |i: &InstId, dead: &mut Vec<OpId>| {
+            let gone = below(i);
+            if gone {
+                dead.push(it.op(*i));
+            }
+            !gone
+        };
+        let (mut dead_resolved, mut dead_discharged) = (Vec::new(), Vec::new());
+        ctx.resolved.retain(|i, _| prune(i, &mut dead_resolved));
+        // A pruned done entry needs no mark: only its own instance's
+        // generator reads `done`, and the instance lies below the
+        // window, so no sweep enumerates it again.
+        ctx.done.retain(|i| !below(i));
+        ctx.discharged.retain(|i| prune(i, &mut dead_discharged));
         // Un-recording a resolution resurrects the condition's literal
         // as a free variable: chains that collapsed to FALSE under the
         // old record become satisfiable again, so every guard that can
         // reference the condition must re-generate.
-        self.prune_insts(
-            ctx,
-            dead_resolved,
-            |c, i| {
-                c.resolved_mut().remove(i);
-            },
-            Self::mark_cond_changed,
-        );
-        // A pruned done entry needs no mark: only its own instance's
-        // generator reads `done`, and the instance lies below the
-        // window, so no sweep enumerates it again.
-        if !dead_done.is_empty() {
-            let done = ctx.done_mut();
-            for i in &dead_done {
-                done.remove(i);
-            }
+        for op in dead_resolved {
+            self.mark_cond_changed(ctx, op);
         }
         // Discharge records feed `token()` settlement: dropping one
         // changes what the exit pass's order consumers (and the pass
         // itself) observe on the next generation.
-        self.prune_insts(
-            ctx,
-            dead_discharged,
-            |c, i| {
-                c.discharged_mut().remove(i);
-            },
-            Self::mark_op_changed,
-        );
+        for op in dead_discharged {
+            self.mark_op_changed(ctx, op);
+        }
         // Horizons/floors: keep any loop that a live instance indexes, or
         // that the fanin cone of a pending obligation / candidate can
         // still reference through exit views.
@@ -2179,34 +2146,18 @@ impl<'a> Engine<'a> {
         // three changes what the loop's readers derive next sweep.
         let mut pruned: BTreeSet<LoopId> = BTreeSet::new();
         for map in [&mut ctx.horizon, &mut ctx.floor, &mut ctx.work_floor] {
-            if map.keys().any(|(l, p)| !keep(l, p)) {
-                pruned.extend(map.keys().filter(|(l, p)| !keep(l, p)).map(|(l, _)| *l));
-                Arc::make_mut(map).retain(|(l, p), _| keep(l, p));
-            }
+            map.retain(|(l, p), _| {
+                let kept = keep(l, p);
+                if !kept {
+                    pruned.insert(*l);
+                }
+                kept
+            });
         }
         self.gc_loops = live_loops;
         self.recycle_domain(domain);
         for l in pruned {
             self.mark_loop_changed(ctx, l);
-        }
-    }
-
-    /// Removes the `dead` instances from one instance-keyed bookkeeping
-    /// collection of `ctx` (through `remove`), then reports each removed
-    /// instance's op through `mark`.
-    fn prune_insts(
-        &mut self,
-        ctx: &mut Ctx,
-        dead: Vec<InstId>,
-        remove: fn(&mut Ctx, &InstId),
-        mark: fn(&mut Self, &mut Ctx, OpId),
-    ) {
-        for i in &dead {
-            remove(ctx, i);
-        }
-        for i in dead {
-            let op = self.it.op(i);
-            mark(self, ctx, op);
         }
     }
 
@@ -2235,7 +2186,7 @@ impl<'a> Engine<'a> {
             out.push((when, ctx));
             return;
         };
-        let (key, _, _) = ctx.pending_conds_mut().remove(i);
+        let (key, _, _) = ctx.pending_conds.remove(i);
         let inst: CondInst = key.inst;
         // Already resolved through another version on this path? Then
         // this version is redundant; drop it and continue.
@@ -2244,13 +2195,12 @@ impl<'a> Engine<'a> {
             return;
         }
         let var = self.ct.var(inst);
-        for val in [true, false] {
-            let mut c2 = ctx.clone();
+        // The parent context itself becomes the last branch.
+        for (val, mut c2, mut w2) in [(true, ctx.clone(), when.clone()), (false, ctx, when)] {
             let t = Instant::now();
             c2.cofactor(&mut self.mgr, var, val, inst);
             self.stats.phases.bdd.add(t.elapsed());
             self.bump_floor(&mut c2, inst, val);
-            let mut w2 = when.clone();
             w2.push((key, val));
             self.part_rec(c2, w2, out);
         }
@@ -2279,17 +2229,15 @@ impl<'a> Engine<'a> {
                 break;
             };
             if ctx.resolved.get(&key) == Some(&true) {
-                ctx.resolved_mut().remove(&key);
+                ctx.resolved.remove(&key);
                 floor += 1;
             } else {
                 break;
             }
         }
         // Like the work floor: the entry's presence is signature-visible,
-        // so insert-if-absent even at 0, but skip unchanged values.
-        if ctx.floor.get(&(l, prefix)) != Some(&floor) {
-            ctx.floor_mut().insert((l, prefix), floor);
-        }
+        // so it is written even at 0.
+        ctx.floor.insert((l, prefix), floor);
     }
 }
 
@@ -2540,9 +2488,8 @@ fn mark_whole(faults: &mut Option<FaultState>, ctx: &mut Ctx, readers: &[OpId]) 
     if readers.is_empty() || drop_sweep_event(faults, readers.len()) {
         return;
     }
-    let dirty = ctx.sweep_dirty_mut();
     for &p in readers {
-        dirty.insert(p);
+        ctx.sweep_dirty.insert(p);
     }
 }
 
@@ -3148,7 +3095,7 @@ mod tests {
 
         let c = at(&e, &ctx, 1).unwrap();
         assert!(!ctx.cands[c].guard.is_true());
-        ctx.cands_mut()[c].guard = Guard::TRUE;
+        ctx.cands[c].guard = Guard::TRUE;
         let ev0 = e.events.len();
         e.events.push(CandEvent::Widened(c));
         e.widen_window(&ctx, inc, &[1], ev0);

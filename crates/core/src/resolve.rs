@@ -27,7 +27,7 @@
 
 use crate::ctx::{cmp_key, Candidate, Ctx, InstId, InstTable, Iter, Key, Operands, ValSrc};
 use cdfg::{Cdfg, CtrlKind, LoopId, OpId, OpKind, PortKind};
-use guards::{BddManager, ConjCache, Guard};
+use guards::{BddManager, Guard};
 use spec_support::fxhash::FxHashMap;
 
 /// Immutable per-run scheduling tables shared by resolution and the
@@ -71,12 +71,12 @@ impl Tables {
 #[derive(Debug, Default)]
 pub(crate) struct GuardMemo {
     /// Full control guards keyed by the target instance.
-    pub ctrl: ConjCache<InstId>,
+    pub ctrl: FxHashMap<InstId, Guard>,
     /// Continuation prefix products `c_0 ∧ … ∧ c_m`, keyed by the
     /// condition instance at the prefix's last element `m`. All chain
     /// call sites range from iteration 0, so one cache entry per chain
     /// element serves every deeper candidate of the same loop context.
-    pub chain: ConjCache<InstId>,
+    pub chain: FxHashMap<InstId, Guard>,
 }
 
 impl GuardMemo {
@@ -192,7 +192,7 @@ impl Res<'_> {
             return Guard::TRUE;
         }
         let inst = self.it.id(op, iter);
-        if let Some(g) = self.memo.ctrl.get(&inst) {
+        if let Some(&g) = self.memo.ctrl.get(&inst) {
             return g;
         }
         let g = self.ctrl_guard_uncached(ctx, op, iter);
@@ -279,7 +279,7 @@ impl Res<'_> {
             // Only interned condition instances can be cached; `it.get`
             // never allocates.
             if let Some(inst) = self.it.get(cond, &ci) {
-                if let Some(g) = self.memo.chain.get(&inst) {
+                if let Some(&g) = self.memo.chain.get(&inst) {
                     if g.is_false() {
                         return Guard::FALSE;
                     }
@@ -677,9 +677,8 @@ impl Res<'_> {
                 }
                 let r = self.token(ctx, port, op, iter);
                 if let Ok(tok) = r {
-                    if self.loop_exited(ctx, lp, iter) && ctx.exit_pending.get(&inst) != Some(&tok)
-                    {
-                        ctx.exit_pending_mut().insert(inst, tok);
+                    if self.loop_exited(ctx, lp, iter) {
+                        ctx.exit_pending.insert(inst, tok);
                     }
                 }
                 return r;
@@ -829,15 +828,8 @@ impl Res<'_> {
                 continue;
             }
             let operands = Operands::from_slice(&[v]);
-            // Scan first: widening only writes through the context's
-            // copy-on-write candidate list when the guard changes.
             if let Some(&i) = mine.iter().find(|&&i| ctx.cands[i].operands == operands) {
-                let widened = self.mgr.or(ctx.cands[i].guard, guard);
-                if widened != ctx.cands[i].guard {
-                    ctx.cands_mut()[i].guard = widened;
-                    self.events.push(CandEvent::Widened(i));
-                    out.added += 1;
-                }
+                self.widen(&mut ctx.cands[i].guard, guard, i, &mut out);
                 continue;
             }
             let issued = ctx
@@ -852,7 +844,7 @@ impl Res<'_> {
                 out.capped = true;
                 break;
             }
-            ctx.cands_mut().push(Candidate {
+            ctx.cands.push(Candidate {
                 inst,
                 operands,
                 tokens: Vec::new(),
@@ -946,22 +938,18 @@ impl Res<'_> {
                 // (mis-speculated predecessor version dropped by
                 // cofactoring) can never issue; adopt the freshly
                 // settled tokens instead of deadlocking on the dead key.
-                let stale = ctx.cands[i]
+                let c = &mut ctx.cands[i];
+                let stale = c
                     .tokens
                     .iter()
                     .flatten()
                     .any(|t| !ctx.avail.contains_key(t));
-                if stale && ctx.cands[i].tokens != *tokens {
-                    ctx.cands_mut()[i].tokens.clone_from(tokens);
+                if stale && c.tokens != *tokens {
+                    c.tokens.clone_from(tokens);
                     self.events.push(CandEvent::Retokened(i));
                     out.added += 1;
                 }
-                let widened = self.mgr.or(ctx.cands[i].guard, guard);
-                if widened != ctx.cands[i].guard {
-                    ctx.cands_mut()[i].guard = widened;
-                    self.events.push(CandEvent::Widened(i));
-                    out.added += 1;
-                }
+                self.widen(&mut c.guard, guard, i, &mut out);
                 continue;
             }
             // Already issued with this exact operand choice? Never
@@ -978,7 +966,7 @@ impl Res<'_> {
                 out.capped = true;
                 break;
             }
-            ctx.cands_mut().push(Candidate {
+            ctx.cands.push(Candidate {
                 inst,
                 operands,
                 tokens: tokens.clone(),
@@ -989,6 +977,17 @@ impl Res<'_> {
             out.added += 1;
         }
         out
+    }
+
+    /// ORs `guard` into `cands[i]`'s guard `cur`, recording the widening
+    /// if it changed the guard.
+    fn widen(&mut self, cur: &mut Guard, guard: Guard, i: usize, out: &mut Generated) {
+        let widened = self.mgr.or(*cur, guard);
+        if widened != *cur {
+            *cur = widened;
+            self.events.push(CandEvent::Widened(i));
+            out.added += 1;
+        }
     }
 }
 
@@ -1171,9 +1170,9 @@ mod tests {
         let mut scratch = GenScratch::default();
         let mut ctx = Ctx::default();
         let lp = g.loops()[0].id();
-        ctx.floor_mut().insert((lp, Iter::new()), 2); // c@0, c@1 known true
+        ctx.floor.insert((lp, Iter::new()), 2); // c@0, c@1 known true
         let c2 = it.id(cont, &[2]);
-        ctx.resolved_mut().insert(c2, true);
+        ctx.resolved.insert(c2, true);
         let mut r = Res {
             g: &g,
             tables: &tables,
@@ -1189,7 +1188,7 @@ mod tests {
         assert_eq!(r.mgr.support(guard).len(), 1);
         // And a resolved-false continuation kills the instance outright.
         // (Resolution ends the memo's validity window, as in the engine.)
-        ctx.resolved_mut().insert(c2, false);
+        ctx.resolved.insert(c2, false);
         r.memo.clear();
         let dead = r.ctrl_guard(&ctx, sum, &[2]);
         assert!(dead.is_false());
@@ -1214,7 +1213,7 @@ mod tests {
         // Issue only the true-side add at iteration 0 so one side of the
         // select has a value; the steering Gt is entirely unscheduled.
         let sum0 = it.id(sum, &[0]);
-        ctx.avail_mut().insert(
+        ctx.avail.insert(
             Key::new(sum0, 0),
             crate::ctx::AvailInfo {
                 guard: Guard::TRUE,
@@ -1265,7 +1264,7 @@ mod tests {
         let mut scratch = GenScratch::default();
         let mut ctx = Ctx::default();
         let lp = g.loops()[0].id();
-        ctx.horizon_mut().insert((lp, Iter::new()), 1);
+        ctx.horizon.insert((lp, Iter::new()), 1);
         let mut r = Res {
             g: &g,
             tables: &tables,
@@ -1352,7 +1351,7 @@ mod tests {
         assert_eq!(r.gen_candidates(&mut ctx, inc, &[0], 4, 1).added, 1);
         // ...but iteration 2 needs a 3-condition chain plus operand
         // availability; even with values present, a cap of 1 blocks it.
-        ctx.avail_mut().insert(
+        ctx.avail.insert(
             Key::new(inc1, 0),
             crate::ctx::AvailInfo {
                 guard: Guard::TRUE,

@@ -532,7 +532,7 @@ mod tests {
         let mut ctx = Ctx::default();
         for e in &r.entries {
             let gd = guard_of(e.gsel, at + e.iter, g, mgr, ct, it);
-            ctx.avail_mut().insert(
+            ctx.avail.insert(
                 Key::new(it.id(op, &[at + e.iter]), 0),
                 AvailInfo {
                     guard: gd,
@@ -558,7 +558,7 @@ mod tests {
                 .map(|t| t.map(|o| Key::new(it.id(op, &[at + o]), 0)))
                 .collect();
             let inst = it.id(if c.cond_op { cond } else { op }, &[at + c.iter]);
-            ctx.cands_mut().push(Candidate {
+            ctx.cands.push(Candidate {
                 inst,
                 operands,
                 tokens,
@@ -567,19 +567,19 @@ mod tests {
         }
         for &(i, gsel) in &r.obligations {
             let gd = guard_of(gsel, at + i, g, mgr, ct, it);
-            ctx.obligations_mut().insert(it.id(op, &[at + i]), gd);
+            ctx.obligations.insert(it.id(op, &[at + i]), gd);
         }
         for &(i, v) in &r.resolved {
-            ctx.resolved_mut().insert(it.id(cond, &[at + i]), v);
+            ctx.resolved.insert(it.id(cond, &[at + i]), v);
         }
         for &i in &r.done {
-            ctx.done_mut().insert(it.id(op, &[at + i]));
+            ctx.done.insert(it.id(op, &[at + i]));
         }
         // Resolution history and `done` are not part of the shift basis,
         // so a recipe with either also gets the floor to anchor it.
         if r.with_floor || !r.resolved.is_empty() || !r.done.is_empty() {
             let lp = g.loops()[0].id();
-            ctx.floor_mut().insert((lp, Iter::new()), at);
+            ctx.floor.insert((lp, Iter::new()), at);
         }
         ctx
     }
@@ -595,7 +595,7 @@ mod tests {
         let mk = |iters: &[u32], it: &mut InstTable| -> Ctx {
             let mut ctx = Ctx::default();
             for &i in iters {
-                ctx.avail_mut().insert(
+                ctx.avail.insert(
                     Key::new(it.id(op, &[i]), 0),
                     AvailInfo {
                         guard: Guard::TRUE,

@@ -50,13 +50,11 @@
 
 mod assign;
 mod bdd;
-mod conj;
 mod cube;
 mod prob;
 
 pub use assign::Assignment;
 pub use bdd::{BddManager, CacheStats, Guard};
-pub use conj::{ConjCache, ConjCacheStats};
 pub use cube::{SOP_CUBES, SOP_FALSE, SOP_TRUE};
 pub use prob::CondProbs;
 

@@ -4,14 +4,14 @@
 # the committed BENCH_schedulers.json and BENCH_simulation.json. Fails
 # if any median regresses by more than 25% (override with
 # SPEC_BENCH_CHECK_PCT), if a baseline bench disappeared from the
-# fresh run, or if any scheduler bench's work counters (states, issues,
-# folds, BDD nodes, heap allocations, STG heap bytes, generator calls,
-# gc pair visits, swept-window builds) differ from the committed ones at
-# all. New benches (present only in the fresh run)
-# are ignored — they gain a baseline when scripts/bench.sh refreshes
-# the committed artifacts.
+# fresh run, or if any scheduler bench's work counters differ from the
+# committed ones at all (scripts/bench_counters.sh). New benches
+# (present only in the fresh run) are ignored — they gain a baseline
+# when scripts/bench.sh refreshes the committed artifacts.
 #
 # Opt-in from the tier-1 gate: SPEC_BENCH_CHECK=1 scripts/verify.sh.
+# (verify.sh checks the work counters by default, against its
+# 1-iteration bench smoke.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,48 +76,8 @@ for group in $GROUPS_CHECKED; do
     done < <(medians "$baseline")
 done
 
-# Exact work counters: the states, issues, folds, BDD nodes, heap
-# allocations, STG heap bytes, generator calls, gc pair visits and
-# swept-window builds of a schedule are deterministic, so every
-# scheduler bench must reproduce the committed counts exactly — a
-# difference is a schedule or hot-path change, not timer noise. Prints
-# "name count…" in COUNTER_KEYS order for each bench whose `extra` has
-# every key.
-COUNTER_KEYS="states issues folds bdd_nodes allocs stg_bytes gen_calls gc_visits window_builds"
-counters() {
-    awk -v keys="$COUNTER_KEYS" '
-        match($0, /"name": "[^"]*"/) && index($0, "\"extra\": {") {
-            out = substr($0, RSTART + 9, RLENGTH - 10)
-            extra = substr($0, index($0, "\"extra\": {"))
-            n = split(keys, k, " ")
-            for (i = 1; i <= n; i++) {
-                if (!match(extra, "\"" k[i] "\": [0-9]+")) next
-                out = out " " substr(extra, RSTART + length(k[i]) + 4, RLENGTH - length(k[i]) - 4)
-            }
-            print out
-        }' "$1"
-}
-base_counters="$(counters BENCH_schedulers.json)"
-fresh_counters="$(counters "$FRESH_DIR/BENCH_schedulers.json")"
-if [ -z "$base_counters" ] || [ -z "$fresh_counters" ]; then
-    echo "bench_check: FAILED — extracted zero work counters from the schedulers" \
-        "baseline or fresh run (format drift? update the counters() parser)"
-    exit 1
-fi
-while read -r name _; do
-    base="$(awk -v n="$name" '$1 == n {$1 = ""; print substr($0, 2)}' <<<"$base_counters")"
-    fresh="$(awk -v n="$name" '$1 == n {$1 = ""; print substr($0, 2)}' <<<"$fresh_counters")"
-    if [ -z "$base" ]; then
-        echo "bench_check: NOCOUNT   schedulers/$name (not every one of $COUNTER_KEYS in the baseline)"
-        fail=1
-    elif [ "$fresh" != "$base" ]; then
-        echo "bench_check: COUNTERS  schedulers/$name: $COUNTER_KEYS" \
-            "$base -> ${fresh:-missing}"
-        fail=1
-    else
-        echo "bench_check: ok        schedulers/$name: $COUNTER_KEYS $base"
-    fi
-done < <(medians BENCH_schedulers.json)
+# Exact work counters of every scheduler bench (scripts/bench_counters.sh).
+scripts/bench_counters.sh BENCH_schedulers.json "$FRESH_DIR/BENCH_schedulers.json" || fail=1
 
 # Absolute spec/baseline ratio gate on the stress tier of the fresh
 # scheduler run (the simulation group has no such tier): speculative scheduling does strictly more work per state than

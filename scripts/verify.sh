@@ -87,6 +87,11 @@ for target in substrates schedulers simulation; do
         cargo bench -q --offline --bench "$target"
 done
 
+echo "== scheduler work counters (exact, against the committed BENCH_schedulers.json)"
+# The counters do not depend on the box or the iteration count, so the
+# 1-iteration smoke reproduces them; only the timing gate stays opt-in.
+scripts/bench_counters.sh BENCH_schedulers.json target/spec-bench/BENCH_schedulers.json
+
 # Opt-in perf-regression gate (off by default: CI container timings are
 # too noisy to hard-fail every run on).
 if [ "${SPEC_BENCH_CHECK:-0}" = "1" ]; then
