@@ -44,7 +44,9 @@
 use cdfg::{InputId, LoopId, OpId, Value};
 use guards::{BddManager, Cond, Guard};
 use hls_resources::FuClass;
-use spec_support::fxhash::{FxHashMap, FxHasher};
+#[cfg(test)]
+use spec_support::fxhash::FxHashMap;
+use spec_support::fxhash::FxHasher;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 #[cfg(test)]
@@ -70,6 +72,14 @@ pub(crate) type Operands = InlineVec<ValSrc, MAX_ARGS>;
 /// signature and fold machinery require; use [`cmp_inst`] there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) struct InstId(u32);
+
+impl InstId {
+    /// The condition instance a BDD variable stands for: the variable of
+    /// a condition instance is its own number (see [`cond_var`]).
+    pub fn of(c: Cond) -> InstId {
+        InstId(c.index())
+    }
+}
 
 const EMPTY_SLOT: u32 = u32::MAX;
 
@@ -350,33 +360,16 @@ pub(crate) struct AvailInfo {
     pub operands: Operands,
 }
 
-/// Allocation of condition variables: one BDD variable per condition
-/// instance, allocated on first reference (which may precede the
-/// instance's execution — that is what speculation means).
-///
-/// First-reference order defines the BDD variable order and therefore
-/// guard structure and rendered guard strings; resolution call order is
-/// deterministic, which keeps runs byte-identical.
-#[derive(Debug, Default)]
-pub(crate) struct CondTable {
-    vars: FxHashMap<CondInst, Cond>,
-    by_var: Vec<CondInst>,
-}
-
-impl CondTable {
-    pub fn var(&mut self, inst: CondInst) -> Cond {
-        if let Some(&c) = self.vars.get(&inst) {
-            return c;
-        }
-        let c = Cond::new(u32::try_from(self.by_var.len()).expect("too many conditions"));
-        self.vars.insert(inst, c);
-        self.by_var.push(inst);
-        c
-    }
-
-    pub fn inst_of(&self, c: Cond) -> CondInst {
-        self.by_var[c.index() as usize]
-    }
+/// The BDD variable of condition instance `inst`, placed in `mgr`'s
+/// variable order by content ([`cmp_inst`]). This is the only place the
+/// scheduler decides that order: a guard's structure and its rendering
+/// depend on its conditions alone, not on the order they were first
+/// referenced in. Content order survives a uniform per-loop iteration
+/// shift, so a context and its shifted copy build guards of one shape.
+pub(crate) fn cond_var(mgr: &mut BddManager, it: &InstTable, inst: CondInst) -> Cond {
+    let c = Cond::new(inst.0);
+    mgr.place(c, |a, b| cmp_inst(it, InstId::of(a), InstId::of(b)).is_lt());
+    c
 }
 
 /// An ordered map kept as one `Vec` of entries sorted by key.
@@ -832,7 +825,6 @@ impl Ctx {
     fn collect_loop_mins(
         &self,
         g: &cdfg::Cdfg,
-        ct: &CondTable,
         mgr: &mut BddManager,
         it: &InstTable,
         mins: &mut [u32],
@@ -848,7 +840,7 @@ impl Ctx {
         let mut note_guard = |gd: Guard, note: &mut dyn FnMut(InstId)| {
             mgr.support_into(gd, supp);
             for &c in supp.iter() {
-                note(ct.inst_of(c));
+                note(InstId::of(c));
             }
         };
         let note_keys = |srcs: &Operands, note: &mut dyn FnMut(InstId)| {
@@ -899,7 +891,6 @@ impl Ctx {
     pub(crate) fn loop_mins(
         &self,
         g: &cdfg::Cdfg,
-        ct: &CondTable,
         mgr: &mut BddManager,
         it: &InstTable,
         mins: &mut Vec<u32>,
@@ -907,7 +898,7 @@ impl Ctx {
     ) {
         mins.clear();
         mins.resize(g.loops().len(), u32::MAX);
-        self.collect_loop_mins(g, ct, mgr, it, mins, supp);
+        self.collect_loop_mins(g, mgr, it, mins, supp);
         for ((l, _), f) in self.floor.iter() {
             let e = &mut mins[l.index()];
             if *e == u32::MAX {
@@ -938,12 +929,11 @@ impl Ctx {
     pub fn signature(
         &self,
         g: &cdfg::Cdfg,
-        ct: &CondTable,
         mgr: &mut BddManager,
         it: &InstTable,
     ) -> (String, Vec<u32>) {
         let mut mins = Vec::new();
-        self.loop_mins(g, ct, mgr, it, &mut mins, &mut Vec::new());
+        self.loop_mins(g, mgr, it, &mut mins, &mut Vec::new());
         let shift_iter = |op: OpId, iter: &[u32]| -> Vec<i64> {
             let path = g.op(op).loop_path();
             iter.iter()
@@ -979,7 +969,7 @@ impl Ctx {
         };
         let fmt_guard = |gd: Guard| -> String {
             mgr.to_sop_string(gd, &|c: Cond| {
-                let (op, iter) = it.pair(ct.inst_of(c));
+                let (op, iter) = it.pair(InstId::of(c));
                 format!("{}@{:?}", op, shift_iter(op, iter))
             })
         };
@@ -1399,20 +1389,6 @@ mod tests {
     }
 
     #[test]
-    fn cond_table_allocates_once() {
-        let mut it = InstTable::default();
-        let mut ct = CondTable::default();
-        let i0 = it.id(OpId::new(1), &[0]);
-        let i1 = it.id(OpId::new(1), &[1]);
-        let a = ct.var(i0);
-        let b = ct.var(i0);
-        assert_eq!(a, b);
-        let c = ct.var(i1);
-        assert_ne!(a, c);
-        assert_eq!(ct.inst_of(a), i0);
-    }
-
-    #[test]
     fn tick_advances_timing() {
         let mut it = InstTable::default();
         let mut ctx = Ctx::default();
@@ -1443,10 +1419,10 @@ mod tests {
     fn cofactor_drops_invalidated() {
         let mut mgr = BddManager::new();
         let mut it = InstTable::default();
-        let mut ct = CondTable::default();
         let inst = it.id(OpId::new(5), &[0]);
-        let var = ct.var(inst);
-        let other = ct.var(it.id(OpId::new(5), &[1]));
+        let var = cond_var(&mut mgr, &it, inst);
+        let other = it.id(OpId::new(5), &[1]);
+        let other = cond_var(&mut mgr, &it, other);
         let (t, f) = (mgr.literal(var, true), mgr.literal(var, false));
         let o = mgr.literal(other, true);
         let t_and_o = mgr.and(t, o);
@@ -1517,7 +1493,6 @@ mod tests {
         let g = loop_cdfg();
         let op = inc_op(&g);
         let mut mgr = BddManager::new();
-        let ct = CondTable::default();
         let mut it = InstTable::default();
         let mk = |iters: &[u32], it: &mut InstTable| -> Ctx {
             let mut ctx = Ctx::default();
@@ -1537,13 +1512,13 @@ mod tests {
         let lp = g.loops()[0].id();
         let a = mk(&[3, 4], &mut it);
         let b = mk(&[7, 8], &mut it);
-        let (sig_a, mins_a) = a.signature(&g, &ct, &mut mgr, &it);
-        let (sig_b, mins_b) = b.signature(&g, &ct, &mut mgr, &it);
+        let (sig_a, mins_a) = a.signature(&g, &mut mgr, &it);
+        let (sig_b, mins_b) = b.signature(&g, &mut mgr, &it);
         assert_eq!(sig_a, sig_b, "uniformly shifted contexts fold");
         assert_eq!(mins_a[lp.index()], 3);
         assert_eq!(mins_b[lp.index()], 7);
         let c = mk(&[3, 5], &mut it);
-        let (sig_c, _) = c.signature(&g, &ct, &mut mgr, &it);
+        let (sig_c, _) = c.signature(&g, &mut mgr, &it);
         assert_ne!(sig_a, sig_c, "non-uniform spacing does not fold");
     }
 
@@ -1554,7 +1529,6 @@ mod tests {
         let g = loop_cdfg();
         let op = inc_op(&g);
         let mut mgr = BddManager::new();
-        let ct = CondTable::default();
         let mut it = InstTable::default();
         // Context A interns [0] then [1]; context B reuses them but
         // inserts in reverse — plus fresh instances interned later with
@@ -1578,8 +1552,8 @@ mod tests {
         let mut b = Ctx::default();
         add(&mut b, i1);
         add(&mut b, i0);
-        let (sa, _) = a.signature(&g, &ct, &mut mgr, &it);
-        let (sb, _) = b.signature(&g, &ct, &mut mgr, &it);
+        let (sa, _) = a.signature(&g, &mut mgr, &it);
+        let (sb, _) = b.signature(&g, &mut mgr, &it);
         assert_eq!(sa, sb);
         let (mut ck, mut ck_b) = (Vec::new(), Vec::new());
         a.canonical_keys(&it, &mut ck);
@@ -1596,9 +1570,9 @@ mod tests {
         let op = inc_op(&g);
         let cond = g.loops()[0].cond();
         let mut mgr = BddManager::new();
-        let mut ct = CondTable::default();
         let mut it = InstTable::default();
-        let var = ct.var(it.id(cond, &[0]));
+        let inst = it.id(cond, &[0]);
+        let var = cond_var(&mut mgr, &it, inst);
         let lit = mgr.literal(var, true);
         let key = Key::new(it.id(op, &[0]), 0);
         let mk = |gd: Guard| -> Ctx {
@@ -1614,8 +1588,8 @@ mod tests {
             );
             ctx
         };
-        let (sa, _) = mk(Guard::TRUE).signature(&g, &ct, &mut mgr, &it);
-        let (sb, _) = mk(lit).signature(&g, &ct, &mut mgr, &it);
+        let (sa, _) = mk(Guard::TRUE).signature(&g, &mut mgr, &it);
+        let (sb, _) = mk(lit).signature(&g, &mut mgr, &it);
         assert_ne!(sa, sb);
     }
 }

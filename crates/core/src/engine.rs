@@ -7,7 +7,7 @@
 //! folding.
 
 use crate::ctx::{
-    cmp_inst, cmp_src, loop_ancestor, AvailInfo, Candidate, CondInst, CondTable, Ctx, InstId,
+    cmp_inst, cmp_src, cond_var, loop_ancestor, AvailInfo, Candidate, CondInst, Ctx, InstId,
     InstTable, Iter, Key, PairMark, ValSrc, VecMap, MAX_NEST,
 };
 use crate::fault::{FaultState, FaultStats, Probe};
@@ -330,7 +330,6 @@ struct Engine<'a> {
     cfg: &'a SchedConfig,
     tables: Tables,
     mgr: BddManager,
-    ct: CondTable,
     it: InstTable,
     cprobs: CondProbs,
     lambda: Vec<f64>,
@@ -488,7 +487,6 @@ impl<'a> Engine<'a> {
             cfg,
             tables: Tables::new(g),
             mgr: BddManager::new(),
-            ct: CondTable::default(),
             it: InstTable::default(),
             cprobs: CondProbs::new(),
             lambda,
@@ -577,7 +575,6 @@ impl<'a> Engine<'a> {
             g: self.g,
             tables: &self.tables,
             mgr: &mut self.mgr,
-            ct: &mut self.ct,
             it: &mut self.it,
             memo: &mut self.memo,
             events: &mut self.events,
@@ -697,7 +694,7 @@ impl<'a> Engine<'a> {
     /// differential testing.
     fn hashed_signature(&mut self, ctx: &Ctx) -> u128 {
         let t = Instant::now();
-        let sig = ctx.signature_hash(self.g, &self.ct, &mut self.mgr, &self.it, &mut self.sig);
+        let sig = ctx.signature_hash(self.g, &mut self.mgr, &self.it, &mut self.sig);
         self.stats.phases.signature.add(t.elapsed());
         self.sig_trail.push(sig);
         sig
@@ -1302,11 +1299,10 @@ impl<'a> Engine<'a> {
     /// Renders a guard as a sum of products over named condition
     /// instances (`name_iter0_iter1` literals).
     fn guard_sop(&mut self, gd: Guard) -> String {
-        let ct = &self.ct;
         let it = &self.it;
         let g = self.g;
         self.mgr.to_sop_string(gd, &|c| {
-            let (op, iter) = it.pair(ct.inst_of(c));
+            let (op, iter) = it.pair(InstId::of(c));
             let mut s = g.op(op).name().to_string();
             for i in iter {
                 s.push('_');
@@ -1323,7 +1319,7 @@ impl<'a> Engine<'a> {
         self.mgr.support_into(guard, &mut scratch);
         let mut predicted = Guard::TRUE;
         for &c in &scratch {
-            let op = self.it.op(self.ct.inst_of(c));
+            let op = self.it.op(InstId::of(c));
             let pol = self.probs.get(op) >= 0.5;
             let lit = self.mgr.literal(c, pol);
             predicted = self.mgr.and(predicted, lit);
@@ -1342,7 +1338,7 @@ impl<'a> Engine<'a> {
         let mut scratch = std::mem::take(&mut self.supp_scratch);
         self.mgr.support_into(cand.guard, &mut scratch);
         for &c in &scratch {
-            let op = self.it.op(self.ct.inst_of(c));
+            let op = self.it.op(InstId::of(c));
             self.cprobs.set(c, self.probs.get(op));
         }
         self.supp_scratch = scratch;
@@ -1727,7 +1723,7 @@ impl<'a> Engine<'a> {
         self.mgr.support_into(gd, &mut scratch);
         let mut contrib: BTreeMap<LoopCtx, u32> = BTreeMap::new();
         for &c in &scratch {
-            let (op, iter) = self.it.pair(self.ct.inst_of(c));
+            let (op, iter) = self.it.pair(InstId::of(c));
             let path = self.g.op(op).loop_path();
             for (d, &l) in path.iter().enumerate() {
                 if d < iter.len() {
@@ -1898,19 +1894,12 @@ impl<'a> Engine<'a> {
         // every version that could still feed it. `unmarked` counts the
         // keys whose fate is still open; once it drops to zero, the
         // retain below is a no-op no matter what further marking would
-        // find, so the port walks can stop. Two caveats keep the
+        // find, so the port walks can stop. One caveat keeps the
         // shortcut invisible: `token()` can record a provable exit
         // settlement as a side effect, so ops with order deps are still
-        // visited in their original position. The skipped walks are
-        // not free of side effects either: where a generator returned
-        // early (an unsettled token, an empty port), this walk can be
-        // the first to reach a condition literal and allocate its BDD
-        // variable. Any further narrowing of the walk therefore moves
-        // variable order: visiting only the direct consumers of the
-        // still-unmarked keys' ops changed a guard's rendering on a
-        // random program of the sweep differential. The branch sweep
-        // that precedes gc leaves the context's window carried; gc's
-        // own writes end its validity.
+        // visited in their original position. The branch sweep that
+        // precedes gc leaves the context's window carried; gc's own
+        // writes end its validity.
         let domain = self.window_domain(ctx);
         self.window.valid = false;
         let g = self.g;
@@ -2194,7 +2183,7 @@ impl<'a> Engine<'a> {
             self.part_rec(ctx, when, out);
             return;
         }
-        let var = self.ct.var(inst);
+        let var = cond_var(&mut self.mgr, &self.it, inst);
         // The parent context itself becomes the last branch.
         for (val, mut c2, mut w2) in [(true, ctx.clone(), when.clone()), (false, ctx, when)] {
             let t = Instant::now();
@@ -3030,6 +3019,42 @@ mod tests {
                     Ok(r) => assert!(r.stats.faults.audits > 0, "{} / {mode}: no audit", w.name),
                     Err(err) => panic!("{} / {mode}: {err}", w.name),
                 }
+            }
+        }
+    }
+
+    /// The variable order is content order, not reference order: touching
+    /// every loop condition's first iterations in reverse before a run
+    /// leaves the rendered STG, guards included, byte for byte the same.
+    #[test]
+    fn guards_render_independent_of_reference_order() {
+        for w in [
+            workloads::gcd(),
+            workloads::tlc(),
+            workloads::barcode(),
+            workloads::findmin(),
+        ] {
+            let w = w.expect("bundled workload builds");
+            let probs = hls_sim::profile(&w.cdfg, &w.vectors(50), &w.mem_init);
+            for mode in [Mode::Speculative, Mode::SinglePath] {
+                let mut cfg = SchedConfig::new(mode);
+                cfg.max_spec_depth = w.spec_depth;
+                let text = |touch: bool| {
+                    let mut e = Engine::new(&w.cdfg, &w.library, &w.allocation, &probs, &cfg);
+                    if touch {
+                        let ctx = Ctx::default();
+                        for l in w.cdfg.loops() {
+                            let mut ci = vec![0; w.cdfg.op(l.cond()).loop_path().len()];
+                            for i in (0..12).rev() {
+                                *ci.last_mut().unwrap() = i;
+                                e.res().lit(&ctx, l.cond(), &ci, true);
+                            }
+                        }
+                    }
+                    let r = e.run().unwrap();
+                    stg::render_text(&r.stg, &w.cdfg)
+                };
+                assert_eq!(text(false), text(true), "{} / {mode}", w.name);
             }
         }
     }

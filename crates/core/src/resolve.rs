@@ -25,7 +25,9 @@
 //! inline [`Iter`] copies, and the CDFG's port and dependency lists are
 //! read in place.
 
-use crate::ctx::{cmp_key, Candidate, Ctx, InstId, InstTable, Iter, Key, Operands, ValSrc};
+use crate::ctx::{
+    cmp_key, cond_var, Candidate, Ctx, InstId, InstTable, Iter, Key, Operands, ValSrc,
+};
 use cdfg::{Cdfg, CtrlKind, LoopId, OpId, OpKind, PortKind};
 use guards::{BddManager, Guard};
 use spec_support::fxhash::FxHashMap;
@@ -144,7 +146,6 @@ pub(crate) struct Res<'a> {
     pub g: &'a Cdfg,
     pub tables: &'a Tables,
     pub mgr: &'a mut BddManager,
-    pub ct: &'a mut crate::ctx::CondTable,
     pub it: &'a mut InstTable,
     pub memo: &'a mut GuardMemo,
     pub events: &'a mut Vec<CandEvent>,
@@ -178,7 +179,7 @@ impl Res<'_> {
             }
         }
         let inst = self.it.id(op, ci);
-        let var = self.ct.var(inst);
+        let var = cond_var(self.mgr, self.it, inst);
         self.mgr.literal(var, value)
     }
 
@@ -238,10 +239,7 @@ impl Res<'_> {
     /// `lit(cond@0) ∧ … ∧ lit(cond@end)`. Every call site ranges from
     /// iteration 0, so the product is independent of `acc` and shared
     /// through [`GuardMemo::chain`] across all candidates of the loop
-    /// context. Literal allocation order matches the legacy incremental
-    /// fold: a prefix that collapses to FALSE at element `m` never
-    /// allocates literals past `m`, and a FALSE `acc` still performs the
-    /// single leading literal lookup the old loop did before breaking.
+    /// context.
     fn chain(
         &mut self,
         ctx: &Ctx,
@@ -252,15 +250,10 @@ impl Res<'_> {
         range: std::ops::RangeInclusive<u32>,
     ) -> Guard {
         debug_assert_eq!(*range.start(), 0, "chains always start at iteration 0");
-        let end = *range.end();
         if acc.is_false() {
-            let clen = self.g.op(cond).loop_path().len();
-            let mut ci = Iter::from_slice(&iter[..clen]);
-            ci[d] = 0;
-            let _ = self.lit(ctx, cond, &ci, true);
             return Guard::FALSE;
         }
-        let p = self.chain_prefix(ctx, cond, iter, d, end);
+        let p = self.chain_prefix(ctx, cond, iter, d, *range.end());
         self.mgr.and(acc, p)
     }
 
@@ -726,10 +719,8 @@ impl Res<'_> {
 
     /// Has loop `lp` (instantiated under the prefix of `base`) provably
     /// exited on this path — i.e. is some continue condition at or below
-    /// the horizon already resolved *false*? Reads only already-interned
-    /// condition instances (`it.get`, never `it.id`/`ct.var`): discharge
-    /// probing must not allocate BDD variables, or equivalent contexts
-    /// would diverge in variable order.
+    /// the horizon already resolved *false*? A condition instance never
+    /// interned was never referenced, so it cannot be resolved.
     fn loop_exited(&self, ctx: &Ctx, lp: LoopId, base: &[u32]) -> bool {
         let cond = self.g.loop_info(lp).cond();
         let mut ci = Iter::from_slice(base);
@@ -1081,7 +1072,6 @@ impl Res<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::CondTable;
     use cdfg::{CdfgBuilder, Src};
     use guards::BddManager;
 
@@ -1111,13 +1101,8 @@ mod tests {
         (g, cont, branch, sum)
     }
 
-    fn res_env(g: &Cdfg) -> (Tables, BddManager, CondTable, InstTable) {
-        (
-            Tables::new(g),
-            BddManager::new(),
-            CondTable::default(),
-            InstTable::default(),
-        )
+    fn res_env(g: &Cdfg) -> (Tables, BddManager, InstTable) {
+        (Tables::new(g), BddManager::new(), InstTable::default())
     }
 
     /// Resolves a support set back to `(op, iter)` content for
@@ -1127,7 +1112,7 @@ mod tests {
             .support(gd)
             .iter()
             .map(|c| {
-                let (op, iter) = r.it.pair(r.ct.inst_of(*c));
+                let (op, iter) = r.it.pair(InstId::of(*c));
                 (op, iter.to_vec())
             })
             .collect()
@@ -1136,7 +1121,7 @@ mod tests {
     #[test]
     fn ctrl_guard_builds_full_continuation_chain() {
         let (g, cont, _branch, sum) = branchy_loop();
-        let (tables, mut mgr, mut ct, mut it) = res_env(&g);
+        let (tables, mut mgr, mut it) = res_env(&g);
         let mut memo = GuardMemo::default();
         let mut events = Vec::new();
         let mut scratch = GenScratch::default();
@@ -1145,7 +1130,6 @@ mod tests {
             g: &g,
             tables: &tables,
             mgr: &mut mgr,
-            ct: &mut ct,
             it: &mut it,
             memo: &mut memo,
             events: &mut events,
@@ -1164,7 +1148,7 @@ mod tests {
     #[test]
     fn resolved_and_floor_collapse_literals() {
         let (g, cont, _branch, sum) = branchy_loop();
-        let (tables, mut mgr, mut ct, mut it) = res_env(&g);
+        let (tables, mut mgr, mut it) = res_env(&g);
         let mut memo = GuardMemo::default();
         let mut events = Vec::new();
         let mut scratch = GenScratch::default();
@@ -1177,7 +1161,6 @@ mod tests {
             g: &g,
             tables: &tables,
             mgr: &mut mgr,
-            ct: &mut ct,
             it: &mut it,
             memo: &mut memo,
             events: &mut events,
@@ -1205,7 +1188,7 @@ mod tests {
             .find(|o| o.kind() == OpKind::Select)
             .unwrap()
             .id();
-        let (tables, mut mgr, mut ct, mut it) = res_env(&g);
+        let (tables, mut mgr, mut it) = res_env(&g);
         let mut memo = GuardMemo::default();
         let mut events = Vec::new();
         let mut scratch = GenScratch::default();
@@ -1226,7 +1209,6 @@ mod tests {
             g: &g,
             tables: &tables,
             mgr: &mut mgr,
-            ct: &mut ct,
             it: &mut it,
             memo: &mut memo,
             events: &mut events,
@@ -1258,7 +1240,7 @@ mod tests {
             .find(|o| o.kind() == OpKind::Pass)
             .unwrap()
             .id();
-        let (tables, mut mgr, mut ct, mut it) = res_env(&g);
+        let (tables, mut mgr, mut it) = res_env(&g);
         let mut memo = GuardMemo::default();
         let mut events = Vec::new();
         let mut scratch = GenScratch::default();
@@ -1269,7 +1251,6 @@ mod tests {
             g: &g,
             tables: &tables,
             mgr: &mut mgr,
-            ct: &mut ct,
             it: &mut it,
             memo: &mut memo,
             events: &mut events,
@@ -1289,7 +1270,7 @@ mod tests {
     #[test]
     fn gen_candidates_dedups_and_widens() {
         let (g, cont, _branch, _sum) = branchy_loop();
-        let (tables, mut mgr, mut ct, mut it) = res_env(&g);
+        let (tables, mut mgr, mut it) = res_env(&g);
         let mut memo = GuardMemo::default();
         let mut events = Vec::new();
         let mut scratch = GenScratch::default();
@@ -1298,7 +1279,6 @@ mod tests {
             g: &g,
             tables: &tables,
             mgr: &mut mgr,
-            ct: &mut ct,
             it: &mut it,
             memo: &mut memo,
             events: &mut events,
@@ -1331,7 +1311,7 @@ mod tests {
             .find(|o| o.kind() == OpKind::Inc)
             .unwrap()
             .id();
-        let (tables, mut mgr, mut ct, mut it) = res_env(&g);
+        let (tables, mut mgr, mut it) = res_env(&g);
         let mut memo = GuardMemo::default();
         let mut events = Vec::new();
         let mut scratch = GenScratch::default();
@@ -1341,7 +1321,6 @@ mod tests {
             g: &g,
             tables: &tables,
             mgr: &mut mgr,
-            ct: &mut ct,
             it: &mut it,
             memo: &mut memo,
             events: &mut events,

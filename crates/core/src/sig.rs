@@ -22,8 +22,8 @@
 //! that both induce the same equality relation.
 
 use crate::ctx::{
-    cmp_inst, loop_ancestor, loop_shift, AvailInfo, CondTable, Ctx, InstId, InstTable, Iter, Key,
-    ValSrc, VecMap,
+    cmp_inst, loop_ancestor, loop_shift, AvailInfo, Ctx, InstId, InstTable, Iter, Key, ValSrc,
+    VecMap,
 };
 use cdfg::{Cdfg, LoopId};
 use guards::{BddManager, Cond, Guard};
@@ -75,12 +75,11 @@ impl SigBuilder {
 }
 
 /// The read-only inputs every token writer needs: the graph, the
-/// instance and condition tables, the manager, and the context's
-/// per-loop shift basis and canonical version ranks.
+/// instance table, the manager, and the context's per-loop shift basis
+/// and canonical version ranks.
 struct Shift<'a> {
     g: &'a Cdfg,
     it: &'a InstTable,
-    ct: &'a CondTable,
     mgr: &'a BddManager,
     mins: &'a [u32],
     avail: &'a VecMap<Key, AvailInfo>,
@@ -152,7 +151,7 @@ impl Shift<'_> {
     /// Appends the SOP token run of a guard, naming each condition by
     /// its shifted instance (the string renderer's `op@[shifted]`).
     fn guard(&self, out: &mut Vec<u64>, gd: Guard) {
-        let mut name = |c, out: &mut Vec<u64>| self.inst(out, self.ct.inst_of(c));
+        let mut name = |c, out: &mut Vec<u64>| self.inst(out, InstId::of(c));
         self.mgr.sop_tokens(gd, &mut name, out);
     }
 }
@@ -194,7 +193,6 @@ impl Ctx {
     pub(crate) fn signature_hash(
         &self,
         g: &Cdfg,
-        ct: &CondTable,
         mgr: &mut BddManager,
         it: &InstTable,
         sb: &mut SigBuilder,
@@ -209,7 +207,7 @@ impl Ctx {
             order,
             supp,
         } = sb;
-        self.loop_mins(g, ct, mgr, it, mins, supp);
+        self.loop_mins(g, mgr, it, mins, supp);
         self.canonical_keys(it, keys);
         // Canonical version renumbering, exactly as in the string
         // renderer: dense per-instance ranks in content order. `avail`
@@ -228,7 +226,6 @@ impl Ctx {
         let sh = Shift {
             g,
             it,
-            ct,
             mgr,
             mins,
             avail: &self.avail,
@@ -337,7 +334,7 @@ impl Ctx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::{AvailInfo, Candidate, Operands};
+    use crate::ctx::{cond_var, AvailInfo, Candidate, Operands};
     use cdfg::{CdfgBuilder, InputId, OpId, OpKind, Src};
     use spec_support::props;
     use spec_support::proptest_lite as pl;
@@ -365,9 +362,6 @@ mod tests {
             .unwrap()
             .id()
     }
-
-    /// Every iteration a recipe can name lies below this bound.
-    const MAX_ITER: u32 = 12;
 
     /// One available-value entry of a recipe, positioned relative to
     /// the recipe's base iteration.
@@ -482,30 +476,14 @@ mod tests {
         r
     }
 
-    /// Allocates the loop condition's variables in iteration order, so
-    /// the BDD variable order (and with it every guard's cube order) is
-    /// the same for a context and its shifted copy.
-    fn cond_vars(g: &Cdfg, ct: &mut CondTable, it: &mut InstTable) {
-        let cond = g.loops()[0].cond();
-        for i in 0..MAX_ITER {
-            ct.var(it.id(cond, &[i]));
-        }
-    }
-
     /// Guard selector `gsel` at iteration `i`: 0 = TRUE, 1/2 =
     /// positive/negative literal of the loop condition at `i`, 3 = that
     /// positive literal or the negative one at `i + 1` (two cubes).
-    fn guard_of(
-        gsel: u32,
-        i: u32,
-        g: &Cdfg,
-        mgr: &mut BddManager,
-        ct: &mut CondTable,
-        it: &mut InstTable,
-    ) -> Guard {
+    fn guard_of(gsel: u32, i: u32, g: &Cdfg, mgr: &mut BddManager, it: &mut InstTable) -> Guard {
         let cond = g.loops()[0].cond();
         let mut lit = |i: u32, v: bool| {
-            let var = ct.var(it.id(cond, &[i]));
+            let inst = it.id(cond, &[i]);
+            let var = cond_var(mgr, it, inst);
             mgr.literal(var, v)
         };
         match gsel {
@@ -518,20 +496,13 @@ mod tests {
         }
     }
 
-    fn build(
-        r: &Recipe,
-        shift: u32,
-        g: &Cdfg,
-        mgr: &mut BddManager,
-        ct: &mut CondTable,
-        it: &mut InstTable,
-    ) -> Ctx {
+    fn build(r: &Recipe, shift: u32, g: &Cdfg, mgr: &mut BddManager, it: &mut InstTable) -> Ctx {
         let op = inc_op(g);
         let cond = g.loops()[0].cond();
         let at = r.base + shift;
         let mut ctx = Ctx::default();
         for e in &r.entries {
-            let gd = guard_of(e.gsel, at + e.iter, g, mgr, ct, it);
+            let gd = guard_of(e.gsel, at + e.iter, g, mgr, it);
             ctx.avail.insert(
                 Key::new(it.id(op, &[at + e.iter]), 0),
                 AvailInfo {
@@ -543,7 +514,7 @@ mod tests {
             );
         }
         for c in &r.cands {
-            let gd = guard_of(c.gsel, at + c.iter, g, mgr, ct, it);
+            let gd = guard_of(c.gsel, at + c.iter, g, mgr, it);
             let mut operands = Operands::new();
             for o in &c.operands {
                 operands.push(match *o {
@@ -566,7 +537,7 @@ mod tests {
             });
         }
         for &(i, gsel) in &r.obligations {
-            let gd = guard_of(gsel, at + i, g, mgr, ct, it);
+            let gd = guard_of(gsel, at + i, g, mgr, it);
             ctx.obligations.insert(it.id(op, &[at + i]), gd);
         }
         for &(i, v) in &r.resolved {
@@ -589,7 +560,6 @@ mod tests {
         let g = loop_cdfg();
         let op = inc_op(&g);
         let mut mgr = BddManager::new();
-        let ct = CondTable::default();
         let mut it = InstTable::default();
         let mut sb = SigBuilder::default();
         let mk = |iters: &[u32], it: &mut InstTable| -> Ctx {
@@ -611,17 +581,17 @@ mod tests {
         let a = mk(&[3, 4], &mut it);
         let b = mk(&[7, 8], &mut it);
         let c = mk(&[3, 5], &mut it);
-        let ha = a.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
-        let ha2 = a.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
+        let ha = a.signature_hash(&g, &mut mgr, &it, &mut sb);
+        let ha2 = a.signature_hash(&g, &mut mgr, &it, &mut sb);
         assert_eq!(ha, ha2, "hash is deterministic across calls");
         let mut mins = Vec::new();
-        a.loop_mins(&g, &ct, &mut mgr, &it, &mut mins, &mut Vec::new());
+        a.loop_mins(&g, &mut mgr, &it, &mut mins, &mut Vec::new());
         assert_eq!(mins[lp.index()], 3);
-        let hb = b.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
+        let hb = b.signature_hash(&g, &mut mgr, &it, &mut sb);
         assert_eq!(ha, hb, "uniformly shifted contexts fold");
-        b.loop_mins(&g, &ct, &mut mgr, &it, &mut mins, &mut Vec::new());
+        b.loop_mins(&g, &mut mgr, &it, &mut mins, &mut Vec::new());
         assert_eq!(mins[lp.index()], 7);
-        let hc = c.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
+        let hc = c.signature_hash(&g, &mut mgr, &it, &mut sb);
         assert_ne!(ha, hc, "non-uniform spacing does not fold");
     }
 
@@ -636,24 +606,22 @@ mod tests {
         fn hashed_signature_agrees_with_string(r1 in arb_recipe(), r2 in arb_recipe()) {
             let g = loop_cdfg();
             let mut mgr = BddManager::new();
-            let mut ct = CondTable::default();
             let mut it = InstTable::default();
             let mut sb = SigBuilder::default();
-            cond_vars(&g, &mut ct, &mut it);
             let mut r1r = r1.clone();
             r1r.cands.reverse();
             let ctxs = [
-                build(&r1, 0, &g, &mut mgr, &mut ct, &mut it),
-                build(&r1, 2, &g, &mut mgr, &mut ct, &mut it),
-                build(&r1r, 0, &g, &mut mgr, &mut ct, &mut it),
-                build(&r2, 0, &g, &mut mgr, &mut ct, &mut it),
-                build(&r2, 1, &g, &mut mgr, &mut ct, &mut it),
-                build(&retag(&r1), 0, &g, &mut mgr, &mut ct, &mut it),
+                build(&r1, 0, &g, &mut mgr, &mut it),
+                build(&r1, 2, &g, &mut mgr, &mut it),
+                build(&r1r, 0, &g, &mut mgr, &mut it),
+                build(&r2, 0, &g, &mut mgr, &mut it),
+                build(&r2, 1, &g, &mut mgr, &mut it),
+                build(&retag(&r1), 0, &g, &mut mgr, &mut it),
             ];
             let mut sigs = Vec::new();
             for c in &ctxs {
-                let (s, _) = c.signature(&g, &ct, &mut mgr, &it);
-                let h = c.signature_hash(&g, &ct, &mut mgr, &it, &mut sb);
+                let (s, _) = c.signature(&g, &mut mgr, &it);
+                let h = c.signature_hash(&g, &mut mgr, &it, &mut sb);
                 sigs.push((s, h));
             }
             for (a, b, what) in [(0, 1, "shifted copy"), (0, 2, "reordered candidates")] {

@@ -93,8 +93,13 @@ struct Node {
 /// ROBDD manager: owns the node store and operation caches for a family of
 /// [`Guard`]s.
 ///
-/// Variable order is the numeric order of [`Cond`] indices: smaller indices
-/// are tested first. Both terminal guards exist in every manager.
+/// The manager owns the variable order. [`BddManager::place`] inserts a
+/// variable at the position a caller's comparator gives it among the
+/// variables already placed; a variable first used by
+/// [`BddManager::literal`] without being placed goes below all of them.
+/// Inserting never moves a placed variable relative to another, so every
+/// existing node stays ordered and reduced. Both terminal guards exist in
+/// every manager.
 ///
 /// # Example
 ///
@@ -126,7 +131,15 @@ pub struct BddManager {
     // yet). Nodes are hash-consed and never freed, so a node's support
     // never changes.
     support_lens: Vec<u32>,
+    // The variable order: each variable's level (its position in
+    // `order`), indexed by `Cond` index, `UNPLACED` where never placed;
+    // and the placed variables, top level first.
+    levels: Vec<u32>,
+    order: Vec<Cond>,
 }
+
+/// `BddManager::levels` entry of a variable that has not been placed.
+const UNPLACED: u32 = u32::MAX;
 
 /// `BddManager::support_lens` entry of a node whose support size has
 /// not been computed yet.
@@ -231,6 +244,8 @@ impl BddManager {
             support_work: Vec::new(),
             support_scratch: Vec::new(),
             support_lens: Vec::new(),
+            levels: Vec::new(),
+            order: Vec::new(),
         }
     }
 
@@ -269,11 +284,43 @@ impl BddManager {
         self.nodes.len() - 2
     }
 
-    fn var_of(&self, g: Guard) -> u32 {
+    /// The level of `cond` in the variable order (`UNPLACED` if it has
+    /// none yet).
+    fn level(&self, cond: Cond) -> u32 {
+        self.levels
+            .get(cond.index() as usize)
+            .copied()
+            .unwrap_or(UNPLACED)
+    }
+
+    /// The level of a guard's top variable (`u32::MAX` for a terminal).
+    fn level_of(&self, g: Guard) -> u32 {
         if g.is_const() {
             u32::MAX
         } else {
-            self.nodes[g.idx()].var
+            self.levels[self.nodes[g.idx()].var as usize]
+        }
+    }
+
+    /// Places `cond` in the variable order below every placed variable
+    /// `less` than it and above the rest. `less` must be a strict order
+    /// consistent with the placements already made. A variable that is
+    /// already placed keeps its level, so placing twice is a no-op.
+    pub fn place(&mut self, cond: Cond, mut less: impl FnMut(Cond, Cond) -> bool) {
+        if self.level(cond) == UNPLACED {
+            let pos = self.order.partition_point(|&c| less(c, cond));
+            self.insert_level(pos, cond);
+        }
+    }
+
+    fn insert_level(&mut self, pos: usize, cond: Cond) {
+        let i = cond.index() as usize;
+        if self.levels.len() <= i {
+            self.levels.resize(i + 1, UNPLACED);
+        }
+        self.order.insert(pos, cond);
+        for (l, c) in self.order.iter().enumerate().skip(pos) {
+            self.levels[c.index() as usize] = l as u32;
         }
     }
 
@@ -304,7 +351,11 @@ impl BddManager {
     }
 
     /// The guard that is true exactly when `cond` has the given `value`.
+    /// An unplaced `cond` is placed below every placed variable.
     pub fn literal(&mut self, cond: Cond, value: bool) -> Guard {
+        if self.level(cond) == UNPLACED {
+            self.insert_level(self.order.len(), cond);
+        }
         if value {
             self.mk(cond.index(), Guard::FALSE, Guard::TRUE)
         } else {
@@ -334,7 +385,8 @@ impl BddManager {
             return r;
         }
         self.stats.ite_misses += 1;
-        let top = self.var_of(f).min(self.var_of(g)).min(self.var_of(h));
+        let top_level = self.level_of(f).min(self.level_of(g)).min(self.level_of(h));
+        let top = self.order[top_level as usize].index();
         let (f_lo, f_hi) = self.cofactors_at(f, top);
         let (g_lo, g_hi) = self.cofactors_at(g, top);
         let (h_lo, h_hi) = self.cofactors_at(h, top);
@@ -353,7 +405,7 @@ impl BddManager {
     }
 
     fn cofactors_at(&self, g: Guard, var: u32) -> (Guard, Guard) {
-        if g.is_const() || self.var_of(g) != var {
+        if g.is_const() || self.nodes[g.idx()].var != var {
             (g, g)
         } else {
             let n = self.node(g);
@@ -418,12 +470,14 @@ impl BddManager {
         if g.is_const() {
             return g;
         }
-        let var = cond.index();
-        let n = self.node(g);
-        if n.var > var {
-            // Variable order guarantees `var` does not appear below.
+        let level = self.level(cond);
+        if self.level_of(g) > level || level == UNPLACED {
+            // `cond` sits above `g`'s top variable (or nowhere), so it
+            // does not appear in `g`.
             return g;
         }
+        let var = cond.index();
+        let n = self.node(g);
         if n.var == var {
             let branch = if value { n.hi } else { n.lo };
             return branch;
@@ -477,7 +531,7 @@ impl BddManager {
     }
 
     /// The set of conditions the guard depends on, sorted by BDD variable
-    /// order (i.e. ascending [`Cond`] index).
+    /// order (top level first).
     ///
     /// Allocates a fresh vector and visited-set per call; hot paths that
     /// only need the conditions (or their count) should prefer
@@ -496,7 +550,7 @@ impl BddManager {
             stack.push(n.lo);
             stack.push(n.hi);
         }
-        vars.sort_unstable();
+        vars.sort_unstable_by_key(|&v| self.levels[v as usize]);
         vars.dedup();
         vars.into_iter().map(Cond::new).collect()
     }
@@ -543,7 +597,8 @@ impl BddManager {
             work.push(n.hi);
         }
         self.support_work = work;
-        out.sort_unstable();
+        let levels = &self.levels;
+        out.sort_unstable_by_key(|c| levels[c.index() as usize]);
         out.dedup();
     }
 
@@ -616,7 +671,7 @@ impl BddManager {
         // order), and cofactoring in variable order peels the top variable
         // first, which keeps intermediate guards small.
         let mut sorted: Vec<Cond> = over.to_vec();
-        sorted.sort_unstable();
+        sorted.sort_unstable_by_key(|&c| (self.level(c), c));
         sorted.dedup();
         let mut out = Vec::new();
         let mut partial = Assignment::new();
@@ -853,6 +908,9 @@ mod tests {
     #[test]
     fn support_into_matches_support_and_is_sorted() {
         let mut m = BddManager::new();
+        for i in [7u32, 2, 9, 0, 5] {
+            m.place(Cond::new(i), |a, b| a < b);
+        }
         let lits: Vec<Guard> = [7u32, 2, 9, 0, 5]
             .iter()
             .map(|&i| m.literal(Cond::new(i), i % 2 == 0))

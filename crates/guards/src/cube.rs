@@ -3,7 +3,7 @@
 //! products for display or as a token stream for hashing.
 //!
 //! The BDD is the only guard representation. A cube here is just the
-//! literal list of one path, ordered by condition (the variable order).
+//! literal list of one path, in the manager's variable order.
 
 use crate::{BddManager, Cond, Guard};
 
@@ -152,11 +152,21 @@ mod tests {
 
     #[test]
     fn cube_sorted_by_cond() {
+        // Literals follow the placed order, whatever order they are
+        // first used in; unplaced variables follow first use.
         let mut m = BddManager::new();
+        for i in [5, 1] {
+            m.place(Cond::new(i), |a, b| a < b);
+        }
         let n5 = m.literal(Cond::new(5), false);
         let p1 = m.literal(Cond::new(1), true);
         let g = m.and(n5, p1);
         assert_eq!(sop(&m, g), "c1.!c5");
+        let mut unplaced = BddManager::new();
+        let n5 = unplaced.literal(Cond::new(5), false);
+        let p1 = unplaced.literal(Cond::new(1), true);
+        let g = unplaced.and(n5, p1);
+        assert_eq!(sop(&unplaced, g), "!c5.c1");
     }
 
     #[test]

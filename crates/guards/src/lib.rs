@@ -12,8 +12,8 @@
 //!
 //! * [`Cond`] — an opaque identifier for one dynamic *instance* of a
 //!   conditional operation (e.g. `c1_0`, the zeroth evaluation of comparison
-//!   `c1`). The scheduler allocates these; this crate only requires a total
-//!   order (used as the BDD variable order).
+//!   `c1`). The scheduler names these; where each sits in the BDD
+//!   variable order is up to [`BddManager::place`].
 //! * [`BddManager`] / [`Guard`] — a reduced ordered binary decision diagram
 //!   package with the operations the scheduling algorithm relies on:
 //!   conjunction (Lemma 1), cofactoring by a resolved condition (Step 2 of
@@ -62,12 +62,10 @@ use std::fmt;
 
 /// Identifier for one dynamic instance of a conditional operation.
 ///
-/// The scheduler allocates a fresh `Cond` for every (conditional operation,
+/// The scheduler names a distinct `Cond` for every (conditional operation,
 /// iteration index) pair it encounters, so `c1_0` and `c1_1` in the paper's
-/// notation are distinct `Cond`s. The numeric value doubles as the BDD
-/// variable index; conditions allocated earlier sit higher in the variable
-/// order, which keeps the conjunction-dominated guards of typical schedules
-/// small.
+/// notation are distinct `Cond`s. The numeric value is the BDD variable's
+/// identity, not its level: the [`BddManager`] keeps the variable order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cond(u32);
 

@@ -190,13 +190,73 @@ props! {
         assert!((pg - sum).abs() < 1e-9, "pg={pg} sum={sum}");
     }
 
+    /// Placement alone decides the variable order. Two managers first use
+    /// the variables in two random orders, each placing a variable by one
+    /// comparator at its first use and building a guard over the
+    /// variables seen so far; the guard `e` then built in both renders,
+    /// tokenizes and has its support identically. The early guards stay
+    /// canonical as later variables land between theirs, and placing an
+    /// already placed variable again, even by the opposite comparator,
+    /// changes nothing.
+    fn placement_decides_variable_order(
+        e in arb_expr(),
+        keys in pl::vec_of(pl::range(0u32..4), NVARS as usize..NVARS as usize + 1),
+        firsts in pl::tuple2(
+            pl::vec_of(pl::range(0u32..NVARS), 0..8),
+            pl::vec_of(pl::range(0u32..NVARS), 0..8),
+        ),
+    ) {
+        let less = |a: Cond, b: Cond| {
+            (keys[a.index() as usize], a) < (keys[b.index() as usize], b)
+        };
+        let name = |c: Cond| c.to_string();
+        let tokens = |m: &BddManager, g: Guard| {
+            let mut out = Vec::new();
+            m.sop_tokens(g, &mut |c, out| out.push(u64::from(c.index())), &mut out);
+            out
+        };
+        let run = |first: &[u32], rev: bool| {
+            let mut m = BddManager::new();
+            let mut order: Vec<u32> = first.to_vec();
+            let rest: Vec<u32> = if rev { (0..NVARS).rev().collect() } else { (0..NVARS).collect() };
+            order.extend(rest);
+            let mut early = Vec::new();
+            let mut acc = Guard::FALSE;
+            for &v in &order {
+                m.place(Cond::new(v), less);
+                let l = m.literal(Cond::new(v), v % 2 == 0);
+                acc = m.xor(acc, l);
+                early.push((v, acc));
+            }
+            let mut again = Guard::FALSE;
+            for &(v, g) in &early {
+                let l = m.literal(Cond::new(v), v % 2 == 0);
+                again = m.xor(again, l);
+                assert_eq!(again, g, "a guard built before later placements stays canonical");
+            }
+            let g = e.build(&mut m);
+            let view = (m.to_sop_string(g, &name), tokens(&m, g), m.support(g));
+            for v in 0..NVARS {
+                m.place(Cond::new(v), |a, b| less(b, a));
+            }
+            assert_eq!(view, (m.to_sop_string(g, &name), tokens(&m, g), m.support(g)));
+            assert_eq!(e.build(&mut m), g, "placing twice is a no-op");
+            view
+        };
+        assert_eq!(run(&firsts.0, false), run(&firsts.1, true));
+    }
+
     /// A conjunction of random literals — a cube — is FALSE exactly when
     /// two literals contradict; otherwise it renders as a single product
-    /// term listing each distinct literal once, in condition order.
+    /// term listing each distinct literal once, in condition order (the
+    /// order the conditions are placed in).
     fn cube_guard_agrees(
         lits in pl::vec_of(pl::tuple2(pl::range(0u32..NVARS), pl::boolean()), 0..6),
     ) {
         let mut m = BddManager::new();
+        for v in 0..NVARS {
+            m.place(Cond::new(v), |a, b| a < b);
+        }
         let parts: Vec<Guard> = lits.iter().map(|&(v, p)| m.literal(Cond::new(v), p)).collect();
         let g = m.and_all(parts.iter().copied());
         assert_eq!(g, parts.iter().fold(Guard::TRUE, |acc, &l| m.and(acc, l)));

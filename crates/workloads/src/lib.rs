@@ -345,8 +345,11 @@ pub fn findmin() -> Result<Workload, WorkloadError> {
 
 /// Findmin at N = 64: the same comparison-gated scan over a four-times
 /// larger array. Not part of [`all`] (which mirrors the paper's Table 1
-/// exactly); the scheduler bench uses it to stress state-count scaling
-/// of the fold index on a longer steady-state pipeline.
+/// exactly). The array size never reaches the scheduler: it schedules
+/// [`findmin`]'s CDFG into STGs of the same states, issues and folds
+/// (only the profiled branch probabilities differ, which can reorder
+/// the ops of a state). What grows is the run: its traces scan longer,
+/// so simulation and the E.N.C. see more loop iterations.
 pub fn findmin64() -> Result<Workload, WorkloadError> {
     let mut w = Workload::build(
         "Findmin64",
@@ -379,12 +382,10 @@ pub fn findmin64() -> Result<Workload, WorkloadError> {
     Ok(w)
 }
 
-/// Findmin at N = 1024: iteration counts far beyond the fold horizon.
-/// The steady-state STG is the same size as [`findmin64`]'s — what this
-/// point stresses is the *grow phase* on long runs: candidate-sweep and
-/// ready-list cost per issue must stay flat as the schedule executes
-/// many more folded iterations, so a superlinear sweep shows up here
-/// first. Bench-only; not part of [`all`].
+/// Findmin at N = 1024: run-time iteration counts far beyond the fold
+/// horizon. As for [`findmin64`], the scheduler sees [`findmin`]'s CDFG
+/// and does the same work; the long traces load the simulator, the
+/// golden interpreter and the E.N.C. solve instead. Not part of [`all`].
 pub fn findmin1024() -> Result<Workload, WorkloadError> {
     let mut w = Workload::build(
         "Findmin1024",
