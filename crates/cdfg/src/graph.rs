@@ -46,6 +46,16 @@ impl PortKind {
             PortKind::Carried { src, .. } | PortKind::Exit { src, .. } => src,
         }
     }
+
+    /// Every producer of the port: the source plus, for a carried or
+    /// exit edge, the init.
+    pub fn producers(self) -> impl Iterator<Item = OpId> {
+        let init = match self {
+            PortKind::Wire(_) => None,
+            PortKind::Carried { init, .. } | PortKind::Exit { init, .. } => Some(init),
+        };
+        std::iter::once(self.src()).chain(init)
+    }
 }
 
 /// How a control dependency gates its dependent operation.

@@ -242,6 +242,11 @@ pub enum SchedError {
         /// What failed, suitable for logging.
         context: String,
     },
+    /// One operation's live iteration window held more `(op, iteration)`
+    /// pairs than the scheduler enumerates (the limit). A window cut
+    /// short would hide pairs from gc's liveness walk; a tighter
+    /// speculation depth narrows the window, so the run can be retried.
+    WindowLimit(usize),
     /// The CDFG nests loops deeper than the scheduler supports: every
     /// operation instance carries one iteration index per enclosing
     /// loop, held inline with a fixed capacity. Rejected before
@@ -260,6 +265,7 @@ impl SchedError {
         match self {
             SchedError::StateLimit(_) => "state_limit",
             SchedError::IterationLimit(_) => "iteration_limit",
+            SchedError::WindowLimit(_) => "window_limit",
             SchedError::Stuck(_) => "stuck",
             SchedError::Deadline { .. } => "deadline",
             SchedError::Cancelled => "cancelled",
@@ -285,6 +291,9 @@ impl SchedError {
             }
             SchedError::IterationLimit(n) => {
                 format!("{{\"kind\":\"iteration_limit\",\"limit\":{n}}}")
+            }
+            SchedError::WindowLimit(n) => {
+                format!("{{\"kind\":\"window_limit\",\"limit\":{n}}}")
             }
             SchedError::Stuck(r) => format!(
                 "{{\"kind\":\"stuck\",\"headline\":\"{}\",\"starved_classes\":[{}],\"blocked\":{}}}",
@@ -335,6 +344,7 @@ impl fmt::Display for SchedError {
         match self {
             SchedError::StateLimit(n) => write!(f, "state limit of {n} states exceeded"),
             SchedError::IterationLimit(n) => write!(f, "iteration limit of {n} exceeded"),
+            SchedError::WindowLimit(n) => write!(f, "iteration window of over {n} pairs"),
             SchedError::Stuck(r) => write!(f, "scheduling deadlock: {}", r.headline),
             SchedError::Deadline { budget_ms } => {
                 write!(f, "wall-clock budget of {budget_ms} ms exceeded")

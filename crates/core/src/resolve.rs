@@ -31,34 +31,232 @@ use crate::ctx::{
 use cdfg::{Cdfg, CtrlKind, LoopId, OpId, OpKind, PortKind};
 use guards::{BddManager, Guard};
 use spec_support::fxhash::FxHashMap;
+use std::collections::BTreeSet;
 
 /// Immutable per-run scheduling tables shared by resolution and the
-/// engine.
+/// engine: everything derived from the CDFG alone, built once per run.
 pub(crate) struct Tables {
     /// For each op that is the continue condition of a loop, that loop.
     pub loop_of_cond: FxHashMap<OpId, LoopId>,
     /// Effectful ops (memory writes, outputs), for obligation
     /// instantiation.
     pub effects: Vec<OpId>,
+    /// Per op: whether it is scheduled at all (see [`useful_ops`]).
+    pub useful: Vec<bool>,
+    /// Per op: every loop whose iteration bookkeeping (floor/horizon)
+    /// its transitive fanin can reference.
+    pub loops_needed: Vec<BTreeSet<LoopId>>,
+    /// Per op: the ops whose candidate generation can observe a change
+    /// to its context entries, itself included (see
+    /// [`direct_consumers`]); they drive the sweep's dirty marking.
+    pub consumers: Vec<Vec<OpId>>,
+    /// Per loop: the ops whose candidate generation reads that loop's
+    /// iteration bookkeeping (the inverse of [`Self::loops_needed`]).
+    pub loop_readers: Vec<Vec<OpId>>,
+    /// Per loop: the [`Self::loop_readers`] outside the loop, the only
+    /// readers of its horizon (exit views, exit tokens, `loop_exited`).
+    pub horizon_readers: Vec<Vec<OpId>>,
+    /// Per loop: the schedulable ops inside it, whose iteration windows
+    /// the loop's window bounds.
+    pub loop_members: Vec<Vec<OpId>>,
+    /// Per conditional op: every op whose candidate generation can
+    /// observe that condition resolving (see [`cond_readers`]). Drives
+    /// cofactor-time dirty marking.
+    pub cond_readers: Vec<Vec<OpId>>,
 }
 
 impl Tables {
     pub fn new(g: &Cdfg) -> Self {
-        let mut loop_of_cond = FxHashMap::default();
-        for l in g.loops() {
-            loop_of_cond.insert(l.cond(), l.id());
-        }
+        let loop_of_cond = g.loops().iter().map(|l| (l.cond(), l.id())).collect();
         let effects = g
             .ops()
             .iter()
             .filter(|o| o.kind().has_side_effect())
             .map(|o| o.id())
             .collect();
+        let fanin = fanin(g);
+        let useful = useful_ops(g, &fanin);
+        let loop_sets = g
+            .ops()
+            .iter()
+            .map(|o| o.loop_path().iter().copied().collect());
+        let loops_needed = fanin_closure(&fanin, loop_sets.collect());
+        let mut loop_readers: Vec<Vec<OpId>> = vec![Vec::new(); g.loops().len()];
+        for op in g.ops() {
+            for l in &loops_needed[op.id().index()] {
+                loop_readers[l.index()].push(op.id());
+            }
+        }
+        let cond_readers = cond_readers(g, &fanin, &loop_readers);
+        let horizon_readers = g
+            .loops()
+            .iter()
+            .map(|l| {
+                loop_readers[l.id().index()]
+                    .iter()
+                    .copied()
+                    .filter(|r| !g.op(*r).loop_path().contains(&l.id()))
+                    .collect()
+            })
+            .collect();
+        let mut loop_members: Vec<Vec<OpId>> = vec![Vec::new(); g.loops().len()];
+        for op in g.ops() {
+            if useful[op.id().index()] && !op.kind().is_source() {
+                for l in op.loop_path() {
+                    loop_members[l.index()].push(op.id());
+                }
+            }
+        }
         Tables {
             loop_of_cond,
             effects,
+            useful,
+            loops_needed,
+            consumers: direct_consumers(g),
+            loop_readers,
+            horizon_readers,
+            loop_members,
+            cond_readers,
         }
     }
+}
+
+/// Per op: its direct fanin through ports of all kinds (carried and
+/// exit sources and inits included), ordering edges and control
+/// conditions. Select steering is an ordinary wire port.
+fn fanin(g: &Cdfg) -> Vec<Vec<OpId>> {
+    g.ops()
+        .iter()
+        .map(|op| {
+            let ports = op.ports().iter().chain(op.order_deps());
+            let mut v: Vec<OpId> = ports.flat_map(|p| p.producers()).collect();
+            v.extend(
+                op.ctrl_deps()
+                    .iter()
+                    .map(|d| d.cond)
+                    .filter(|&c| c != op.id()),
+            );
+            v
+        })
+        .collect()
+}
+
+/// Grows each op's set by the sets of its fanin until nothing changes
+/// (the graph is cyclic through carried edges, so iterate to
+/// convergence): seeded with each op's own elements, the result is
+/// their union over the op's reflexive transitive fanin.
+fn fanin_closure<T: Ord + Copy>(
+    fanin: &[Vec<OpId>],
+    mut sets: Vec<BTreeSet<T>>,
+) -> Vec<BTreeSet<T>> {
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for i in 0..sets.len() {
+            let mut acc = sets[i].clone();
+            for s in &fanin[i] {
+                acc.extend(sets[s.index()].iter().copied());
+            }
+            if acc.len() != sets[i].len() {
+                sets[i] = acc;
+                changed = true;
+            }
+        }
+    }
+    sets
+}
+
+/// Ops from which a side effect or a control decision is reachable
+/// through the fanin and the continue conditions of enclosing loops;
+/// everything else is dead code and never scheduled.
+fn useful_ops(g: &Cdfg, fanin: &[Vec<OpId>]) -> Vec<bool> {
+    let mut useful = vec![false; g.ops().len()];
+    let effects = g.ops().iter().filter(|o| o.kind().has_side_effect());
+    let mut stack: Vec<OpId> = effects.map(|o| o.id()).collect();
+    while let Some(x) = stack.pop() {
+        if std::mem::replace(&mut useful[x.index()], true) {
+            continue;
+        }
+        stack.extend(&fanin[x.index()]);
+        stack.extend(g.op(x).loop_path().iter().map(|&l| g.loop_info(l).cond()));
+    }
+    useful
+}
+
+/// Per op: the ops whose candidate generation reads this op's context
+/// entries, plus the op itself. Generation reads the `avail` of an op's
+/// *direct* port sources — a consumer of a pass-through sees the
+/// pass-through's *issued copies*, never its sources (pass-throughs are
+/// scheduled as real register transfers), and steering/control guards
+/// resolve structurally through `resolved`/`floor`, which are frozen
+/// while a state grows — so one hop suffices for value ports. Order
+/// tokens are the exception: settling one walks past dead accesses and
+/// loop-exit token views to *their* predecessors, so an op reads every
+/// access its order chain reaches through them, and an issue anywhere
+/// along that chain must re-generate it.
+fn direct_consumers(g: &Cdfg) -> Vec<Vec<OpId>> {
+    let n = g.ops().len();
+    let mut consumers: Vec<Vec<OpId>> = vec![Vec::new(); n];
+    for (i, v) in consumers.iter_mut().enumerate() {
+        v.push(OpId::new(i as u32));
+    }
+    let mut read: Vec<OpId> = Vec::new();
+    let mut seen = vec![false; n];
+    for op in g.ops() {
+        read.clear();
+        read.extend(op.ports().iter().flat_map(|p| p.producers()));
+        // Order-token settlement looks *through* predecessors: a dead
+        // access forwards to its own order predecessors, and a
+        // pass-through (a loop-exit token view) to its port.
+        seen.fill(false);
+        let mut stack: Vec<OpId> = op.order_deps().iter().flat_map(|p| p.producers()).collect();
+        while let Some(x) = stack.pop() {
+            if std::mem::replace(&mut seen[x.index()], true) {
+                continue;
+            }
+            read.push(x);
+            let xo = g.op(x);
+            if xo.kind() == OpKind::Pass {
+                stack.extend(xo.ports()[0].producers());
+            } else {
+                stack.extend(xo.order_deps().iter().flat_map(|p| p.producers()));
+            }
+        }
+        for s in &read {
+            let v = &mut consumers[s.index()];
+            if !v.contains(&op.id()) {
+                v.push(op.id());
+            }
+        }
+    }
+    consumers
+}
+
+/// Per conditional op: every op whose candidate generation can observe
+/// one of its instances resolving. A resolution collapses the
+/// condition's literals (through `resolved` and, for loop continues,
+/// the floor), which reaches exactly the ops holding the condition in
+/// their reflexive transitive [`fanin`]. Loop conditions additionally
+/// reach every reader of their loop's bookkeeping: chains, exit views,
+/// and floor-collapsed literals all reference them without a structural
+/// fanin edge. Non-conditional ops get empty rows.
+fn cond_readers(g: &Cdfg, fanin: &[Vec<OpId>], loop_readers: &[Vec<OpId>]) -> Vec<Vec<OpId>> {
+    let seeds = g.ops().iter().map(|o| o.is_conditional().then_some(o.id()));
+    let conds = fanin_closure(fanin, seeds.map(|c| c.into_iter().collect()).collect());
+    let mut readers: Vec<BTreeSet<OpId>> = vec![BTreeSet::new(); g.ops().len()];
+    for (i, cs) in conds.iter().enumerate() {
+        for c in cs {
+            readers[c.index()].insert(OpId::new(i as u32));
+        }
+    }
+    for l in g.loops() {
+        let cond = l.cond();
+        readers[cond.index()].extend(loop_readers[l.id().index()].iter().copied());
+    }
+    readers
+        .into_iter()
+        .map(|s| s.into_iter().collect())
+        .collect()
 }
 
 /// Batched guard-conjunction memo: caches whole control guards and
@@ -214,13 +412,13 @@ impl Res<'_> {
                 CtrlKind::LoopBody(lp) => {
                     let d = depth_of(g, op, lp);
                     let k = iter[d];
-                    acc = self.chain(ctx, acc, dep.cond, iter, d, 0..=k);
+                    acc = self.chain(ctx, acc, dep.cond, iter, d, k);
                 }
                 CtrlKind::LoopContinue(lp) => {
                     let d = depth_of(g, op, lp);
                     let k = iter[d];
                     if k > 0 {
-                        acc = self.chain(ctx, acc, dep.cond, iter, d, 0..=(k - 1));
+                        acc = self.chain(ctx, acc, dep.cond, iter, d, k - 1);
                     }
                 }
                 // Exit gating is carried by the exit-view operand
@@ -236,7 +434,7 @@ impl Res<'_> {
     }
 
     /// Conjoins `acc` with the continuation prefix product
-    /// `lit(cond@0) ∧ … ∧ lit(cond@end)`. Every call site ranges from
+    /// `lit(cond@0) ∧ … ∧ lit(cond@end)`. A chain always starts at
     /// iteration 0, so the product is independent of `acc` and shared
     /// through [`GuardMemo::chain`] across all candidates of the loop
     /// context.
@@ -247,13 +445,12 @@ impl Res<'_> {
         cond: OpId,
         iter: &[u32],
         d: usize,
-        range: std::ops::RangeInclusive<u32>,
+        end: u32,
     ) -> Guard {
-        debug_assert_eq!(*range.start(), 0, "chains always start at iteration 0");
         if acc.is_false() {
             return Guard::FALSE;
         }
-        let p = self.chain_prefix(ctx, cond, iter, d, *range.end());
+        let p = self.chain_prefix(ctx, cond, iter, d, end);
         self.mgr.and(acc, p)
     }
 
@@ -467,7 +664,7 @@ impl Res<'_> {
                     let mut ci = base;
                     ci.push(j + 1);
                     let mut exit_g = self.lit(ctx, cond, &ci, false);
-                    exit_g = self.chain(ctx, exit_g, cond, &si, base.len(), 0..=j);
+                    exit_g = self.chain(ctx, exit_g, cond, &si, base.len(), j);
                     if exit_g.is_false() {
                         out.truncate(from);
                         continue;
@@ -534,7 +731,7 @@ impl Res<'_> {
                     let mut ci = base;
                     ci.push(j + 1);
                     let mut exit_g = self.lit(ctx, cond, &ci, false);
-                    exit_g = self.chain(ctx, exit_g, cond, &si, base.len(), 0..=j);
+                    exit_g = self.chain(ctx, exit_g, cond, &si, base.len(), j);
                     if exit_g.is_false() {
                         continue;
                     }
@@ -1344,5 +1541,148 @@ mod tests {
             0,
             "chain support exceeds the speculation depth"
         );
+    }
+
+    /// The per-run reader tables against a naive per-op DFS over the
+    /// CDFG's edges, on every named workload (Triangle nests loops).
+    #[test]
+    fn reader_tables_match_naive_dfs() {
+        for name in [
+            "gcd",
+            "test1",
+            "barcode",
+            "tlc",
+            "findmin",
+            "findmin64",
+            "findmin1024",
+            "findmintwopass",
+            "findminsharedmem",
+            "triangle",
+            "dspclip",
+            "fig4",
+        ] {
+            let w = workloads::by_name(name).expect("bundled workload builds");
+            let g = &w.cdfg;
+            let t = Tables::new(g);
+            let ops: Vec<OpId> = g.ops().iter().map(|o| o.id()).collect();
+            let producers = |p: &PortKind| {
+                let init = match *p {
+                    PortKind::Wire(_) => None,
+                    PortKind::Carried { init, .. } => Some(init),
+                    PortKind::Exit { init, .. } => Some(init),
+                };
+                std::iter::once(p.src()).chain(init).collect::<Vec<OpId>>()
+            };
+            // Every op reachable from `roots` through `next`, roots included.
+            let dfs = |roots: Vec<OpId>, next: &dyn Fn(OpId) -> Vec<OpId>| {
+                let mut seen = BTreeSet::new();
+                let mut stack = roots;
+                while let Some(x) = stack.pop() {
+                    if seen.insert(x) {
+                        stack.extend(next(x));
+                    }
+                }
+                seen
+            };
+            let fanin = |x: OpId| {
+                let op = g.op(x);
+                let mut v: Vec<OpId> = op
+                    .ports()
+                    .iter()
+                    .chain(op.order_deps())
+                    .flat_map(producers)
+                    .collect();
+                v.extend(op.ctrl_deps().iter().map(|d| d.cond));
+                v
+            };
+            let reach: Vec<BTreeSet<OpId>> = ops.iter().map(|&x| dfs(vec![x], &fanin)).collect();
+
+            let useful_from = dfs(
+                ops.iter()
+                    .copied()
+                    .filter(|&x| g.op(x).kind().has_side_effect())
+                    .collect(),
+                &|x| {
+                    let mut v = fanin(x);
+                    v.extend(g.op(x).loop_path().iter().map(|&l| g.loop_info(l).cond()));
+                    v
+                },
+            );
+            let useful: Vec<bool> = ops.iter().map(|x| useful_from.contains(x)).collect();
+            assert_eq!(t.useful, useful, "{name}: useful");
+
+            let loops_needed: Vec<BTreeSet<LoopId>> = reach
+                .iter()
+                .map(|r| {
+                    r.iter()
+                        .flat_map(|&y| g.op(y).loop_path().to_vec())
+                        .collect()
+                })
+                .collect();
+            assert_eq!(t.loops_needed, loops_needed, "{name}: loops_needed");
+
+            let per_loop = |keep: &dyn Fn(LoopId, OpId) -> bool| -> Vec<Vec<OpId>> {
+                g.loops()
+                    .iter()
+                    .map(|l| ops.iter().copied().filter(|&x| keep(l.id(), x)).collect())
+                    .collect()
+            };
+            let loop_readers = per_loop(&|l, x| loops_needed[x.index()].contains(&l));
+            assert_eq!(t.loop_readers, loop_readers, "{name}: loop_readers");
+            let horizon_readers = per_loop(&|l, x| {
+                loops_needed[x.index()].contains(&l) && !g.op(x).loop_path().contains(&l)
+            });
+            assert_eq!(
+                t.horizon_readers, horizon_readers,
+                "{name}: horizon_readers"
+            );
+            let loop_members = per_loop(&|l, x| {
+                useful[x.index()] && !g.op(x).kind().is_source() && g.op(x).loop_path().contains(&l)
+            });
+            assert_eq!(t.loop_members, loop_members, "{name}: loop_members");
+
+            let cond_readers: Vec<Vec<OpId>> = ops
+                .iter()
+                .map(|&c| {
+                    let mut readers: BTreeSet<OpId> = BTreeSet::new();
+                    if g.op(c).is_conditional() {
+                        readers.extend(ops.iter().filter(|x| reach[x.index()].contains(&c)));
+                    }
+                    for l in g.loops().iter().filter(|l| l.cond() == c) {
+                        readers.extend(&loop_readers[l.id().index()]);
+                    }
+                    readers.into_iter().collect()
+                })
+                .collect();
+            assert_eq!(t.cond_readers, cond_readers, "{name}: cond_readers");
+
+            // An op reads its ports' producers, and every access its order
+            // chain reaches through order predecessors and exit views.
+            let order_walk = |y: OpId| {
+                let roots = g.op(y).order_deps().iter().flat_map(producers).collect();
+                dfs(roots, &|z| {
+                    let zo = g.op(z);
+                    if zo.kind() == cdfg::OpKind::Pass {
+                        producers(&zo.ports()[0])
+                    } else {
+                        zo.order_deps().iter().flat_map(producers).collect()
+                    }
+                })
+            };
+            let walks: Vec<BTreeSet<OpId>> = ops.iter().map(|&y| order_walk(y)).collect();
+            let consumers: Vec<Vec<OpId>> = ops
+                .iter()
+                .map(|&x| {
+                    let reads = |y: OpId| {
+                        g.op(y).ports().iter().any(|p| producers(p).contains(&x))
+                            || walks[y.index()].contains(&x)
+                    };
+                    std::iter::once(x)
+                        .chain(ops.iter().copied().filter(|&y| y != x && reads(y)))
+                        .collect()
+                })
+                .collect();
+            assert_eq!(t.consumers, consumers, "{name}: consumers");
+        }
     }
 }

@@ -22,12 +22,13 @@ echo "== cargo build --release --offline --locked"
 # when a manifest changes.
 cargo build --release --offline --locked
 
-echo "== determinism (table1, fig6 twice each, byte-identical)"
+echo "== determinism (all eight paper binaries twice each, byte-identical)"
 # Seeded experiments must rerun byte-identically (the determinism
-# doctrine of DESIGN.md section 7); this takes well under a second.
+# doctrine of DESIGN.md section 7); all sixteen runs take well under a
+# second.
 det_dir="$(mktemp -d)"
 trap 'rm -rf "$det_dir"' EXIT
-for bin in table1 fig6; do
+for bin in table1 fig6 area ablation fig2 fig3 fig5 fig7; do
     "target/release/$bin" > "$det_dir/$bin.1"
     "target/release/$bin" > "$det_dir/$bin.2"
     cmp "$det_dir/$bin.1" "$det_dir/$bin.2" \
@@ -60,9 +61,14 @@ echo "== incremental-sweep differential (SPEC_PROPTEST_CASES=256, release, debug
 # assertions stay on so the carried sweep window is checked against a
 # rebuild at every use over the large case set too; the build gets its
 # own target directory so it does not replace the release build above.
+# `cargo test` exits 0 when its name filter selects nothing, so a moved
+# or renamed test would skip this step silently: require a passed test.
+diff_log="$det_dir/sweep_differential.log"
 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true CARGO_TARGET_DIR=target/checked \
     SPEC_PROPTEST_CASES=256 cargo test -q --release --offline -p wavesched --lib \
-    incremental_sweep_matches_reference
+    incremental_sweep_matches_reference 2>&1 | tee "$diff_log"
+grep -Eq "test result: ok\. [1-9][0-9]* passed" "$diff_log" \
+    || { echo "the sweep differential filter selected no test"; exit 1; }
 
 echo "== benchmark package tests"
 # `benchmark/` is its own cargo package (path deps on `crates/*`), so the
