@@ -225,26 +225,6 @@ pub fn lambda(g: &Cdfg, probs: &BranchProbs, delay: &dyn Fn(OpId) -> f64) -> Vec
     lam
 }
 
-/// Returns each operation's set of transitive wire-edge predecessors'
-/// count — a cheap structural statistic used by tests and tools.
-pub fn fanin_cone_sizes(g: &Cdfg) -> Vec<usize> {
-    let order = intra_topo_order(g).expect("validated CDFG is acyclic over wire edges");
-    let n = g.ops().len();
-    let mut cones: Vec<std::collections::HashSet<OpId>> = vec![std::collections::HashSet::new(); n];
-    for &id in &order {
-        let op = g.op(id);
-        let mut cone = std::collections::HashSet::new();
-        for p in op.ports().iter().chain(op.order_deps()) {
-            if let PortKind::Wire(s) | PortKind::Exit { src: s, .. } = *p {
-                cone.insert(s);
-                cone.extend(cones[s.index()].iter().copied());
-            }
-        }
-        cones[id.index()] = cone;
-    }
-    cones.into_iter().map(|c| c.len()).collect()
-}
-
 /// Default delay model used when no resource library is in scope: one
 /// cycle for everything schedulable, zero for sources, selects and
 /// outputs.
@@ -353,18 +333,6 @@ mod tests {
         probs.set(c, 0.999_999_9);
         let e = expected_iterations(&g, &probs, 100.0);
         assert_eq!(e[0], 100.0, "capped");
-    }
-
-    #[test]
-    fn fanin_cones() {
-        let g = chain();
-        let cones = fanin_cone_sizes(&g);
-        let out = g
-            .ops()
-            .iter()
-            .find(|o| matches!(o.kind(), OpKind::Output(_)))
-            .unwrap();
-        assert_eq!(cones[out.id().index()], 3, "input + two incs");
     }
 
     #[test]

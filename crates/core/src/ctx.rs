@@ -619,15 +619,15 @@ impl<K: Ord> VecSet<K> {
 /// can have changed the candidate generation of, as a predicate over
 /// the op's iteration vector, recorded beside the whole-op
 /// [`Ctx::sweep_dirty`] marks. Each variant
-/// fixes a prefix of the vector; deeper indices are free.
+/// fixes a prefix of the vector; deeper indices are free. A candidate
+/// generation records no mark: only its own instance reads what it
+/// writes, and a repeat call adds nothing, because the `max_versions`
+/// cap counts versions, never a call's widenings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PairMark {
     /// Every pair: a whole-op mark of [`Ctx::sweep_dirty`], as a sweep
     /// pass drains it.
     All,
-    /// Exactly the pair at `b`: an instance whose own candidates
-    /// changed.
-    At(Iter),
     /// Each index `d < b.len()` is `b[d]` or `b[d] + 1`: the readers of
     /// an instance issued at `b`, through a wire or a carried edge.
     Near(Iter),
@@ -646,7 +646,6 @@ impl PairMark {
     pub fn covers(&self, iter: &[u32]) -> bool {
         match self {
             PairMark::All => true,
-            PairMark::At(b) => iter == &b[..],
             PairMark::Near(b) => b.iter().zip(iter).all(|(&b, &i)| i.wrapping_sub(b) <= 1),
             PairMark::From(b) => iter[..b.len()] >= **b,
             PairMark::Span { prefix, lo, hi } => {
@@ -713,7 +712,9 @@ pub(crate) struct Ctx {
     /// deadlocks every post-loop access.
     pub discharged: VecSet<InstId>,
     /// Sweep event feed: operations whose candidate-generation inputs
-    /// changed on this path since the last sweep drained them. The
+    /// changed on this path since the last sweep drained them (an
+    /// issue, gc, discharge, horizon or cofactor event; a generation
+    /// itself marks nothing, see [`PairMark`]). The
     /// incremental Fig.-12 sweep regenerates candidates only for these
     /// ops instead of rescanning the whole graph each pass. A sorted set
     /// so the drain order is deterministic (op index order, the same
@@ -1179,10 +1180,6 @@ mod tests {
         ] {
             assert_eq!(span.covers(iter), covered, "Span {iter:?}");
         }
-        let at = PairMark::At(it(&[2, 4]));
-        assert!(at.covers(&[2, 4]));
-        assert!(!at.covers(&[2, 5]) && !at.covers(&[3, 4]));
-        assert!(PairMark::At(it(&[])).covers(&[]));
         assert!(PairMark::All.covers(&[]));
         assert!(PairMark::Near(it(&[])).covers(&[9]), "no shared loop");
     }

@@ -285,9 +285,8 @@ struct Engine<'a> {
     /// [`Ctx::sweep_dirty`]: per op, a [`PairMark`] naming the
     /// iterations an event can have changed the generation of. Every
     /// narrowed event (an issue, a branch's cofactors, window growth) is
-    /// followed by a sweep of the same context, and a generation's mark
-    /// by the next pass of its sweep; the sweep drains the list, so it
-    /// never outlives the context it was recorded for.
+    /// followed by a sweep of the same context, which drains the list,
+    /// so it never outlives the context it was recorded for.
     pair_marks: Vec<(OpId, PairMark)>,
     /// Reusable list of the spans a window growth opened.
     span_buf: Vec<(LoopId, PairMark)>,
@@ -541,9 +540,12 @@ impl<'a> Engine<'a> {
                     );
                     let tid = *tid;
                     self.stats.phases.fold.add(t_fold.elapsed());
-                    if tid == sid && when.is_empty() && self.stg.state(sid).ops.is_empty() {
+                    // A state that folds onto itself through an
+                    // unconditional transition repeats forever: no
+                    // condition can lead out of it, whatever it issues.
+                    if tid == sid && when.is_empty() {
                         let mut r = self.stuck_report(&mut bctx);
-                        r.headline = format!("livelock: empty state {sid} folds onto itself");
+                        r.headline = format!("livelock: state {sid} folds onto itself");
                         return Err(SchedError::Stuck(r));
                     }
                     self.stats.folds += 1;

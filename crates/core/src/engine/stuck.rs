@@ -130,7 +130,7 @@ impl Engine<'_> {
             }
         }
         for (i, p) in g.op(op).ports().iter().enumerate() {
-            let mut versions = Vec::new();
+            let mut versions: Vec<(ValSrc, _)> = Vec::new();
             r.port_versions(ctx, p, op, iter, &mut versions);
             if versions.is_empty() {
                 return format!(

@@ -40,26 +40,6 @@ impl Engine<'_> {
         );
     }
 
-    /// Records a productive generation of `(op, iter)` that stopped at
-    /// the `max_versions` cap. A generation writes the candidate list,
-    /// interned ids and BDD variables (which change no content), and
-    /// `exit_pending` (which no generator reads); window growth and
-    /// horizon bumps it causes are events of their own. A generator
-    /// reads only its own instance's candidates, so no other op can
-    /// observe the change. The instance itself can: the generators count
-    /// a call's widenings and re-tokenings against `max_versions`, so a
-    /// call that added can stop at the cap short of a candidate the next
-    /// call adds. A call the cap did not stop already added, widened or
-    /// skipped every operand combination, so repeating it adds nothing.
-    /// Hence `(op, iter)`, and only that pair, is marked, for the next
-    /// pass, and only after a capped call.
-    fn mark_generated(&mut self, ctx: &Ctx, op: OpId, iter: &[u32]) {
-        if !drop_sweep_event(&mut self.faults, 1) {
-            let m = PairMark::At(Iter::from_slice(iter));
-            push_pair(ctx, &mut self.pair_marks, op, m);
-        }
-    }
-
     /// Records the issue of `(op, iter)` (a new `avail` version, and
     /// possibly a `done` entry and dropped candidates of the instance).
     /// A consumer sharing `k ≥ 1` loops with `op` reads the instance
@@ -125,9 +105,8 @@ impl Engine<'_> {
     /// engine's narrowed marks, then re-generates, in op order, every
     /// pair of each marked op's window in `domain` that a mark covers
     /// (`iters` is scratch). Each generation that adds candidates widens
-    /// the carried window, records the event if the version cap stopped
-    /// it, and notes its iteration. Returns the number of candidates
-    /// added.
+    /// the carried window and notes its iteration. Returns the number of
+    /// candidates added.
     fn sweep_pass(
         &mut self,
         ctx: &mut Ctx,
@@ -155,26 +134,25 @@ impl Engine<'_> {
                 }
                 self.stats.gen_calls += 1;
                 let ev0 = self.events.len();
-                let gen = self.res().gen_candidates(
+                let n = self.res().gen_candidates(
                     ctx,
                     opid,
                     iter,
                     cfg.max_versions,
                     cfg.max_spec_depth,
                 );
-                if gen.added > 0 {
-                    added += gen.added;
+                if n > 0 {
+                    added += n;
                     self.widen_window(ctx, opid, iter, ev0);
-                    if gen.capped {
-                        self.mark_generated(ctx, opid, iter);
-                    }
                     self.note_iteration(ctx, opid, iter);
                 }
             }
         }
-        // Keep the marks this pass's generations recorded for the next.
+        // A generation records no narrowed mark (its own instance is the
+        // only reader of what it writes, and a repeat call adds nothing),
+        // so the pass has drained every mark.
+        debug_assert!(self.pair_marks.is_empty());
         marks.clear();
-        marks.append(&mut self.pair_marks);
         self.pair_marks = marks;
         Ok(added)
     }
@@ -184,8 +162,8 @@ impl Engine<'_> {
     ///
     /// The sweep is *incremental*: instead of re-running every op's
     /// generator each pass, it drains the context's sweep marks — fed by
-    /// issue, generation, horizon, cofactor, discharge, gc and
-    /// domain-growth events — and re-generates only the marked pairs. A
+    /// issue, horizon, cofactor, discharge, gc and domain-growth
+    /// events — and re-generates only the marked pairs. A
     /// pass that generates nothing and leaves no mark (after re-checking
     /// the domain) is the fixpoint. With
     /// [`SchedConfig::reference_sweep`] set, every pass re-marks all

@@ -170,8 +170,9 @@ pub struct SchedConfig {
     /// speculation frontier; the paper's examples need ≤ 4.
     pub max_spec_depth: usize,
     /// Maximum number of simultaneously live versions per operation
-    /// instance (distinct operand choices, Example 6). Additional
-    /// versions beyond the most probable ones are not instantiated.
+    /// instance (distinct operand choices, Example 6): issued versions
+    /// plus candidates. Additional versions beyond the most probable
+    /// ones are not instantiated.
     pub max_versions: usize,
     /// Hard cap on controller states; exceeding it aborts with
     /// [`SchedError::StateLimit`] rather than running away.

@@ -17,6 +17,14 @@
 //! constants through the context's resolution history and per-loop
 //! floors.
 //!
+//! Each rule has one owner. [`read_frame`] says where a wire or a
+//! loop-carried port reads; [`Res::port_versions`] walks every port,
+//! generic over its [`Leaf`] (value versions for operands, producing
+//! instances for select steering), and [`Res::select_sides`] is the one
+//! select fan-out; [`Res::gen_candidates`] admits the candidates of
+//! copies and computing operations alike, under one `max_versions` rule
+//! that counts versions only.
+//!
 //! Structural resolution works on `(OpId, &[u32])` content; instances are
 //! interned into [`InstId`]s only at the boundaries where they enter the
 //! context (candidate creation, literal allocation, version lookups), so
@@ -303,16 +311,6 @@ pub(crate) enum CandEvent {
     Retokened(usize),
 }
 
-/// What one [`Res::gen_candidates`] call did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Generated {
-    /// Candidates added, widened or re-tokened.
-    pub added: usize,
-    /// Whether the call stopped at the `max_versions` cap before it
-    /// had looked at every operand combination.
-    pub capped: bool,
-}
-
 /// Reusable buffers of the resolution walk, owned by the engine so the
 /// per-call version lists and candidate products are allocated once per
 /// run rather than once per call.
@@ -328,7 +326,7 @@ pub(crate) struct GenScratch {
 /// The buffers of one [`Res::gen_candidates`] call.
 #[derive(Debug, Default)]
 struct GenBufs {
-    /// The version set of the port (or copy source) being combined.
+    /// The version set of the port being combined, or a copy's choices.
     versions: Vec<(ValSrc, Guard)>,
     /// Operand combinations so far, and the next port's extension.
     combos: Vec<(Operands, Guard)>,
@@ -542,204 +540,21 @@ impl Res<'_> {
         match g.op(op).kind() {
             OpKind::Pass => self.port_versions(ctx, &g.op(op).ports()[0], op, iter, out),
             OpKind::Select => {
-                let ports = g.op(op).ports();
                 // Steering resolves *structurally* to condition instances:
                 // speculation through a select must work before (and keep
                 // working after) the condition's value version exists —
                 // Example 6 schedules op7 while op4 is still unscheduled.
                 let mut steer = std::mem::take(&mut self.scratch.steer);
                 steer.clear();
-                self.inst_versions(ctx, &ports[0], op, iter, &mut steer);
+                self.port_versions(ctx, &g.op(op).ports()[0], op, iter, &mut steer);
                 let start = out.len();
-                for &((sop, siter), gs) in &steer {
-                    match g.op(sop).kind() {
-                        OpKind::Const(v) => {
-                            let side = if v != 0 { &ports[1] } else { &ports[2] };
-                            let from = out.len();
-                            self.port_versions(ctx, side, op, iter, out);
-                            self.and_from(out, from, gs);
-                        }
-                        OpKind::Input(_) => {
-                            panic!(
-                                "select steered directly by a primary input; \
-                                 route it through a condition-producing op"
-                            )
-                        }
-                        _ => {
-                            for (side, pol) in [(&ports[1], true), (&ports[2], false)] {
-                                let lit = self.lit(ctx, sop, &siter, pol);
-                                let gsl = self.mgr.and(gs, lit);
-                                if gsl.is_false() {
-                                    continue;
-                                }
-                                let from = out.len();
-                                self.port_versions(ctx, side, op, iter, out);
-                                self.and_from(out, from, gsl);
-                            }
-                        }
-                    }
+                for &s in &steer {
+                    self.select_sides(ctx, op, iter, s, out);
                 }
                 self.scratch.steer = steer;
                 self.merge_from(out, start);
             }
             other => panic!("copy_versions on non-pass-through {other}"),
-        }
-    }
-
-    /// Appends to `out` the versions of one input port of `consumer` at
-    /// `iter`, following the port's wire / loop-carried / loop-exit
-    /// semantics.
-    pub fn port_versions(
-        &mut self,
-        ctx: &Ctx,
-        port: &PortKind,
-        consumer: OpId,
-        iter: &[u32],
-        out: &mut Vec<(ValSrc, Guard)>,
-    ) {
-        match *port {
-            PortKind::Wire(src) => {
-                let slen = self.g.op(src).loop_path().len();
-                self.value_versions(ctx, src, &iter[..slen], out)
-            }
-            PortKind::Carried { lp, src, init } => {
-                let d = depth_of(self.g, consumer, lp);
-                let k = iter[d];
-                if k == 0 {
-                    let ilen = self.g.op(init).loop_path().len();
-                    self.value_versions(ctx, init, &iter[..ilen], out)
-                } else {
-                    // A loop-invariant carried source (an in-loop
-                    // assignment that resolved to an outer producer)
-                    // has no iteration axis to step back along: read
-                    // it at its own, shorter frame.
-                    let prev = previous_iteration(self.g, src, iter, d);
-                    self.value_versions(ctx, src, &prev, out)
-                }
-            }
-            PortKind::Exit { lp, src, init } => {
-                let cond = self.g.loop_info(lp).cond();
-                // The *loop's* nesting depth anchors the outer-iteration
-                // prefix (via its condition op, which always sits inside
-                // the loop). The exit source may live outside the loop
-                // entirely — a loop-invariant assignment like `b = x`
-                // resolves to the outer producer — so its own frame can
-                // be shorter; reads below truncate to it.
-                let base = exit_base(self.g, cond, iter);
-                let slen = self.g.op(src).loop_path().len();
-                let start = out.len();
-                // Exit before the first iteration: the initial value,
-                // valid when c_0 is false.
-                let ilen = self.g.op(init).loop_path().len();
-                let exit0 = {
-                    let mut ci = base;
-                    ci.push(0);
-                    self.lit(ctx, cond, &ci, false)
-                };
-                if !exit0.is_false() {
-                    let from = out.len();
-                    self.value_versions(ctx, init, &base[..ilen.min(base.len())], out);
-                    self.and_from(out, from, exit0);
-                }
-                // Exit after iteration j: src@j, valid when c_{j+1} is
-                // false (src@j's own guard carries the continuation
-                // chain up to c_j).
-                let h = ctx.horizon.get(&(lp, base)).copied().unwrap_or(0);
-                for j in 0..=h {
-                    let mut si = base;
-                    si.push(j);
-                    // A loop-invariant source reads at its own (outer)
-                    // frame — the same versions for every exit arm; the
-                    // per-j exit guards OR together in the merge.
-                    let from = out.len();
-                    self.value_versions(ctx, src, &si[..slen.min(si.len())], out);
-                    if out.len() == from {
-                        continue;
-                    }
-                    // Exit after iteration j: the loop must have continued
-                    // through iterations 0..=j and stopped at j+1. The
-                    // explicit chain matters when the value short-circuits
-                    // through selects to a loop-invariant source whose own
-                    // guard carries no continuation history.
-                    let mut ci = base;
-                    ci.push(j + 1);
-                    let mut exit_g = self.lit(ctx, cond, &ci, false);
-                    exit_g = self.chain(ctx, exit_g, cond, &si, base.len(), j);
-                    if exit_g.is_false() {
-                        out.truncate(from);
-                        continue;
-                    }
-                    self.and_from(out, from, exit_g);
-                }
-                self.merge_from(out, start);
-            }
-        }
-    }
-
-    /// Resolves a port *structurally* to the operation instances that
-    /// could produce its value, with the guards selecting among them —
-    /// without requiring any value version to exist yet — appending them
-    /// to `out`. Used for select steering, where only the condition's
-    /// *identity* matters.
-    pub fn inst_versions(
-        &mut self,
-        ctx: &Ctx,
-        port: &PortKind,
-        consumer: OpId,
-        iter: &[u32],
-        out: &mut Vec<((OpId, Iter), Guard)>,
-    ) {
-        match *port {
-            PortKind::Wire(src) => {
-                let slen = self.g.op(src).loop_path().len();
-                self.inst_of(ctx, src, &iter[..slen], out)
-            }
-            PortKind::Carried { lp, src, init } => {
-                let d = depth_of(self.g, consumer, lp);
-                let k = iter[d];
-                if k == 0 {
-                    let ilen = self.g.op(init).loop_path().len();
-                    self.inst_of(ctx, init, &iter[..ilen], out)
-                } else {
-                    // Loop-invariant sources have no iteration axis;
-                    // see `port_versions`.
-                    let prev = previous_iteration(self.g, src, iter, d);
-                    self.inst_of(ctx, src, &prev, out)
-                }
-            }
-            PortKind::Exit { lp, src, init } => {
-                let cond = self.g.loop_info(lp).cond();
-                // As in `port_versions`: anchor on the loop's depth, not
-                // the source's — a loop-invariant source sits outside.
-                let base = exit_base(self.g, cond, iter);
-                let slen = self.g.op(src).loop_path().len();
-                let ilen = self.g.op(init).loop_path().len();
-                let exit0 = {
-                    let mut ci = base;
-                    ci.push(0);
-                    self.lit(ctx, cond, &ci, false)
-                };
-                if !exit0.is_false() {
-                    let from = out.len();
-                    self.inst_of(ctx, init, &base[..ilen.min(base.len())], out);
-                    self.and_from(out, from, exit0);
-                }
-                let h = ctx.horizon.get(&(lp, base)).copied().unwrap_or(0);
-                for j in 0..=h {
-                    let mut si = base;
-                    si.push(j);
-                    let mut ci = base;
-                    ci.push(j + 1);
-                    let mut exit_g = self.lit(ctx, cond, &ci, false);
-                    exit_g = self.chain(ctx, exit_g, cond, &si, base.len(), j);
-                    if exit_g.is_false() {
-                        continue;
-                    }
-                    let from = out.len();
-                    self.inst_of(ctx, src, &si[..slen.min(si.len())], out);
-                    self.and_from(out, from, exit_g);
-                }
-            }
         }
     }
 
@@ -749,41 +564,134 @@ impl Res<'_> {
     fn inst_of(&mut self, ctx: &Ctx, op: OpId, iter: &[u32], out: &mut Vec<((OpId, Iter), Guard)>) {
         let g = self.g;
         match g.op(op).kind() {
-            OpKind::Pass => self.inst_versions(ctx, &g.op(op).ports()[0], op, iter, out),
+            OpKind::Pass => self.port_versions(ctx, &g.op(op).ports()[0], op, iter, out),
             OpKind::Select => {
-                let ports = g.op(op).ports();
                 // The steering instances go to the end of `out` and are
                 // removed once both sides have been appended after them.
                 let steer_start = out.len();
-                self.inst_versions(ctx, &ports[0], op, iter, out);
+                self.port_versions(ctx, &g.op(op).ports()[0], op, iter, out);
                 let steer_end = out.len();
                 for si in steer_start..steer_end {
-                    let ((sop, siter), gs) = out[si];
-                    match g.op(sop).kind() {
-                        OpKind::Const(v) => {
-                            let side = if v != 0 { &ports[1] } else { &ports[2] };
-                            let from = out.len();
-                            self.inst_versions(ctx, side, op, iter, out);
-                            self.and_from(out, from, gs);
-                        }
-                        _ => {
-                            for (side, pol) in [(&ports[1], true), (&ports[2], false)] {
-                                let lit = self.lit(ctx, sop, &siter, pol);
-                                let gsl = self.mgr.and(gs, lit);
-                                if gsl.is_false() {
-                                    continue;
-                                }
-                                let from = out.len();
-                                self.inst_versions(ctx, side, op, iter, out);
-                                self.and_from(out, from, gsl);
-                            }
-                        }
-                    }
+                    self.select_sides(ctx, op, iter, out[si], out);
                 }
                 out.drain(steer_start..steer_end);
             }
             _ => out.push(((op, Iter::from_slice(iter)), Guard::TRUE)),
         }
+    }
+
+    /// Appends what select `op` at `iter` reads under one steering
+    /// instance `(sop, siter)`, valid under `gs`: the side a constant
+    /// steering picks, or each side under its steering literal.
+    fn select_sides<T: Leaf>(
+        &mut self,
+        ctx: &Ctx,
+        op: OpId,
+        iter: &[u32],
+        ((sop, siter), gs): ((OpId, Iter), Guard),
+        out: &mut Vec<(T, Guard)>,
+    ) {
+        let g = self.g;
+        let ports = g.op(op).ports();
+        match g.op(sop).kind() {
+            OpKind::Const(v) => {
+                let side = if v != 0 { &ports[1] } else { &ports[2] };
+                let from = out.len();
+                self.port_versions(ctx, side, op, iter, out);
+                self.and_from(out, from, gs);
+            }
+            OpKind::Input(_) => {
+                panic!(
+                    "select steered directly by a primary input; \
+                     route it through a condition-producing op"
+                )
+            }
+            _ => {
+                for (side, pol) in [(&ports[1], true), (&ports[2], false)] {
+                    let lit = self.lit(ctx, sop, &siter, pol);
+                    let gsl = self.mgr.and(gs, lit);
+                    if gsl.is_false() {
+                        continue;
+                    }
+                    let from = out.len();
+                    self.port_versions(ctx, side, op, iter, out);
+                    self.and_from(out, from, gsl);
+                }
+            }
+        }
+    }
+
+    /// Appends to `out` what one input port of `consumer` at `iter`
+    /// reads, as `T`'s [`Leaf::read`] sees it: a wire or loop-carried
+    /// port reads its [`read_frame`]; a loop-exit view reads every
+    /// still-possible exit iteration, each under its exit guard.
+    pub fn port_versions<T: Leaf>(
+        &mut self,
+        ctx: &Ctx,
+        port: &PortKind,
+        consumer: OpId,
+        iter: &[u32],
+        out: &mut Vec<(T, Guard)>,
+    ) {
+        let PortKind::Exit { lp, src, init } = *port else {
+            let g = self.g;
+            return read_frame(g, port, consumer, iter, |src, at| {
+                T::read(self, ctx, src, at, out)
+            });
+        };
+        let cond = self.g.loop_info(lp).cond();
+        // The *loop's* nesting depth anchors the outer-iteration prefix
+        // (via its condition op, which always sits inside the loop). The
+        // exit source may live outside the loop entirely — a
+        // loop-invariant assignment like `b = x` resolves to the outer
+        // producer — so its own frame can be shorter; reads below
+        // truncate to it.
+        let base = exit_base(self.g, cond, iter);
+        let slen = self.g.op(src).loop_path().len();
+        let start = out.len();
+        // Exit before the first iteration: the initial value, valid when
+        // c_0 is false.
+        let ilen = self.g.op(init).loop_path().len();
+        let exit0 = {
+            let mut ci = base;
+            ci.push(0);
+            self.lit(ctx, cond, &ci, false)
+        };
+        if !exit0.is_false() {
+            let from = out.len();
+            T::read(self, ctx, init, &base[..ilen.min(base.len())], out);
+            self.and_from(out, from, exit0);
+        }
+        // Exit after iteration j: src@j, valid when c_{j+1} is false
+        // (src@j's own guard carries the continuation chain up to c_j).
+        let h = ctx.horizon.get(&(lp, base)).copied().unwrap_or(0);
+        for j in 0..=h {
+            let mut si = base;
+            si.push(j);
+            // A loop-invariant source reads at its own (outer) frame —
+            // the same leaves for every exit arm; the per-j exit guards
+            // OR together in the merge.
+            let from = out.len();
+            T::read(self, ctx, src, &si[..slen.min(si.len())], out);
+            if out.len() == from {
+                continue;
+            }
+            // Exit after iteration j: the loop must have continued
+            // through iterations 0..=j and stopped at j+1. The explicit
+            // chain matters when the value short-circuits through selects
+            // to a loop-invariant source whose own guard carries no
+            // continuation history.
+            let mut ci = base;
+            ci.push(j + 1);
+            let mut exit_g = self.lit(ctx, cond, &ci, false);
+            exit_g = self.chain(ctx, exit_g, cond, &si, base.len(), j);
+            if exit_g.is_false() {
+                out.truncate(from);
+                continue;
+            }
+            self.and_from(out, from, exit_g);
+        }
+        self.merge_from(out, start);
     }
 
     /// Resolves a memory-ordering dependency of `(consumer, iter)`
@@ -808,41 +716,25 @@ impl Res<'_> {
         // one concrete predecessor instance per exit/carried case; we
         // require the *settled* union: every possibly-executing
         // predecessor has executed.
-        match *port {
-            PortKind::Wire(src) => {
-                let slen = self.g.op(src).loop_path().len();
-                self.settled(ctx, src, &iter[..slen])
-            }
-            PortKind::Carried { lp, src, init } => {
-                let d = depth_of(self.g, consumer, lp);
-                let k = iter[d];
-                if k == 0 {
-                    let ilen = self.g.op(init).loop_path().len();
-                    self.settled(ctx, init, &iter[..ilen])
-                } else {
-                    // Loop-invariant sources have no iteration axis;
-                    // see `port_versions`.
-                    let prev = previous_iteration(self.g, src, iter, d);
-                    self.settled(ctx, src, &prev)
-                }
-            }
-            PortKind::Exit { lp, src, .. } => {
-                // Ordered after the loop's accesses: settled only when
-                // the loop has exited on this path (the exit consumer's
-                // own guard handles which iteration); conservatively
-                // require the last *instantiated* iteration's access to
-                // be settled. The prefix is anchored on the loop's own
-                // depth; a loop-invariant source settles at its outer
-                // frame.
-                let cond = self.g.loop_info(lp).cond();
-                let base = exit_base(self.g, cond, iter);
-                let slen = self.g.op(src).loop_path().len();
-                let h = ctx.horizon.get(&(lp, base)).copied().unwrap_or(0);
-                let mut si = base;
-                si.push(h);
-                self.settled(ctx, src, &si[..slen.min(si.len())])
-            }
-        }
+        let PortKind::Exit { lp, src, .. } = *port else {
+            let g = self.g;
+            return read_frame(g, port, consumer, iter, |src, at| {
+                self.settled(ctx, src, at)
+            });
+        };
+        // Ordered after the loop's accesses: settled only when the loop
+        // has exited on this path (the exit consumer's own guard handles
+        // which iteration); conservatively require the last
+        // *instantiated* iteration's access to be settled. The prefix is
+        // anchored on the loop's own depth; a loop-invariant source
+        // settles at its outer frame.
+        let cond = self.g.loop_info(lp).cond();
+        let base = exit_base(self.g, cond, iter);
+        let slen = self.g.op(src).loop_path().len();
+        let h = ctx.horizon.get(&(lp, base)).copied().unwrap_or(0);
+        let mut si = base;
+        si.push(h);
+        self.settled(ctx, src, &si[..slen.min(si.len())])
     }
 
     /// Is the access instance `(op, iter)` settled: executed (returns its
@@ -932,14 +824,22 @@ impl Res<'_> {
         })
     }
 
-    /// Attempts to build candidates for instance `(op, iter)`: the
-    /// cartesian product of its ports' version sets, each with the
-    /// Lemma-1 conjunction guard. New candidates are deduplicated
-    /// against the instance's existing candidates and issued versions
-    /// and appended to `ctx.cands`. Returns how many were added, widened
-    /// or re-tokened, and whether the `max_versions` cap stopped the
-    /// call. Works in the engine-owned [`GenScratch`], so a generation
-    /// that adds nothing allocates nothing.
+    /// Attempts to build candidates for instance `(op, iter)`: one per
+    /// operand choice, each with the Lemma-1 conjunction guard,
+    /// deduplicated against the instance's existing candidates and
+    /// issued versions and appended to `ctx.cands`. A pass-through's
+    /// choices are its resolvable source versions (the issued copy is
+    /// the fresh per-iteration name of the merged variable, a register
+    /// transfer); an operation that computes chooses from the product of
+    /// its ports' versions ([`Self::products`]).
+    ///
+    /// Returns how many candidates were added, widened or re-tokened.
+    /// The `max_versions` cap counts versions only — the instance's
+    /// issued versions plus its candidates — so a call the cap stopped
+    /// has widened and re-tokened every choice before the stop, and a
+    /// repeat call with no event in between adds nothing. Works in the
+    /// engine-owned [`GenScratch`], so a generation that adds nothing
+    /// allocates nothing.
     pub fn gen_candidates(
         &mut self,
         ctx: &mut Ctx,
@@ -947,142 +847,140 @@ impl Res<'_> {
         iter: &[u32],
         max_versions: usize,
         max_depth: usize,
-    ) -> Generated {
-        let g = self.g;
-        let kind = g.op(op).kind();
+    ) -> usize {
+        let kind = self.g.op(op).kind();
         if kind.is_source() {
-            return Generated::default();
+            return 0;
         }
         let inst = self.it.id(op, iter);
         if ctx.done.contains(&inst) {
-            return Generated::default();
+            return 0;
         }
         let ctrl = self.ctrl_guard(ctx, op, iter);
         if ctrl.is_false() {
-            return Generated::default();
+            return 0;
         }
         let mut bufs = std::mem::take(&mut self.scratch.gen);
-        let added = if kind.is_pass_through() {
-            self.gen_copies(
-                ctx,
-                op,
-                iter,
-                inst,
-                ctrl,
-                max_versions,
-                max_depth,
-                &mut bufs,
-            )
+        let copy = kind.is_pass_through();
+        if copy {
+            bufs.tokens.clear();
+            bufs.versions.clear();
+            self.copy_versions(ctx, op, iter, &mut bufs.versions);
         } else {
-            self.gen_ops(
-                ctx,
-                op,
-                iter,
-                inst,
-                ctrl,
-                max_versions,
-                max_depth,
-                &mut bufs,
-            )
-        };
+            self.products(ctx, op, iter, ctrl, &mut bufs);
+        }
+        let GenBufs {
+            versions,
+            combos,
+            mine,
+            tokens,
+            ..
+        } = &mut bufs;
+        let choices = if copy { versions.len() } else { combos.len() };
+        let mut added = 0;
+        if choices > 0 {
+            // One scan instead of per-choice scans: the candidate list
+            // can be long, but only same-instance entries matter for
+            // dedup, widen, and version counting. Indices are into
+            // `ctx.cands` (event consumers rely on that), and freshly
+            // pushed candidates join the index so later choices observe
+            // them exactly as a rescanning loop would.
+            same_inst(ctx, inst, mine);
+            let issued = ctx.avail.versions(inst).len();
+            for c in 0..choices {
+                let (operands, guard) = if copy {
+                    let (v, gv) = versions[c];
+                    (Operands::from_slice(&[v]), self.mgr.and(ctrl, gv))
+                } else {
+                    combos[c]
+                };
+                // Bounding candidate creation (not just issue) by the
+                // speculation depth keeps the unrolling horizon finite:
+                // deeper iterations' continuation chains exceed the depth
+                // until earlier conditions resolve.
+                if guard.is_false() || self.mgr.support_len(guard) > max_depth {
+                    continue;
+                }
+                // An existing candidate with the same operand choice
+                // absorbs the new guard (a new exit iteration opening
+                // widens the condition under which this choice is the
+                // right one).
+                if let Some(&i) = mine.iter().find(|&&i| ctx.cands[i].operands == operands) {
+                    // A candidate pinning a token key that was invalidated
+                    // (mis-speculated predecessor version dropped by
+                    // cofactoring) can never issue; adopt the freshly
+                    // settled tokens instead of deadlocking on the dead
+                    // key.
+                    let cand = &mut ctx.cands[i];
+                    let stale = cand
+                        .tokens
+                        .iter()
+                        .flatten()
+                        .any(|t| !ctx.avail.contains_key(t));
+                    if stale && cand.tokens != *tokens {
+                        cand.tokens.clone_from(tokens);
+                        self.events.push(CandEvent::Retokened(i));
+                        added += 1;
+                    }
+                    let widened = self.mgr.or(cand.guard, guard);
+                    if widened != cand.guard {
+                        cand.guard = widened;
+                        self.events.push(CandEvent::Widened(i));
+                        added += 1;
+                    }
+                    continue;
+                }
+                // Already issued with this exact operand choice? Never
+                // re-execute.
+                let mut issued_versions = ctx.avail.versions(inst).iter();
+                if issued_versions.any(|(_, info)| info.operands == operands) {
+                    continue;
+                }
+                if issued + mine.len() >= max_versions {
+                    break;
+                }
+                ctx.cands.push(Candidate {
+                    inst,
+                    operands,
+                    tokens: tokens.clone(),
+                    guard,
+                });
+                mine.push(ctx.cands.len() - 1);
+                self.events.push(CandEvent::Added(ctx.cands.len() - 1));
+                added += 1;
+            }
+        }
         self.scratch.gen = bufs;
         added
     }
 
-    /// [`Self::gen_candidates`] for a pass-through: one copy candidate
-    /// per resolvable source version. The issued copy is the fresh
-    /// per-iteration name of the merged variable (a register transfer).
-    #[allow(clippy::too_many_arguments)]
-    fn gen_copies(
-        &mut self,
-        ctx: &mut Ctx,
-        op: OpId,
-        iter: &[u32],
-        inst: InstId,
-        ctrl: Guard,
-        max_versions: usize,
-        max_depth: usize,
-        bufs: &mut GenBufs,
-    ) -> Generated {
-        let GenBufs { versions, mine, .. } = bufs;
-        versions.clear();
-        self.copy_versions(ctx, op, iter, versions);
-        same_inst(ctx, inst, mine);
-        let avail_cnt = ctx.avail.versions(inst).len();
-        let mut out = Generated::default();
-        for &(v, gv) in versions.iter() {
-            let guard = self.mgr.and(ctrl, gv);
-            if guard.is_false() || self.mgr.support_len(guard) > max_depth {
-                continue;
-            }
-            let operands = Operands::from_slice(&[v]);
-            if let Some(&i) = mine.iter().find(|&&i| ctx.cands[i].operands == operands) {
-                self.widen(&mut ctx.cands[i].guard, guard, i, &mut out);
-                continue;
-            }
-            let issued = ctx
-                .avail
-                .versions(inst)
-                .iter()
-                .any(|(_, info)| info.operands == operands);
-            if issued {
-                continue;
-            }
-            if avail_cnt + mine.len() >= max_versions {
-                out.capped = true;
-                break;
-            }
-            ctx.cands.push(Candidate {
-                inst,
-                operands,
-                tokens: Vec::new(),
-                guard,
-            });
-            mine.push(ctx.cands.len() - 1);
-            self.events.push(CandEvent::Added(ctx.cands.len() - 1));
-            out.added += 1;
-        }
-        out
-    }
-
-    /// [`Self::gen_candidates`] for an operation that computes.
-    #[allow(clippy::too_many_arguments)]
-    fn gen_ops(
-        &mut self,
-        ctx: &mut Ctx,
-        op: OpId,
-        iter: &[u32],
-        inst: InstId,
-        ctrl: Guard,
-        max_versions: usize,
-        max_depth: usize,
-        bufs: &mut GenBufs,
-    ) -> Generated {
+    /// The operand choices of computing op `(op, iter)` under its control
+    /// guard `ctrl`: the cartesian product of its ports' version sets,
+    /// each with the conjunction of its versions' guards, into
+    /// `bufs.combos`, and its settled ordering tokens into `bufs.tokens`.
+    /// Leaves no choice when an ordering token is unsettled: the whole
+    /// instance waits.
+    fn products(&mut self, ctx: &mut Ctx, op: OpId, iter: &[u32], ctrl: Guard, bufs: &mut GenBufs) {
         let g = self.g;
         let GenBufs {
             versions,
             combos,
             next,
-            mine,
             tokens,
+            ..
         } = bufs;
-        // Resolve ordering tokens first; unsettled ordering defers the
-        // whole instance.
+        combos.clear();
         tokens.clear();
         for p in g.op(op).order_deps() {
             match self.token(ctx, p, op, iter) {
                 Ok(t) => tokens.push(t),
-                Err(()) => return Generated::default(),
+                Err(()) => return,
             }
         }
-        combos.clear();
         combos.push((Operands::new(), ctrl));
         for p in g.op(op).ports() {
             versions.clear();
             self.port_versions(ctx, p, op, iter, versions);
-            if versions.is_empty() {
-                return Generated::default();
-            }
             next.clear();
             for &(ops_so_far, g_so_far) in combos.iter() {
                 for &(v, gv) in versions.iter() {
@@ -1097,85 +995,33 @@ impl Res<'_> {
             }
             std::mem::swap(combos, next);
             if combos.is_empty() {
-                return Generated::default();
+                return;
             }
             combos.truncate(64);
         }
-        // One scan instead of per-combo scans: the candidate list can be
-        // long, but only same-instance entries matter for dedup, widen,
-        // and version counting. Indices are into `ctx.cands` (event
-        // consumers rely on that), and freshly pushed candidates join
-        // the index so later combos observe them exactly as a rescanning
-        // loop would.
-        same_inst(ctx, inst, mine);
-        let existing = ctx.avail.versions(inst).len() + mine.len();
-        let mut out = Generated::default();
-        for &(operands, guard) in combos.iter() {
-            // Bounding candidate creation (not just issue) by the
-            // speculation depth keeps the unrolling horizon finite:
-            // deeper iterations' continuation chains exceed the depth
-            // until earlier conditions resolve.
-            if self.mgr.support_len(guard) > max_depth {
-                continue;
-            }
-            // An existing candidate with the same operand choice absorbs
-            // the new guard (a new exit iteration opening widens the
-            // condition under which this choice is the right one).
-            if let Some(&i) = mine.iter().find(|&&i| ctx.cands[i].operands == operands) {
-                // A candidate pinning a token key that was invalidated
-                // (mis-speculated predecessor version dropped by
-                // cofactoring) can never issue; adopt the freshly
-                // settled tokens instead of deadlocking on the dead key.
-                let c = &mut ctx.cands[i];
-                let stale = c
-                    .tokens
-                    .iter()
-                    .flatten()
-                    .any(|t| !ctx.avail.contains_key(t));
-                if stale && c.tokens != *tokens {
-                    c.tokens.clone_from(tokens);
-                    self.events.push(CandEvent::Retokened(i));
-                    out.added += 1;
-                }
-                self.widen(&mut c.guard, guard, i, &mut out);
-                continue;
-            }
-            // Already issued with this exact operand choice? Never
-            // re-execute.
-            let issued = ctx
-                .avail
-                .versions(inst)
-                .iter()
-                .any(|(_, info)| info.operands == operands);
-            if issued {
-                continue;
-            }
-            if existing + out.added >= max_versions {
-                out.capped = true;
-                break;
-            }
-            ctx.cands.push(Candidate {
-                inst,
-                operands,
-                tokens: tokens.clone(),
-                guard,
-            });
-            mine.push(ctx.cands.len() - 1);
-            self.events.push(CandEvent::Added(ctx.cands.len() - 1));
-            out.added += 1;
-        }
-        out
     }
+}
 
-    /// ORs `guard` into `cands[i]`'s guard `cur`, recording the widening
-    /// if it changed the guard.
-    fn widen(&mut self, cur: &mut Guard, guard: Guard, i: usize, out: &mut Generated) {
-        let widened = self.mgr.or(*cur, guard);
-        if widened != *cur {
-            *cur = widened;
-            self.events.push(CandEvent::Widened(i));
-            out.added += 1;
-        }
+/// What a port walk ([`Res::port_versions`]) yields at the op a port
+/// reads: a value version, or the instance that could produce it.
+pub(crate) trait Leaf: Copy + PartialEq {
+    /// Appends the leaves of `(op, iter)` to `out`.
+    fn read(r: &mut Res<'_>, ctx: &Ctx, op: OpId, iter: &[u32], out: &mut Vec<(Self, Guard)>);
+}
+
+/// Value versions ([`Res::value_versions`]): what an operand reads.
+impl Leaf for ValSrc {
+    fn read(r: &mut Res<'_>, ctx: &Ctx, op: OpId, iter: &[u32], out: &mut Vec<(Self, Guard)>) {
+        r.value_versions(ctx, op, iter, out)
+    }
+}
+
+/// Producing instances ([`Res::inst_of`]), resolved structurally without
+/// requiring any value version to exist yet: what select steering
+/// reads, where only the condition's *identity* matters.
+impl Leaf for (OpId, Iter) {
+    fn read(r: &mut Res<'_>, ctx: &Ctx, op: OpId, iter: &[u32], out: &mut Vec<(Self, Guard)>) {
+        r.inst_of(ctx, op, iter, out)
     }
 }
 
@@ -1204,18 +1050,43 @@ pub(crate) fn depth_of(g: &Cdfg, op: OpId, lp: LoopId) -> usize {
         .expect("op is inside the loop (validated)")
 }
 
-/// The frame a loop-carried read of `src` looks at one iteration back:
-/// `iter` truncated to `src`'s own loop depth, with the carrying loop's
-/// index (`d`, which must be ≥ 1 in `iter`) decremented when `src` still
-/// has that axis. A loop-invariant source has none and reads its outer
-/// frame unchanged.
-fn previous_iteration(g: &Cdfg, src: OpId, iter: &[u32], d: usize) -> Iter {
-    let slen = g.op(src).loop_path().len();
-    let mut prev = Iter::from_slice(&iter[..slen.min(iter.len())]);
-    if d < prev.len() {
-        prev[d] = iter[d] - 1;
+/// Calls `read` with the op and the iteration a wire or loop-carried
+/// port of `consumer` at `iter` reads. A wire reads its source at the
+/// source's own depth. A carried port reads `init` at iteration 0 of
+/// its loop (depth `d`), and after that its source one iteration back:
+/// `iter` truncated to the source's depth with index `d` decremented. A
+/// loop-invariant carried source (an in-loop assignment that resolved
+/// to an outer producer) has no iteration axis to step back along and
+/// reads its own, shorter frame unchanged. Only that last frame is
+/// copied; the others are slices of `iter`.
+///
+/// # Panics
+///
+/// Panics on a loop-exit port, which reads every possible exit
+/// iteration rather than one frame.
+fn read_frame<R>(
+    g: &Cdfg,
+    port: &PortKind,
+    consumer: OpId,
+    iter: &[u32],
+    read: impl FnOnce(OpId, &[u32]) -> R,
+) -> R {
+    let frame = |op: OpId| &iter[..g.op(op).loop_path().len().min(iter.len())];
+    match *port {
+        PortKind::Wire(src) => read(src, frame(src)),
+        PortKind::Carried { lp, src, init } => {
+            let d = depth_of(g, consumer, lp);
+            if iter[d] == 0 {
+                return read(init, frame(init));
+            }
+            let mut prev = Iter::from_slice(frame(src));
+            if d < prev.len() {
+                prev[d] = iter[d] - 1;
+            }
+            read(src, &prev)
+        }
+        PortKind::Exit { .. } => panic!("a loop-exit port has no single read frame"),
     }
-    prev
 }
 
 /// The outer-iteration prefix a loop-exit view of the loop with
@@ -1246,11 +1117,11 @@ impl Res<'_> {
         out.truncate(w);
     }
 
-    /// Merges duplicate sources of `out[from..]` into their first
+    /// Merges duplicate leaves of `out[from..]` into their first
     /// occurrence by OR-ing their guards (both sides of a select fed by
     /// the same producer, or an exit view whose init equals an early
     /// body value).
-    fn merge_from(&mut self, out: &mut Vec<(ValSrc, Guard)>, from: usize) {
+    fn merge_from<T: Copy + PartialEq>(&mut self, out: &mut Vec<(T, Guard)>, from: usize) {
         let mut w = from;
         for r in from..out.len() {
             let (v, g) = out[r];
@@ -1482,21 +1353,92 @@ mod tests {
             scratch: &mut scratch,
         };
         let n1 = r.gen_candidates(&mut ctx, cont, &[0], 4, 4);
-        assert_eq!(
-            n1,
-            Generated {
-                added: 1,
-                capped: false
-            },
-            "the iteration-0 continue test is schedulable"
-        );
+        assert_eq!(n1, 1, "the iteration-0 continue test is schedulable");
         let n2 = r.gen_candidates(&mut ctx, cont, &[0], 4, 4);
-        assert_eq!(n2.added, 0, "regeneration with identical operands dedups");
+        assert_eq!(n2, 0, "regeneration with identical operands dedups");
         assert_eq!(ctx.cands.len(), 1);
-        // A call the version cap stops says so.
+        // A version cap of zero admits nothing.
         let mut fresh = Ctx::default();
-        let n3 = r.gen_candidates(&mut fresh, cont, &[0], 0, 4);
-        assert!(n3.capped && n3.added == 0, "{n3:?}");
+        assert_eq!(r.gen_candidates(&mut fresh, cont, &[0], 0, 4), 0);
+        assert!(fresh.cands.is_empty());
+    }
+
+    /// The version cap counts versions only, so a call the cap stopped
+    /// is complete: here one call widens an existing candidate, adds
+    /// one and stops at the cap, and a repeat call with no event in
+    /// between adds nothing. (Were the widening counted against the
+    /// cap, the first call would stop short and the repeat would add.)
+    #[test]
+    fn capped_generation_is_complete() {
+        let (g, _cont, branch, _sum) = branchy_loop();
+        let find = |k: OpKind| g.ops().iter().find(|o| o.kind() == k).unwrap().id();
+        let (sel, exit_pass) = (find(OpKind::Select), find(OpKind::Pass));
+        let out = g
+            .ops()
+            .iter()
+            .find(|o| o.kind().has_side_effect())
+            .unwrap()
+            .id();
+        let (tables, mut mgr, mut it) = res_env(&g);
+        let mut memo = GuardMemo::default();
+        let mut events = Vec::new();
+        let mut scratch = GenScratch::default();
+        let mut ctx = Ctx::default();
+        let lp = g.loops()[0].id();
+        ctx.horizon.insert((lp, Iter::new()), 1);
+        let issued = |guard, operands| crate::ctx::AvailInfo {
+            guard,
+            ready_in: 0,
+            depth: 0.0,
+            operands,
+        };
+        // The merged `acc` is issued at iterations 0 and 1, so the exit
+        // view has three sources: the init, acc@0 and acc@1.
+        for k in 0..2 {
+            let key = Key::new(it.id(sel, &[k]), 0);
+            ctx.avail.insert(key, issued(Guard::TRUE, Operands::new()));
+        }
+        let exit_inst = it.id(exit_pass, &[]);
+        let out_inst = it.id(out, &[]);
+        let mut r = Res {
+            g: &g,
+            tables: &tables,
+            mgr: &mut mgr,
+            it: &mut it,
+            memo: &mut memo,
+            events: &mut events,
+            scratch: &mut scratch,
+        };
+        let mut versions = Vec::new();
+        r.copy_versions(&ctx, exit_pass, &[], &mut versions);
+        assert_eq!(versions.len(), 3, "{versions:?}");
+        // Each source issued as a copy, so the output reads three
+        // versions of the exit view.
+        for (v, &(src, guard)) in versions.iter().enumerate() {
+            let key = Key::new(exit_inst, v as u32);
+            ctx.avail
+                .insert(key, issued(guard, Operands::from_slice(&[src])));
+        }
+        // An existing output candidate reading the first version under a
+        // narrower guard than that version's, which the next call widens.
+        let first_guard = versions[0].1;
+        let narrow = r.lit(&ctx, branch, &[0], true);
+        let narrow = r.mgr.and(first_guard, narrow);
+        ctx.cands.push(Candidate {
+            inst: out_inst,
+            operands: Operands::from_slice(&[ValSrc::Key(Key::new(exit_inst, 0))]),
+            tokens: Vec::new(),
+            guard: narrow,
+        });
+        let first = r.gen_candidates(&mut ctx, out, &[], 2, 4);
+        assert_eq!(first, 2, "one widening and one new candidate");
+        assert_eq!(ctx.cands[0].guard, first_guard, "widened");
+        assert_eq!(ctx.cands.len(), 2, "the cap stops the third version");
+        let events_before = r.events.len();
+        let again = r.gen_candidates(&mut ctx, out, &[], 2, 4);
+        assert_eq!(again, 0, "a capped call leaves nothing to add");
+        assert_eq!(ctx.cands.len(), 2);
+        assert_eq!(r.events.len(), events_before);
     }
 
     #[test]
@@ -1524,7 +1466,7 @@ mod tests {
             scratch: &mut scratch,
         };
         // Iteration 0 increments are within any cap...
-        assert_eq!(r.gen_candidates(&mut ctx, inc, &[0], 4, 1).added, 1);
+        assert_eq!(r.gen_candidates(&mut ctx, inc, &[0], 4, 1), 1);
         // ...but iteration 2 needs a 3-condition chain plus operand
         // availability; even with values present, a cap of 1 blocks it.
         ctx.avail.insert(
@@ -1537,7 +1479,7 @@ mod tests {
             },
         );
         assert_eq!(
-            r.gen_candidates(&mut ctx, inc, &[2], 4, 1).added,
+            r.gen_candidates(&mut ctx, inc, &[2], 4, 1),
             0,
             "chain support exceeds the speculation depth"
         );

@@ -5,7 +5,8 @@
 # swept-window builds) against FRESH. These never depend on the box or
 # the iteration count, so any difference is a schedule or hot-path
 # change, not timer noise; a bench in BASELINE that lacks a counter, or
-# is absent from FRESH, fails too.
+# is absent from FRESH, fails too. A moved counter prints by name, as
+# `gen_calls 874 → 872 (−2)`.
 #
 # Usage: scripts/bench_counters.sh BASELINE FRESH
 #   e.g. scripts/bench_counters.sh BENCH_schedulers.json \
@@ -53,6 +54,27 @@ if [ -z "$base_counters" ] || [ -z "$fresh_counters" ]; then
     exit 1
 fi
 
+# Prints each counter that differs between the count lists $1 (baseline)
+# and $2 (fresh), both in COUNTER_KEYS order, as "key base → fresh
+# (±delta)", comma-separated.
+moved() {
+    local -a keys base fresh out=()
+    read -ra keys <<<"$COUNTER_KEYS"
+    read -ra base <<<"$1"
+    read -ra fresh <<<"$2"
+    local i d
+    for i in "${!keys[@]}"; do
+        if [ "${base[i]}" != "${fresh[i]}" ]; then
+            d=$((fresh[i] - base[i]))
+            if [ "$d" -lt 0 ]; then d="−${d#-}"; else d="+$d"; fi
+            out+=("${keys[i]} ${base[i]} → ${fresh[i]} ($d)")
+        fi
+    done
+    local joined
+    joined="$(printf '%s, ' "${out[@]}")"
+    echo "${joined%, }"
+}
+
 fail=0
 while read -r name; do
     base="$(awk -v n="$name" '$1 == n {$1 = ""; print substr($0, 2)}' <<<"$base_counters")"
@@ -60,9 +82,11 @@ while read -r name; do
     if [ -z "$base" ]; then
         echo "bench_counters: NOCOUNT   $name (not every one of $COUNTER_KEYS in the baseline)"
         fail=1
+    elif [ -z "$fresh" ]; then
+        echo "bench_counters: MISSING   $name (absent from $FRESH, or lacks one of $COUNTER_KEYS)"
+        fail=1
     elif [ "$fresh" != "$base" ]; then
-        echo "bench_counters: COUNTERS  $name: $COUNTER_KEYS" \
-            "$base -> ${fresh:-missing}"
+        echo "bench_counters: COUNTERS  $name: $(moved "$base" "$fresh")"
         fail=1
     else
         echo "bench_counters: ok        $name: $COUNTER_KEYS $base"
