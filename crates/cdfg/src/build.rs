@@ -295,13 +295,6 @@ impl CdfgBuilder {
         self.push_op(kind, format!("{kind}{n}"), ports)
     }
 
-    /// Creates a named operation; otherwise identical to [`CdfgBuilder::op`].
-    pub fn named_op(&mut self, kind: OpKind, name: impl Into<String>, srcs: &[Src]) -> OpId {
-        let id = self.op(kind, srcs);
-        self.ops[id.index()].name = name.into();
-        id
-    }
-
     /// Materializes any source as an operation result via a free
     /// [`OpKind::Pass`]; returns the source unchanged when it already is
     /// one.

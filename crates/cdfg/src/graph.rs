@@ -411,23 +411,6 @@ impl Cdfg {
         &self.outputs
     }
 
-    /// Operations whose results steer control flow.
-    pub fn conditional_ops(&self) -> impl Iterator<Item = &Op> + '_ {
-        self.ops.iter().filter(|o| o.is_conditional)
-    }
-
-    /// `true` if `inner` is `outer` or nested (transitively) inside it.
-    pub fn loop_within(&self, inner: LoopId, outer: LoopId) -> bool {
-        let mut cur = Some(inner);
-        while let Some(l) = cur {
-            if l == outer {
-                return true;
-            }
-            cur = self.loop_info(l).parent();
-        }
-        false
-    }
-
     /// Checks all structural invariants. Called by the builder; exposed for
     /// tests and for users who deserialize CDFGs from other sources.
     ///
@@ -553,40 +536,11 @@ mod tests {
         b.output("count", Src::Op(e));
         let g = b.finish().unwrap();
         assert!(g.op(c).is_conditional());
-        assert_eq!(g.conditional_ops().count(), 1);
         let lp = &g.loops()[0];
         assert_eq!(lp.cond(), c);
         assert!(lp.members().contains(&i1));
         assert!(lp.cond_cone().contains(&c));
         assert!(!lp.cond_cone().contains(&i1));
-    }
-
-    #[test]
-    fn loop_within_reflexive_and_nested() {
-        let mut b = CdfgBuilder::new("nest");
-        let n = b.input("n");
-        let zero = b.constant(0);
-        let l0 = b.begin_loop();
-        let i = b.carried(zero);
-        let c0 = b.op(OpKind::Lt, &[Src::Carried(i), Src::Op(n)]);
-        b.loop_condition(c0);
-        let l1 = b.begin_loop();
-        let j = b.carried(zero);
-        let c1 = b.op(OpKind::Lt, &[Src::Carried(j), Src::Op(n)]);
-        b.loop_condition(c1);
-        let j1 = b.op(OpKind::Inc, &[Src::Carried(j)]);
-        b.set_carried(j, j1);
-        b.end_loop();
-        let i1 = b.op(OpKind::Inc, &[Src::Carried(i)]);
-        b.set_carried(i, i1);
-        b.end_loop();
-        let e = b.exit_value(i);
-        b.output("o", Src::Op(e));
-        let g = b.finish().unwrap();
-        assert!(g.loop_within(l1, l0));
-        assert!(!g.loop_within(l0, l1));
-        assert!(g.loop_within(l0, l0));
-        assert_eq!(g.loop_info(l1).parent(), Some(l0));
     }
 
     #[test]

@@ -331,7 +331,7 @@ impl Default for ValSrc {
 
 /// A schedulable conditioned operation instance with fully resolved
 /// operand versions — one entry of the paper's `Schedulable_operations`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Candidate {
     pub inst: InstId,
     /// Value operands, in port order.
@@ -345,7 +345,7 @@ pub(crate) struct Candidate {
 }
 
 /// Metadata of an issued value version.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct AvailInfo {
     /// Validity guard (cofactored as conditions resolve).
     pub guard: Guard,
@@ -663,7 +663,7 @@ impl PairMark {
 /// branch of a condition split is one allocation and a `memcpy` per
 /// collection, and iteration runs in the ascending key order every
 /// section of the signature and every sweep drain relies on.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Ctx {
     /// Issued value versions and their validity guards.
     pub avail: VecMap<Key, AvailInfo>,
@@ -734,50 +734,6 @@ pub(crate) struct Ctx {
 }
 
 impl Ctx {
-    /// Cheap structural fingerprint over every collection: sizes, key
-    /// sets, and the scalar bookkeeping values. Used by the
-    /// fault-injection gc-storm audit to assert that a redundant prune
-    /// pass leaves the context untouched (pruning must be idempotent).
-    /// Deliberately ignores guard BDD identities — the audit brackets a
-    /// single prune pass, across which every retained key's guard is
-    /// stable, so key-level identity is decisive.
-    pub fn shape_fingerprint(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        self.avail.len().hash(&mut h);
-        for (k, info) in self.avail.iter() {
-            k.hash(&mut h);
-            info.operands.hash(&mut h);
-        }
-        self.cands.len().hash(&mut h);
-        for c in self.cands.iter() {
-            c.inst.hash(&mut h);
-            c.operands.hash(&mut h);
-        }
-        self.done.hash(&mut h);
-        for inst in self.obligations.keys() {
-            inst.hash(&mut h);
-        }
-        self.pending_conds.len().hash(&mut h);
-        for (k, _, left) in self.pending_conds.iter() {
-            k.hash(&mut h);
-            left.hash(&mut h);
-        }
-        self.resolved.hash(&mut h);
-        self.fu_busy.hash(&mut h);
-        self.horizon.hash(&mut h);
-        self.floor.hash(&mut h);
-        self.work_floor.hash(&mut h);
-        for (inst, k) in self.exit_pending.iter() {
-            inst.hash(&mut h);
-            k.hash(&mut h);
-        }
-        self.discharged.hash(&mut h);
-        self.sweep_dirty.hash(&mut h);
-        h.finish()
-    }
-
     /// Applies end-of-state timing: depths reset, multi-cycle results get
     /// one state closer to ready, busy units tick down. Pending loop-exit
     /// discharges become permanent here — promotion at the state boundary

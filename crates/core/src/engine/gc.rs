@@ -6,16 +6,16 @@ use super::*;
 impl Engine<'_> {
     /// Containment audit for the gc-storm fault: re-runs the
     /// mark-and-sweep prune after the normal pass and verifies the
-    /// context fingerprint is unchanged — pruning must be idempotent,
-    /// so a redundant storm of prune passes is byte-neutral. A changed
-    /// fingerprint means gc dropped live state and the run aborts.
+    /// context is unchanged, field by field — pruning must be
+    /// idempotent, so a redundant storm of prune passes is byte-neutral.
+    /// A changed context means gc dropped live state and the run aborts.
     pub(super) fn gc_storm_check(&mut self, ctx: &mut Ctx) -> Result<(), SchedError> {
         if !self.faults.as_mut().is_some_and(|f| f.fire(Probe::GcStorm)) {
             return Ok(());
         }
-        let before = ctx.shape_fingerprint();
+        let before = ctx.clone();
         self.gc(ctx)?;
-        if ctx.shape_fingerprint() != before {
+        if *ctx != before {
             return Err(SchedError::Internal {
                 context: "gc-storm audit: prune pass is not idempotent".to_string(),
             });

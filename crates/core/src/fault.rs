@@ -27,7 +27,7 @@ pub enum Probe {
     /// so the schedule must be byte-identical.
     BddEvict,
     /// Re-run the mark-and-sweep prune immediately after the normal gc
-    /// pass — a prune storm — and audit that the context fingerprint is
+    /// pass — a prune storm — and audit that the whole context is
     /// unchanged (pruning must be idempotent).
     GcStorm,
     /// Artificial fuel exhaustion: abort the run with

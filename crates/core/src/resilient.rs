@@ -1,6 +1,6 @@
 //! Graceful-degradation driver: scheduling with a fallback chain.
 //!
-//! [`schedule_resilient`] wraps [`schedule`](crate::schedule) in a
+//! [`schedule_resilient`] wraps [`schedule`] in a
 //! degradation chain. When an attempt fails retryably (caps, deadlock,
 //! deadline, internal error), the driver retries with progressively
 //! less aggressive configurations — tightened speculation knobs first,
@@ -151,7 +151,7 @@ fn attempt_plan(cfg: &SchedConfig) -> Vec<(Mode, usize, usize)> {
 
 /// Schedules `g` with graceful degradation.
 ///
-/// Runs [`schedule`](crate::schedule) under `cfg`; on a retryable
+/// Runs [`schedule`] under `cfg`; on a retryable
 /// failure (`StateLimit`, `IterationLimit`, `WindowLimit`, `Stuck`,
 /// `Deadline`, `Internal` — everything except an explicit cancellation
 /// and a too-deep loop nest) retries

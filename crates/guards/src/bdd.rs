@@ -9,7 +9,7 @@
 //! OR, NOT, cofactor) canonical: two [`Guard`]s are semantically equal if
 //! and only if they are `==`.
 
-use crate::{Assignment, Cond};
+use crate::Cond;
 use spec_support::fxhash::FxHashMap;
 use std::fmt;
 
@@ -429,36 +429,6 @@ impl BddManager {
         self.ite(a, Guard::FALSE, Guard::TRUE)
     }
 
-    /// Exclusive or, used by tests to state algebraic laws compactly.
-    pub fn xor(&mut self, a: Guard, b: Guard) -> Guard {
-        let nb = self.not(b);
-        self.ite(a, nb, b)
-    }
-
-    /// Conjunction over an iterator of guards.
-    pub fn and_all<I: IntoIterator<Item = Guard>>(&mut self, guards: I) -> Guard {
-        let mut acc = Guard::TRUE;
-        for g in guards {
-            acc = self.and(acc, g);
-            if acc.is_false() {
-                break;
-            }
-        }
-        acc
-    }
-
-    /// Disjunction over an iterator of guards.
-    pub fn or_all<I: IntoIterator<Item = Guard>>(&mut self, guards: I) -> Guard {
-        let mut acc = Guard::FALSE;
-        for g in guards {
-            acc = self.or(acc, g);
-            if acc.is_true() {
-                break;
-            }
-        }
-        acc
-    }
-
     /// Restricts `g` by the resolution `cond = value`.
     ///
     /// This is Step 2 of Sec. 4.3 of the paper: when a conditional operation
@@ -499,35 +469,6 @@ impl BddManager {
         }
         self.cofactor_cache.insert(key, r);
         r
-    }
-
-    /// Restricts `g` by every pair in `assignment`.
-    ///
-    /// Each step goes through the memoized [`BddManager::cofactor`], so
-    /// repeated restriction of the same guards (the common pattern in
-    /// Step 2 of Sec. 4.3, where every context guard is restricted by the
-    /// same resolution) costs one cache probe per condition.
-    pub fn restrict(&mut self, g: Guard, assignment: &Assignment) -> Guard {
-        let mut acc = g;
-        for (cond, value) in assignment.iter() {
-            acc = self.cofactor(acc, cond, value);
-            if acc.is_const() {
-                break;
-            }
-        }
-        acc
-    }
-
-    /// Decomposes a non-terminal guard into `(top condition, cofactor at
-    /// false, cofactor at true)` without mutating the manager.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is a constant.
-    pub fn branches(&self, g: Guard) -> (Cond, Guard, Guard) {
-        assert!(!g.is_const(), "terminal guards have no branches");
-        let n = self.node(g);
-        (Cond::new(n.var), n.lo, n.hi)
     }
 
     /// The set of conditions the guard depends on, sorted by BDD variable
@@ -624,84 +565,6 @@ impl BddManager {
         self.support_lens[g.idx()] = n as u32;
         n
     }
-
-    /// Evaluates the guard under a total assignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment` does not cover the guard's support.
-    pub fn eval(&self, g: Guard, assignment: &Assignment) -> bool {
-        let mut cur = g;
-        while !cur.is_const() {
-            let n = self.node(cur);
-            let v = assignment
-                .get(Cond::new(n.var))
-                .expect("assignment must cover the guard's support");
-            cur = if v { n.hi } else { n.lo };
-        }
-        cur.is_true()
-    }
-
-    /// Returns `true` if `a` logically implies `b`.
-    pub fn implies(&mut self, a: Guard, b: Guard) -> bool {
-        let nb = self.not(b);
-        self.and(a, nb).is_false()
-    }
-
-    /// Enumerates all satisfying total assignments of `g` over exactly the
-    /// conditions in `over` (which must be a superset of the support).
-    ///
-    /// This implements the partitioning in step 4 of the algorithm's flow
-    /// diagram (Fig. 12): given the set of conditions resolved in a state,
-    /// each satisfying combination spawns one successor state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `over` does not cover the support of `g`.
-    pub fn assignments(&mut self, g: Guard, over: &[Cond]) -> Vec<Assignment> {
-        for c in self.support(g) {
-            assert!(
-                over.contains(&c),
-                "enumeration set must cover the guard's support (missing {c})"
-            );
-        }
-        // Enumerate in BDD variable order regardless of how the caller
-        // ordered `over`: partition enumeration is then order-deterministic
-        // by construction (same guard + same condition set ⇒ same successor
-        // order), and cofactoring in variable order peels the top variable
-        // first, which keeps intermediate guards small.
-        let mut sorted: Vec<Cond> = over.to_vec();
-        sorted.sort_unstable_by_key(|&c| (self.level(c), c));
-        sorted.dedup();
-        let mut out = Vec::new();
-        let mut partial = Assignment::new();
-        self.enumerate(g, &sorted, 0, &mut partial, &mut out);
-        out
-    }
-
-    fn enumerate(
-        &mut self,
-        g: Guard,
-        over: &[Cond],
-        i: usize,
-        partial: &mut Assignment,
-        out: &mut Vec<Assignment>,
-    ) {
-        if g.is_false() {
-            return;
-        }
-        if i == over.len() {
-            out.push(partial.clone());
-            return;
-        }
-        let c = over[i];
-        for value in [false, true] {
-            let sub = self.cofactor(g, c, value);
-            partial.set(c, value);
-            self.enumerate(sub, over, i + 1, partial, out);
-            partial.unset(c);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -715,6 +578,10 @@ mod tests {
         let b = m.literal(Cond::new(1), true);
         let c = m.literal(Cond::new(2), true);
         (m, a, b, c)
+    }
+
+    fn conj(m: &mut BddManager, guards: impl IntoIterator<Item = Guard>) -> Guard {
+        guards.into_iter().fold(Guard::TRUE, |acc, g| m.and(acc, g))
     }
 
     #[test]
@@ -812,62 +679,10 @@ mod tests {
         let nc = m.not(c);
         let g = m.and(a, nc);
         assert_eq!(m.support(g), vec![Cond::new(0), Cond::new(2)]);
-        let mut asg = Assignment::new();
-        asg.set(Cond::new(0), true);
-        asg.set(Cond::new(2), false);
-        assert!(m.eval(g, &asg));
-        asg.set(Cond::new(2), true);
-        assert!(!m.eval(g, &asg));
-    }
-
-    #[test]
-    #[should_panic(expected = "assignment must cover")]
-    fn eval_requires_full_support() {
-        let (m2, a, b, _) = {
-            let (mut m, a, b, c) = mgr3();
-            let _ = c;
-            let g = m.and(a, b);
-            (m, g, g, ())
-        };
-        let _ = b;
-        let asg = Assignment::new();
-        m2.eval(a, &asg);
-    }
-
-    #[test]
-    fn implies() {
-        let (mut m, a, b, _) = mgr3();
-        let ab = m.and(a, b);
-        assert!(m.implies(ab, a));
-        assert!(m.implies(ab, b));
-        assert!(!m.implies(a, ab));
-        assert!(m.implies(Guard::FALSE, a));
-        assert!(m.implies(a, Guard::TRUE));
-    }
-
-    #[test]
-    fn assignments_enumerates_minterms() {
-        let (mut m, a, b, _) = mgr3();
-        let g = m.or(a, b);
-        let over = [Cond::new(0), Cond::new(1)];
-        let sats = m.assignments(g, &over);
-        assert_eq!(sats.len(), 3, "three of four minterms satisfy a ∨ b");
-        for asg in &sats {
-            assert!(m.eval(g, asg));
-        }
-        // Enumerating TRUE over two conditions yields all four minterms.
-        let all = m.assignments(Guard::TRUE, &over);
-        assert_eq!(all.len(), 4);
-        // FALSE has none.
-        assert!(m.assignments(Guard::FALSE, &over).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "must cover the guard's support")]
-    fn assignments_requires_cover() {
-        let (mut m, a, b, _) = mgr3();
-        let g = m.and(a, b);
-        let _ = m.assignments(g, &[Cond::new(0)]);
+        // Resolving every support condition leaves a constant.
+        let a_true = m.cofactor(g, Cond::new(0), true);
+        assert!(m.cofactor(a_true, Cond::new(2), false).is_true());
+        assert!(m.cofactor(a_true, Cond::new(2), true).is_false());
     }
 
     #[test]
@@ -893,19 +708,6 @@ mod tests {
     }
 
     #[test]
-    fn and_all_or_all() {
-        let (mut m, a, b, c) = mgr3();
-        let all = m.and_all([a, b, c]);
-        let ab = m.and(a, b);
-        assert_eq!(all, m.and(ab, c));
-        assert_eq!(m.and_all(std::iter::empty()), Guard::TRUE);
-        assert_eq!(m.or_all(std::iter::empty()), Guard::FALSE);
-        let any = m.or_all([a, b, c]);
-        let ab = m.or(a, b);
-        assert_eq!(any, m.or(ab, c));
-    }
-
-    #[test]
     fn support_into_matches_support_and_is_sorted() {
         let mut m = BddManager::new();
         for i in [7u32, 2, 9, 0, 5] {
@@ -915,10 +717,11 @@ mod tests {
             .iter()
             .map(|&i| m.literal(Cond::new(i), i % 2 == 0))
             .collect();
-        let g = m.and_all(lits.clone());
+        let g = conj(&mut m, lits.iter().copied());
         let d = {
             let x = m.or(lits[0], lits[3]);
-            m.xor(x, g)
+            let ng = m.not(g);
+            m.ite(x, ng, g)
         };
         let mut buf = Vec::new();
         for guard in [g, d, Guard::TRUE, Guard::FALSE, lits[2]] {
@@ -1005,11 +808,11 @@ mod tests {
         let rlits: Vec<Guard> = (0..8)
             .map(|i| reference.literal(Cond::new(i), true))
             .collect();
-        let racc = reference.and_all(rlits);
+        let racc = conj(&mut reference, rlits);
         assert_eq!(m.support(acc), reference.support(racc));
         assert!(m.cache_stats().evictions() > 0, "tiny cache never evicted");
         // Eviction must not corrupt canonicity: same AND again is equal.
-        let again = m.and_all(lits);
+        let again = conj(&mut m, lits);
         assert_eq!(again, acc);
     }
 
@@ -1019,7 +822,7 @@ mod tests {
         // chain of ANDs forces ite evictions and only ite evictions.
         let mut m = BddManager::with_cache_capacity(1, 1 << 16);
         let lits: Vec<Guard> = (0..8).map(|i| m.literal(Cond::new(i), true)).collect();
-        let _ = m.and_all(lits);
+        let _ = conj(&mut m, lits);
         let s = m.cache_stats();
         assert!(s.ite_evictions > 0, "1-entry ite cache never evicted");
         assert_eq!(s.cofactor_evictions, 0, "cofactor cache was not touched");
@@ -1033,7 +836,7 @@ mod tests {
         let mut m = BddManager::with_cache_capacity(1 << 18, 1);
         let lits: Vec<Guard> = (0..8).map(|i| m.literal(Cond::new(i), true)).collect();
         let odd = lits.chunks(2).map(|p| m.or(p[0], p[1])).collect::<Vec<_>>();
-        let g = m.and_all(odd);
+        let g = conj(&mut m, odd);
         let before = m.cache_stats();
         let r = m.cofactor(g, Cond::new(7), true);
         let after = m.cache_stats();
@@ -1051,7 +854,7 @@ mod tests {
             .chunks(2)
             .map(|p| reference.or(p[0], p[1]))
             .collect::<Vec<_>>();
-        let rg = reference.and_all(rodd);
+        let rg = conj(&mut reference, rodd);
         let rr = reference.cofactor(rg, Cond::new(7), true);
         assert_eq!(m.support(r), reference.support(rr));
     }
@@ -1135,32 +938,10 @@ mod tests {
     }
 
     #[test]
-    fn assignments_order_independent_of_over_order() {
-        let (mut m, a, b, _) = mgr3();
-        let g = m.or(a, b);
-        let fwd = m.assignments(g, &[Cond::new(0), Cond::new(1)]);
-        let rev = m.assignments(g, &[Cond::new(1), Cond::new(0)]);
-        assert_eq!(fwd, rev, "enumeration order must be canonical");
-    }
-
-    #[test]
     fn cache_stats_display_is_readable() {
         let (mut m, a, b, _) = mgr3();
         let _ = m.and(a, b);
         let s = m.cache_stats().to_string();
         assert!(s.contains("nodes=") && s.contains("ite=") && s.contains("evictions="));
-    }
-
-    #[test]
-    fn restrict_applies_assignment() {
-        let (mut m, a, b, c) = mgr3();
-        let ab = m.and(a, b);
-        let g = m.and(ab, c);
-        let mut asg = Assignment::new();
-        asg.set(Cond::new(0), true);
-        asg.set(Cond::new(1), true);
-        assert_eq!(m.restrict(g, &asg), c);
-        asg.set(Cond::new(2), false);
-        assert!(m.restrict(g, &asg).is_false());
     }
 }

@@ -145,7 +145,7 @@ mod tests {
         let mut m = BddManager::new();
         let p = m.literal(Cond::new(0), true);
         let n = m.literal(Cond::new(0), false);
-        let g = m.and_all([p, n]);
+        let g = m.and(p, n);
         assert!(g.is_false());
         assert_eq!(sop(&m, g), "0");
     }
@@ -170,28 +170,24 @@ mod tests {
     }
 
     #[test]
-    fn cube_guard_matches_manual_conjunction() {
-        let mut m = BddManager::new();
-        let a = m.literal(Cond::new(0), true);
-        let nb = m.literal(Cond::new(1), false);
-        assert_eq!(m.and_all([a, nb]), m.and(a, nb));
-        assert_eq!(m.and_all([]), Guard::TRUE);
-    }
-
-    #[test]
     fn cube_to_assignment() {
         // A cube has exactly one satisfying assignment over its support,
-        // pinning each literal's condition.
+        // pinning each literal's condition: resolving its literals as
+        // written leaves TRUE, flipping any one of them leaves FALSE.
         let mut m = BddManager::new();
         let p2 = m.literal(Cond::new(2), true);
         let n0 = m.literal(Cond::new(0), false);
         let g = m.and(p2, n0);
-        let support = m.support(g);
-        let sats = m.assignments(g, &support);
-        assert_eq!(sats.len(), 1);
-        assert_eq!(sats[0].get(Cond::new(2)), Some(true));
-        assert_eq!(sats[0].get(Cond::new(0)), Some(false));
-        assert_eq!(sats[0].len(), 2);
+        assert_eq!(m.support(g), [Cond::new(2), Cond::new(0)]);
+        let pinned = [(Cond::new(2), true), (Cond::new(0), false)];
+        let resolve = |m: &mut BddManager, flip: Option<usize>| {
+            pinned.iter().enumerate().fold(g, |acc, (i, &(c, v))| {
+                m.cofactor(acc, c, v != (flip == Some(i)))
+            })
+        };
+        assert!(resolve(&mut m, None).is_true());
+        assert!(resolve(&mut m, Some(0)).is_false());
+        assert!(resolve(&mut m, Some(1)).is_false());
     }
 
     #[test]

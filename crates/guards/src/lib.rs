@@ -17,14 +17,13 @@
 //! * [`BddManager`] / [`Guard`] — a reduced ordered binary decision diagram
 //!   package with the operations the scheduling algorithm relies on:
 //!   conjunction (Lemma 1), cofactoring by a resolved condition (Step 2 of
-//!   Sec. 4.3), support extraction and minterm enumeration (the
-//!   "for each combination of conditions" partitioning of Fig. 12), and
-//!   exact probability evaluation (the `∏ P(c_j)` factor of Eq. 5,
-//!   generalized to arbitrary guards).
+//!   Sec. 4.3, and the split of Fig. 12 step 4, which cofactors by each
+//!   resolved pending condition in turn), and support extraction.
+//! * [`CondProbs`] — exact probability evaluation (the `∏ P(c_j)` factor
+//!   of Eq. 5, generalized to arbitrary guards).
 //! * Cube views — a guard's paths as conjunctions of literals, rendered
 //!   as a sum of products ([`BddManager::to_sop_string`]) or as a token
 //!   stream for hashing ([`BddManager::sop_tokens`]).
-//! * [`Assignment`] — a partial mapping from conditions to outcomes.
 //!
 //! # Example
 //!
@@ -48,12 +47,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod assign;
 mod bdd;
 mod cube;
 mod prob;
 
-pub use assign::Assignment;
 pub use bdd::{BddManager, CacheStats, Guard};
 pub use cube::{SOP_CUBES, SOP_FALSE, SOP_TRUE};
 pub use prob::CondProbs;

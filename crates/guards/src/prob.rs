@@ -14,57 +14,35 @@ use std::collections::HashMap;
 
 /// Per-condition probabilities of evaluating to true.
 ///
-/// Conditions not explicitly set fall back to a configurable default
-/// (0.5 unless changed), mirroring a profiler that has no data for a
-/// branch it never saw.
+/// Conditions not explicitly set fall back to 0.5, mirroring a profiler
+/// that has no data for a branch it never saw.
 ///
 /// # Example
 ///
 /// ```
 /// use guards::{BddManager, Cond, CondProbs};
+/// use spec_support::fxhash::FxHashMap;
 /// let mut m = BddManager::new();
 /// let mut p = CondProbs::new();
 /// p.set(Cond::new(0), 0.8);
 /// let a = m.literal(Cond::new(0), true);
-/// let b = m.literal(Cond::new(1), true); // default 0.5
+/// let b = m.literal(Cond::new(1), true); // unset: 0.5
 /// let g = m.and(a, b);
-/// assert!((p.probability(&m, g) - 0.4).abs() < 1e-12);
+/// let mut memo = FxHashMap::default();
+/// assert!((p.probability_with(&m, g, &mut memo) - 0.4).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CondProbs {
     map: HashMap<Cond, f64>,
-    default: f64,
 }
 
-impl Default for CondProbs {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// `P(cond = true)` of a condition with no entry.
+const UNSET_PROBABILITY: f64 = 0.5;
 
 impl CondProbs {
-    /// Creates an empty table with default probability 0.5.
+    /// Creates an empty table.
     pub fn new() -> Self {
-        CondProbs {
-            map: HashMap::new(),
-            default: 0.5,
-        }
-    }
-
-    /// Creates an empty table with the given default probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `default` is not in `[0, 1]`.
-    pub fn with_default(default: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&default),
-            "probability must be in [0, 1], got {default}"
-        );
-        CondProbs {
-            map: HashMap::new(),
-            default,
-        }
+        Self::default()
     }
 
     /// Sets `P(cond = true)`.
@@ -80,30 +58,14 @@ impl CondProbs {
         self.map.insert(cond, p);
     }
 
-    /// Looks up `P(cond = true)`, falling back to the default.
+    /// Looks up `P(cond = true)`, 0.5 for a condition never set.
     pub fn get(&self, cond: Cond) -> f64 {
-        self.map.get(&cond).copied().unwrap_or(self.default)
-    }
-
-    /// The default probability used for unknown conditions.
-    pub fn default_probability(&self) -> f64 {
-        self.default
+        self.map.get(&cond).copied().unwrap_or(UNSET_PROBABILITY)
     }
 
     /// Exact probability that `g` evaluates to true, assuming independent
-    /// conditions, computed by Shannon expansion over the BDD.
-    ///
-    /// Builds and discards a fresh memo table per call. Hot paths that
-    /// evaluate many (often structurally overlapping) guards against the
-    /// same probability table should use
-    /// [`CondProbs::probability_with`] and keep the memo alive.
-    pub fn probability(&self, m: &BddManager, g: Guard) -> f64 {
-        let mut memo: FxHashMap<Guard, f64> = FxHashMap::default();
-        self.probability_with(m, g, &mut memo)
-    }
-
-    /// Like [`CondProbs::probability`], but memoizes into a caller-owned
-    /// table that can persist across calls.
+    /// conditions, computed by Shannon expansion over the BDD and
+    /// memoized into a caller-owned table that can persist across calls.
     ///
     /// The memo is keyed by guard handle only, so it is valid exactly as
     /// long as (a) all guards come from the same [`BddManager`] and (b) no
@@ -130,7 +92,7 @@ impl CondProbs {
         if let Some(&p) = memo.get(&g) {
             return p;
         }
-        let (top, lo, hi) = m.branches(g);
+        let (top, lo, hi) = m.decision(g);
         let pc = self.get(top);
         let p = pc * self.prob_rec(m, hi, memo) + (1.0 - pc) * self.prob_rec(m, lo, memo);
         memo.insert(g, p);
@@ -142,12 +104,16 @@ impl CondProbs {
 mod tests {
     use super::*;
 
+    fn p_of(p: &CondProbs, m: &BddManager, g: Guard) -> f64 {
+        p.probability_with(m, g, &mut FxHashMap::default())
+    }
+
     #[test]
     fn constants() {
         let m = BddManager::new();
         let p = CondProbs::new();
-        assert_eq!(p.probability(&m, Guard::TRUE), 1.0);
-        assert_eq!(p.probability(&m, Guard::FALSE), 0.0);
+        assert_eq!(p_of(&p, &m, Guard::TRUE), 1.0);
+        assert_eq!(p_of(&p, &m, Guard::FALSE), 0.0);
     }
 
     #[test]
@@ -157,8 +123,8 @@ mod tests {
         p.set(Cond::new(0), 0.3);
         let a = m.literal(Cond::new(0), true);
         let na = m.literal(Cond::new(0), false);
-        assert!((p.probability(&m, a) - 0.3).abs() < 1e-12);
-        assert!((p.probability(&m, na) - 0.7).abs() < 1e-12);
+        assert!((p_of(&p, &m, a) - 0.3).abs() < 1e-12);
+        assert!((p_of(&p, &m, na) - 0.7).abs() < 1e-12);
     }
 
     #[test]
@@ -170,7 +136,7 @@ mod tests {
         let a = m.literal(Cond::new(0), true);
         let b = m.literal(Cond::new(1), true);
         let g = m.and(a, b);
-        assert!((p.probability(&m, g) - 0.15).abs() < 1e-12);
+        assert!((p_of(&p, &m, g) - 0.15).abs() < 1e-12);
     }
 
     #[test]
@@ -183,7 +149,7 @@ mod tests {
         let b = m.literal(Cond::new(1), true);
         let g = m.or(a, b);
         let expect = 0.6 + 0.25 - 0.6 * 0.25;
-        assert!((p.probability(&m, g) - expect).abs() < 1e-12);
+        assert!((p_of(&p, &m, g) - expect).abs() < 1e-12);
     }
 
     #[test]
@@ -194,19 +160,20 @@ mod tests {
         p.set(Cond::new(1), 0.4);
         let a = m.literal(Cond::new(0), true);
         let b = m.literal(Cond::new(1), false);
-        let g = m.xor(a, b);
+        let nb = m.not(b);
+        let g = m.ite(a, nb, b);
         let ng = m.not(g);
-        let total = p.probability(&m, g) + p.probability(&m, ng);
+        let total = p_of(&p, &m, g) + p_of(&p, &m, ng);
         assert!((total - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn default_probability_used_for_unseen() {
         let mut m = BddManager::new();
-        let p = CondProbs::with_default(0.9);
+        let p = CondProbs::new();
         let a = m.literal(Cond::new(42), true);
-        assert!((p.probability(&m, a) - 0.9).abs() < 1e-12);
-        assert_eq!(p.default_probability(), 0.9);
+        assert_eq!(p.get(Cond::new(42)), 0.5);
+        assert!((p_of(&p, &m, a) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! generated expressions. Runs on `spec_support::proptest_lite`, so the
 //! whole suite is deterministic and offline.
 
-use guards::{Assignment, BddManager, Cond, CondProbs, Guard};
+use guards::{BddManager, Cond, CondProbs, Guard};
+use spec_support::fxhash::FxHashMap;
 use spec_support::props;
 use spec_support::proptest_lite as pl;
 
@@ -68,29 +69,35 @@ fn arb_expr() -> pl::Gen<Expr> {
     })
 }
 
-fn all_assignments() -> Vec<Vec<bool>> {
+fn all_valuations() -> Vec<Vec<bool>> {
     (0..(1u32 << NVARS))
         .map(|bits| (0..NVARS).map(|v| bits & (1 << v) != 0).collect())
         .collect()
 }
 
-fn to_assignment(bits: &[bool]) -> Assignment {
-    bits.iter()
-        .enumerate()
-        .map(|(i, &b)| (Cond::new(i as u32), b))
-        .collect()
+/// Evaluates `g` under a total assignment by cofactoring it by every
+/// variable in turn: what is left must be a constant.
+fn eval_by_cofactor(m: &mut BddManager, g: Guard, asg: &[bool]) -> bool {
+    let mut cur = g;
+    for (v, &b) in asg.iter().enumerate() {
+        cur = m.cofactor(cur, Cond::new(v as u32), b);
+    }
+    assert!(
+        cur.is_const(),
+        "a guard cofactored by every variable is constant"
+    );
+    cur.is_true()
 }
 
 props! {
     /// The BDD build agrees with direct evaluation on every assignment —
-    /// the fundamental soundness property.
+    /// the fundamental soundness property — read off by cofactoring, so
+    /// it checks `cofactor` as well.
     fn bdd_matches_truth_table(e in arb_expr()) {
         let mut m = BddManager::new();
         let g = e.build(&mut m);
-        for asg in all_assignments() {
-            let expect = e.eval(&asg);
-            // Pad the assignment over all vars so eval never under-covers.
-            assert_eq!(m.eval(g, &to_assignment(&asg)), expect);
+        for asg in all_valuations() {
+            assert_eq!(eval_by_cofactor(&mut m, g, &asg), e.eval(&asg));
         }
     }
 
@@ -143,22 +150,6 @@ props! {
         assert_eq!(lhs, rhs, "distributivity");
     }
 
-    /// Minterm enumeration returns exactly the satisfying assignments.
-    fn assignments_complete_and_sound(e in arb_expr()) {
-        let mut m = BddManager::new();
-        let g = e.build(&mut m);
-        let over: Vec<Cond> = (0..NVARS).map(Cond::new).collect();
-        let sats = m.assignments(g, &over);
-        let expect = all_assignments()
-            .iter()
-            .filter(|asg| e.eval(asg))
-            .count();
-        assert_eq!(sats.len(), expect);
-        for asg in &sats {
-            assert!(m.eval(g, asg));
-        }
-    }
-
     /// Probability axioms: P ∈ [0,1], P(g) + P(¬g) = 1, and P equals the
     /// weighted truth-table sum.
     fn probability_axioms(
@@ -171,14 +162,15 @@ props! {
         for (i, &p) in ps.iter().enumerate() {
             probs.set(Cond::new(i as u32), p);
         }
-        let pg = probs.probability(&m, g);
+        let mut memo = FxHashMap::default();
+        let pg = probs.probability_with(&m, g, &mut memo);
         assert!((0.0..=1.0 + 1e-12).contains(&pg));
         let ng = m.not(g);
-        let png = probs.probability(&m, ng);
+        let png = probs.probability_with(&m, ng, &mut memo);
         assert!((pg + png - 1.0).abs() < 1e-9);
         // Weighted truth-table sum.
         let mut sum = 0.0;
-        for asg in all_assignments() {
+        for asg in all_valuations() {
             if e.eval(&asg) {
                 let mut w = 1.0;
                 for (i, &b) in asg.iter().enumerate() {
@@ -225,13 +217,15 @@ props! {
             for &v in &order {
                 m.place(Cond::new(v), less);
                 let l = m.literal(Cond::new(v), v % 2 == 0);
-                acc = m.xor(acc, l);
+                let nl = m.not(l);
+                acc = m.ite(acc, nl, l);
                 early.push((v, acc));
             }
             let mut again = Guard::FALSE;
             for &(v, g) in &early {
                 let l = m.literal(Cond::new(v), v % 2 == 0);
-                again = m.xor(again, l);
+                let nl = m.not(l);
+                again = m.ite(again, nl, l);
                 assert_eq!(again, g, "a guard built before later placements stays canonical");
             }
             let g = e.build(&mut m);
@@ -258,8 +252,7 @@ props! {
             m.place(Cond::new(v), |a, b| a < b);
         }
         let parts: Vec<Guard> = lits.iter().map(|&(v, p)| m.literal(Cond::new(v), p)).collect();
-        let g = m.and_all(parts.iter().copied());
-        assert_eq!(g, parts.iter().fold(Guard::TRUE, |acc, &l| m.and(acc, l)));
+        let g = parts.iter().fold(Guard::TRUE, |acc, &l| m.and(acc, l));
         let mut distinct = lits.clone();
         distinct.sort_unstable();
         distinct.dedup();

@@ -300,7 +300,7 @@ impl Limit {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Allocation {
-    counts: HashMap<FuClassKey, Limit>,
+    counts: HashMap<FuClassKey, u32>,
     unconstrained: bool,
 }
 
@@ -321,13 +321,7 @@ impl Allocation {
 
     /// Grants `n` units of `class` (builder style).
     pub fn with(mut self, class: FuClass, n: u32) -> Self {
-        self.counts.insert(key_of(class), Limit::Finite(n));
-        self
-    }
-
-    /// Grants unlimited units of `class` (builder style).
-    pub fn with_unlimited(mut self, class: FuClass) -> Self {
-        self.counts.insert(key_of(class), Limit::Unlimited);
+        self.counts.insert(key_of(class), n);
         self
     }
 
@@ -336,8 +330,8 @@ impl Allocation {
         if self.unconstrained || class == FuClass::Free {
             return Limit::Unlimited;
         }
-        if let Some(&l) = self.counts.get(&key_of(class)) {
-            return l;
+        if let Some(&n) = self.counts.get(&key_of(class)) {
+            return Limit::Finite(n);
         }
         match class {
             FuClass::Logic => Limit::Unlimited,
@@ -346,10 +340,10 @@ impl Allocation {
         }
     }
 
-    /// Iterates over explicitly granted finite unit counts (for area
+    /// Iterates over explicitly granted unit counts (for area
     /// accounting); the logic/memory defaults are not included.
     pub fn granted(&self) -> impl Iterator<Item = (FuClass, u32)> + '_ {
-        self.counts.iter().filter_map(|(&k, &l)| {
+        self.counts.iter().map(|(&k, &n)| {
             let class = match k {
                 FuClassKey::Adder => FuClass::Adder,
                 FuClassKey::Subtracter => FuClass::Subtracter,
@@ -362,10 +356,7 @@ impl Allocation {
                 FuClassKey::MemPort => FuClass::MemPort(MemId::new(0)),
                 FuClassKey::Free => FuClass::Free,
             };
-            match l {
-                Limit::Finite(n) => Some((class, n)),
-                Limit::Unlimited => None,
-            }
+            (class, n)
         })
     }
 }

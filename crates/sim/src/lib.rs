@@ -15,7 +15,7 @@
 //!   "profiling information" input).
 //! * [`trace`] — seeded zero-mean Gaussian input sequences (the paper's
 //!   trace methodology).
-//! * [`measure`] — end-to-end measurement: expected number of cycles,
+//! * [`measure`](fn@measure) — end-to-end measurement: expected number of cycles,
 //!   observed best/worst case, and functional-equivalence checking
 //!   against the `hls-lang` interpreter.
 //! * [`markov`] — the analytic expected-cycle count from the STG's

@@ -60,13 +60,6 @@ impl Gaussian {
         (self.mean + self.sigma * z).round() as i64
     }
 
-    /// Next sample folded into `[lo, hi]` (inclusive) by clamping — used
-    /// for inputs with restricted domains (loop bounds, positive
-    /// operands).
-    pub fn next_in(&mut self, lo: i64, hi: i64) -> i64 {
-        self.next_value().clamp(lo, hi)
-    }
-
     /// Next strictly positive sample (magnitude, minimum 1).
     pub fn next_positive(&mut self) -> i64 {
         self.next_value().abs().max(1)
@@ -141,8 +134,6 @@ mod tests {
         for _ in 0..1000 {
             let v = g.next_positive();
             assert!(v >= 1);
-            let w = g.next_in(-5, 5);
-            assert!((-5..=5).contains(&w));
         }
     }
 

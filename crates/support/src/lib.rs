@@ -5,9 +5,9 @@
 //! the three external crates the seed declared but could never fetch:
 //!
 //! * [`rng`] replaces `rand` — a seedable SplitMix64 + xoshiro256\*\*
-//!   PRNG stack with uniform/range/normal sampling and a
-//!   `Distribution`-style trait. Every sample is a pure function of the
-//!   seed, so simulation traces rerun byte-identically.
+//!   PRNG stack with uniform, range and Bernoulli sampling. Every
+//!   sample is a pure function of the seed, so simulation traces rerun
+//!   byte-identically.
 //! * [`proptest_lite`] replaces `proptest` — seeded property-based
 //!   testing with combinator generators, configurable case counts
 //!   (`SPEC_PROPTEST_CASES`), failing-seed reporting, and bounded

@@ -8,9 +8,7 @@
 //! run — the property the simulation traces and property tests rely on.
 //!
 //! Sampling is split rand-style into a minimal core trait
-//! ([`RngCore`]), an extension trait of provided samplers ([`Rng`]),
-//! and stateless [`Distribution`] values ([`Uniform`], [`Normal`],
-//! [`Bernoulli`]) for code that wants to pass "how to sample" as data.
+//! ([`RngCore`]) and an extension trait of provided samplers ([`Rng`]).
 
 use std::ops::Range;
 
@@ -39,15 +37,6 @@ pub trait Rng: RngCore {
         Self: Sized,
     {
         range.sample_from(self)
-    }
-
-    /// Gaussian sample via the Box–Muller transform. Stateless: each
-    /// call consumes two uniforms and discards the paired variate.
-    fn normal(&mut self, mean: f64, sigma: f64) -> f64 {
-        let u1: f64 = self.uniform_f64().max(f64::EPSILON);
-        let u2: f64 = self.uniform_f64();
-        let r: f64 = (-2.0_f64 * u1.ln()).sqrt();
-        mean + sigma * r * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
     /// Bernoulli trial: `true` with probability `p`.
@@ -164,75 +153,6 @@ impl RngCore for Xoshiro256StarStar {
     }
 }
 
-/// A stateless description of how to sample a `T` — the `rand`
-/// `Distribution` idiom, for code that passes samplers as data.
-pub trait Distribution<T> {
-    /// Draws one sample using `rng` as the entropy source.
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> T;
-}
-
-/// Uniform distribution over a half-open `f64` interval.
-#[derive(Debug, Clone, Copy)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Uniform over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo < hi, "empty uniform support");
-        Uniform { lo, hi }
-    }
-}
-
-impl Distribution<f64> for Uniform {
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
-        (self.lo..self.hi).sample_from(rng)
-    }
-}
-
-/// Gaussian distribution (Box–Muller, spare variate discarded).
-#[derive(Debug, Clone, Copy)]
-pub struct Normal {
-    mean: f64,
-    sigma: f64,
-}
-
-impl Normal {
-    /// Gaussian with the given mean and standard deviation.
-    pub fn new(mean: f64, sigma: f64) -> Self {
-        Normal { mean, sigma }
-    }
-}
-
-impl Distribution<f64> for Normal {
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
-        rng.normal(self.mean, self.sigma)
-    }
-}
-
-/// Bernoulli distribution: `true` with probability `p`.
-#[derive(Debug, Clone, Copy)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// Trial succeeding with probability `p` (clamped to `[0, 1]`).
-    pub fn new(p: f64) -> Self {
-        Bernoulli {
-            p: p.clamp(0.0, 1.0),
-        }
-    }
-}
-
-impl Distribution<bool> for Bernoulli {
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> bool {
-        rng.chance(self.p)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,43 +216,6 @@ mod tests {
             seen[v] = true;
         }
         assert!(seen.iter().all(|&s| s), "all 6 values hit: {seen:?}");
-    }
-
-    #[test]
-    fn normal_moments_sane() {
-        let mut r = Xoshiro256StarStar::seed_from_u64(17);
-        let n = 50_000;
-        let samples: Vec<f64> = (0..n).map(|_| r.normal(3.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.05, "mean {mean} vs 3.0");
-        assert!(
-            (var.sqrt() - 2.0).abs() < 0.05,
-            "sigma {} vs 2.0",
-            var.sqrt()
-        );
-    }
-
-    #[test]
-    fn distributions_match_trait_methods() {
-        let mut a = Xoshiro256StarStar::seed_from_u64(23);
-        let mut b = a.clone();
-        let d = Normal::new(0.0, 1.0);
-        for _ in 0..64 {
-            assert_eq!(d.sample(&mut a).to_bits(), b.normal(0.0, 1.0).to_bits());
-        }
-        let mut a = Xoshiro256StarStar::seed_from_u64(29);
-        let mut b = a.clone();
-        let u = Uniform::new(2.0, 9.0);
-        for _ in 0..64 {
-            assert_eq!(u.sample(&mut a).to_bits(), b.range(2.0..9.0).to_bits());
-        }
-        let mut a = Xoshiro256StarStar::seed_from_u64(31);
-        let mut b = a.clone();
-        let c = Bernoulli::new(0.4);
-        for _ in 0..64 {
-            assert_eq!(c.sample(&mut a), b.chance(0.4));
-        }
     }
 
     #[test]

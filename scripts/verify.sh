@@ -82,10 +82,11 @@ else
     echo "clippy not installed; skipping lint check"
 fi
 
-echo "== rustdoc (-D warnings)"
+echo "== rustdoc (-D warnings, private items included)"
 # Broken or ambiguous intra-doc links fail here, e.g. a link left
-# pointing at a deleted module.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+# pointing at a deleted module. Private items are documented too: most
+# of the scheduler core's docs sit on crate-private items.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace --document-private-items
 
 echo "== bench smoke (1 iteration per entry)"
 for target in substrates schedulers simulation; do
